@@ -2,11 +2,10 @@
 second-order consensus networks, and their detection by a switching
 Luenberger observer with strategically chosen dwell times."""
 
-from . import attacks, cli, graphs, observer, scenario, scheduling, simulation
+from . import attacks, graphs, observer, scenario, scheduling, simulation
 
 __all__ = [
     "attacks",
-    "cli",
     "graphs",
     "observer",
     "scenario",

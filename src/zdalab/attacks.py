@@ -78,13 +78,13 @@ class StealthCertificate:
     ``pencil_residuals`` holds one relative kernel residual per stealth-set
     topology; ``observability_residual`` measures how far the initial
     discrepancy leaves the common unobservable subspace (zero when rho = 0);
-    ``max_output_gap`` is filled by a verification run when available.
+    ``max_output_gap`` stays None until a verification run measures it.
     """
 
     valid: bool
     pencil_residuals: tuple
     observability_residual: float
-    max_output_gap: float = float("nan")
+    max_output_gap: float | None = None
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ attack exists, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import attacks, scenario, simulation
 
@@ -17,6 +17,16 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_ATTACK = 3
 EXIT_NUMERIC = 4
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _load(path: str) -> scenario.Scenario:
@@ -81,35 +91,17 @@ def cmd_synthesize(args) -> int:
 
 def cmd_sweep(args) -> int:
     sc = _load(args.scenario)
-    m_values = list(range(args.m_min, args.m_max + 1))
-
-    def one(m: int):
-        out = os.path.join(args.out, f"m{m}")
+    table = {}
+    for m in range(args.m_min, args.m_max + 1):
         try:
             sched = scenario.build_schedule(sc, m=m)
-            sub = scenario.Scenario(
-                topologies=sc.topologies,
-                order=sc.order,
-                horizon=sc.horizon,
-                dt=sc.dt,
-                initial_x=sc.initial_x,
-                initial_v=sc.initial_v,
-                observed=sc.observed,
-                dwell_params=sc.dwell_params,
-                dwell_override=dict(sched.dwell),
-                attacked=sc.attacked,
-                attack=sc.attack,
-                synthesize_directive=sc.synthesize_directive,
-                reported_x=sc.reported_x,
-                reported_v=sc.reported_v,
-                observer_cfg=sc.observer_cfg,
-                id=f"{sc.id}_m{m}",
+            sub = dataclasses.replace(
+                sc, dwell_override=dict(sched.dwell), id=f"{sc.id}_m{m}"
             )
-            result = scenario.run(sub, out, dt=args.dt)
-            switches = len(sched.switch_times)
-            return m, {
+            result = scenario.run(sub, os.path.join(args.out, f"m{m}"), dt=args.dt)
+            table[str(m)] = {
                 "alarm_time": result.alarm_time,
-                "switch_count": switches,
+                "switch_count": len(sched.switch_times),
                 "summary": result.summary,
             }
         except (
@@ -117,12 +109,8 @@ def cmd_sweep(args) -> int:
             simulation.SimulationError,
             scenario.scheduling.ScheduleError,
         ) as exc:
-            return m, {"error": str(exc)}
+            table[str(m)] = {"error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=min(4, len(m_values))) as pool:
-        results = dict(pool.map(one, m_values))
-
-    table = {str(m): results[m] for m in sorted(results)}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_sweep.json")
     with open(path, "w") as fh:
@@ -141,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--scenario", required=True, help="scenario JSON path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--dt", type=float, default=None, help="sample step override (s)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized search")
+        sp.add_argument("--dt", type=_positive, default=None, help="sample step override (s)")
 
     sp = sub.add_parser("validate", help="check admissibility conditions")
     common(sp)
@@ -165,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -2,12 +2,14 @@
 
 The observer copies the plant dynamics under the same topology schedule and
 corrects with position residuals r_i = xhat_i - y_i and their derivatives on
-the observed channels.  Its error dynamics under topology s are governed by
-[[0, I], [-L_s - Phi, -Theta]]; the alarm fires when the residual stays above
-threshold for a full window of samples.
+the observed channels.  Its estimation error e = zhat - z obeys
+de/dt = [[0, I], [-L_s - Phi, -Theta]] e - G m under topology s, where m is
+the exogenous mode the plant's segment carries (the attack input, unknown to
+the observer); the plant state itself never enters.  The alarm fires when
+the residual stays above threshold for a full window of samples.
 
 This module never sees which agents are attacked or when the attack starts;
-it consumes only the trace's outputs and exact per-segment propagators.
+it consumes only the trace's samples and exact per-segment propagators.
 """
 from __future__ import annotations
 
@@ -117,14 +119,15 @@ def run_observer(
 ) -> ObserverRun:
     """Integrate the observer along the plant trace.
 
-    The observer and plant are propagated jointly per dwell segment with a
-    single matrix exponential, so the correction terms see the continuous
-    plant output rather than a sampled approximation.  Internally the joint
-    system is propagated in (plant, observer-minus-plant) coordinates, a
-    similarity transform that keeps the small estimation error away from the
-    rounding floor of the O(1) plant state over long dwell intervals.  The
-    observer starts from the supplied (possibly falsified) initial state,
-    defaulting to the trace's own initial sample.
+    Per dwell segment, the estimation error e = zhat - z and the segment's
+    exogenous mode are propagated jointly with a single matrix exponential,
+    so the correction terms see the continuous plant output rather than a
+    sampled approximation.  Working in e keeps the small estimation error
+    away from the rounding floor of the O(1) plant state over long dwell
+    intervals; the estimate is the trace's plant state plus e, and the
+    residual is e on the observed positions.  The observer starts from the
+    supplied (possibly falsified) initial state, defaulting to the trace's
+    own initial sample.
     """
     n = tr.n
     if not tr.segments:
@@ -145,24 +148,21 @@ def run_observer(
     if vhat0 is None:
         vhat0 = tr.states[0, n:]
     zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
-    e = zhat - tr.states[0]
 
     times = tr.times
-    xhat_out = np.empty((len(times), n))
-    vhat_out = np.empty((len(times), n))
-    xhat_out[0], vhat_out[0] = zhat[:n], zhat[n:]
+    err = np.empty((len(times), 2 * n))
+    err[0] = zhat - tr.states[0]
 
     k = 1
     for seg in tr.segments:
-        A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
-        d_aug = seg.A_aug.shape[0]
-        J = np.zeros((d_aug + 2 * n, d_aug + 2 * n))
-        J[:d_aug, :d_aug] = seg.A_aug
-        # the error e = zhat - z sees the plant only through any exogenous
-        # feedthrough columns the segment carries beyond the plant state
-        J[d_aug:, 2 * n : d_aug] = -seg.A_aug[: 2 * n, 2 * n :]
-        J[d_aug:, d_aug:] = A_obs
-        state = np.concatenate([seg.state0, e])
+        # segment drift [[A, G], [0, Eta]] over (plant, mode) gives the
+        # joint (mode, error) drift [[Eta, 0], [-G, A_obs]]
+        d = seg.A_aug.shape[0] - 2 * n
+        J = np.zeros((d + 2 * n, d + 2 * n))
+        J[:d, :d] = seg.A_aug[2 * n :, 2 * n :]
+        J[d:, :d] = -seg.A_aug[: 2 * n, 2 * n :]
+        J[d:, d:] = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+        state = np.concatenate([seg.state0[2 * n :], err[k - 1]])
         t = seg.t0
         cache: dict[float, np.ndarray] = {}
         while k < len(times) and times[k] <= seg.t1 + 1e-9:
@@ -173,17 +173,14 @@ def run_observer(
                 cache[step] = E
             state = E @ state
             t = times[k]
-            xhat_out[k] = state[d_aug : d_aug + n] + state[:n]
-            vhat_out[k] = state[d_aug + n :] + state[n : 2 * n]
+            err[k] = state[d:]
             k += 1
-        # advance the error to the segment end for the next handoff
-        if t < seg.t1 - 1e-9:
-            state = expm(J * (seg.t1 - t)) @ state
-        e = state[d_aug:]
 
+    zhat = tr.states + err
     idx = [i - 1 for i in cfg.observed]
-    residuals = xhat_out[:, idx] - tr.outputs
-    return ObserverRun(times=times, xhat=xhat_out, vhat=vhat_out, residuals=residuals)
+    return ObserverRun(
+        times=times, xhat=zhat[:, :n], vhat=zhat[:, n:], residuals=err[:, idx]
+    )
 
 
 def detect(times: np.ndarray, residuals: np.ndarray, cfg: ObserverConfig) -> float | None:

@@ -64,15 +64,17 @@ def _require(cond: bool, msg: str):
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a JSON file path, JSON text, or a dict."""
+    """Parse a scenario from a JSON file path, JSON text, or a dict.  A string
+    that does not start with ``{`` is a path."""
     if isinstance(source, dict):
         d = source
     else:
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
+        else:
+            _require(os.path.isfile(source), f"no such file: {source}")
             with open(source) as fh:
                 text = fh.read()
-        else:
-            text = source
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -88,10 +90,13 @@ def load_scenario(source) -> Scenario:
     n = topologies[0].n
     _require(all(t.n == n for t in topologies), "all topologies must have the same size")
     order = tuple(d["order"])
+    _require(bool(order), "switching order must be nonempty")
     _require(all(tid in ids for tid in order), "switching order references unknown topology ids")
 
     horizon = float(d["horizon"])
     _require(horizon > 0.0, "horizon must be positive")
+    dt = float(d.get("dt", 0.01))
+    _require(0.0 < dt < float("inf"), "dt must be positive and finite")
     initial = d["initial"]
     x0, v0 = tuple(map(float, initial["x"])), tuple(map(float, initial["v"]))
     _require(len(x0) == n and len(v0) == n, "initial condition size must match n")
@@ -108,6 +113,10 @@ def load_scenario(source) -> Scenario:
     dwell_override = None
     if "dwell" in d:
         dwell_override = {int(k): float(v) for k, v in d["dwell"].items()}
+        _require(
+            all(dwell_override.get(tid, 0.0) > 0.0 for tid in order),
+            "dwell map needs a positive dwell time for every topology in order",
+        )
 
     attack = None
     synth = None
@@ -140,7 +149,7 @@ def load_scenario(source) -> Scenario:
         topologies=topologies,
         order=order,
         horizon=horizon,
-        dt=float(d.get("dt", 0.01)),
+        dt=dt,
         initial_x=x0,
         initial_v=v0,
         observed=observed,

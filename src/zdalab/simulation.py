@@ -74,28 +74,11 @@ def attack_injection(K, n: int) -> np.ndarray:
     return B
 
 
-def _mode_block(eta: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Generator and initial state of the scalar/rotational attack mode."""
-    if abs(eta.imag) < 1e-300:
-        return np.array([[eta.real]]), np.array([1.0])
-    a, b = eta.real, eta.imag
-    return np.array([[a, b], [-b, a]]), np.array([1.0, 0.0])
-
-
-def _mode_gain(B_K: np.ndarray, g0: np.ndarray, eta: complex) -> np.ndarray:
-    """Columns mapping mode state to the real injected signal."""
-    g0 = np.asarray(g0)
-    if abs(eta.imag) < 1e-300:
-        return B_K @ g0.real.reshape(-1, 1)
-    # Mode state evolves as e^{a t} (cos b t, -sin b t); Re(g0 e^{eta t}) is
-    # then Re(g0) * w1 + Im(g0) * w2.
-    return B_K @ np.column_stack([g0.real, g0.imag])
-
-
 @dataclass(frozen=True)
 class Segment:
     """One constant-dynamics stretch of a simulation: z_aug(t) =
-    expm(A_aug (t - t0)) @ state0 for t in [t0, t1]."""
+    expm(A_aug (t - t0)) @ state0 for t in [t0, t1].  While the attack is
+    active, z_aug is the plant state followed by the attack mode."""
 
     t0: float
     t1: float
@@ -103,13 +86,6 @@ class Segment:
     attack_active: bool
     A_aug: np.ndarray
     state0: np.ndarray
-    n: int
-
-    def plant_state(self, t: float) -> np.ndarray:
-        d = t - self.t0
-        if d < -_TIME_EPS or t > self.t1 + _TIME_EPS:
-            raise ValueError(f"time {t} outside segment [{self.t0}, {self.t1}]")
-        return (expm(self.A_aug * d) @ self.state0)[: 2 * self.n]
 
 
 @dataclass(frozen=True)
@@ -137,6 +113,59 @@ class Trace:
         return self.states.shape[1] // 2
 
 
+def _augment(A: np.ndarray, attack, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Drift [[A, G], [0, Eta]] that carries the attack's exponential mode m
+    alongside the plant (Van Loan, IEEE TAC 1978), and m at the attack start.
+
+    G maps the real mode state onto the injected signal, so one matrix
+    exponential integrates the attacked plant exactly."""
+    eta = complex(attack.eta)
+    g0 = np.asarray(attack.g0)
+    if abs(eta.imag) < 1e-300:
+        Eta, mode0 = np.array([[eta.real]]), np.array([1.0])
+        gain = g0.real.reshape(-1, 1)
+    else:
+        # m evolves as e^{a t} (cos b t, -sin b t); Re(g0 e^{eta t}) is then
+        # Re(g0) * m1 + Im(g0) * m2
+        a, b = eta.real, eta.imag
+        Eta, mode0 = np.array([[a, b], [-b, a]]), np.array([1.0, 0.0])
+        gain = np.column_stack([g0.real, g0.imag])
+    d = Eta.shape[0]
+    A_aug = np.zeros((2 * n + d, 2 * n + d))
+    A_aug[: 2 * n, : 2 * n] = A
+    A_aug[: 2 * n, 2 * n :] = attack_injection(attack.attacked, n) @ gain
+    A_aug[2 * n :, 2 * n :] = Eta
+    return A_aug, mode0
+
+
+def _propagate(
+    A_aug: np.ndarray,
+    state: np.ndarray,
+    times: np.ndarray,
+    steps: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Advance ``state`` under dz/dt = A_aug z by each of ``steps``, writing
+    the plant part at ``times[k]`` into ``out[k]``; returns the final state.
+
+    Raises SimulationError at the first non-finite sample; the rows of
+    ``out`` before it are filled."""
+    n2 = out.shape[1]
+    cache: dict[float, np.ndarray] = {}
+    for k, step in enumerate(steps.tolist()):
+        E = cache.get(step)
+        if E is None:
+            E = expm(A_aug * step)
+            cache[step] = E
+        state = E @ state
+        if not np.all(np.isfinite(state)):
+            raise SimulationError(
+                f"instability overflow at t={times[k]:.6g}", blowup_time=float(times[k])
+            )
+        out[k] = state[:n2]
+    return state
+
+
 def propagate_interval(
     A: np.ndarray,
     z0: np.ndarray,
@@ -161,47 +190,25 @@ def propagate_interval(
     z0 = np.asarray(z0, dtype=float)
     n2 = z0.shape[0]
     if attack is not None and attack_active:
-        Eta, mode_init = _mode_block(complex(attack.eta))
-        if mode0 is None:
-            mode0 = mode_init
-        B_K = attack_injection(attack.attacked, n2 // 2)
-        G = _mode_gain(B_K, attack.g0, complex(attack.eta))
-        d = Eta.shape[0]
-        A_aug = np.zeros((n2 + d, n2 + d))
-        A_aug[:n2, :n2] = A
-        A_aug[:n2, n2:] = G
-        A_aug[n2:, n2:] = Eta
-        state = np.concatenate([z0, mode0])
+        A_aug, mode_init = _augment(A, attack, n2 // 2)
+        state = np.concatenate([z0, mode_init if mode0 is None else mode0])
     else:
         A_aug = np.asarray(A, dtype=float)
-        state = z0.copy()
+        state = z0
 
     n_steps = int(np.floor(duration / dt + _TIME_EPS))
-    offsets = [k * dt for k in range(n_steps + 1)]
+    offsets = np.arange(n_steps + 1) * dt
     if duration - offsets[-1] > _TIME_EPS:
-        offsets.append(duration)
+        offsets = np.append(offsets, duration)
     else:
         offsets[-1] = duration
 
-    times = [t0]
-    states = [state[:n2].copy()]
-    cache: dict[float, np.ndarray] = {}
-    for k in range(1, len(offsets)):
-        step = offsets[k] - offsets[k - 1]
-        E = cache.get(step)
-        if E is None:
-            E = expm(A_aug * step)
-            cache[step] = E
-        state = E @ state
-        if not np.all(np.isfinite(state)):
-            raise SimulationError(
-                f"state became non-finite at t={t0 + offsets[k]:.6g}",
-                blowup_time=t0 + offsets[k],
-            )
-        times.append(t0 + offsets[k])
-        states.append(state[:n2].copy())
+    times = t0 + offsets
+    states = np.empty((len(times), n2))
+    states[0] = z0
+    state = _propagate(A_aug, state, times[1:], np.diff(offsets), states[1:])
     final_mode = state[n2:] if state.shape[0] > n2 else None
-    return np.array(times), np.array(states), final_mode
+    return times, states, final_mode
 
 
 def _sample_grid(horizon: float, dt: float, breakpoints) -> np.ndarray:
@@ -235,13 +242,14 @@ def simulate(
     overflows; the partial trace is attached to the exception as ``.trace``.
     """
     topo_by_id = {t.id: t for t in topologies}
-    A_by_id = {tid: assemble_A(laplacian(t)) for tid, t in topo_by_id.items()}
-    z0 = np.asarray(z0, dtype=float)
+    z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
     C = assemble_C(observed, n)
     attacked = tuple(sorted(attack.attacked)) if attack is not None else ()
     if attack is not None and attack.rho < 0.0:
         raise ValueError("attack start time must be nonnegative")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
 
     breakpoints = set(sched.switch_times)
     if attack is not None and 0.0 < attack.rho < sched.horizon:
@@ -249,36 +257,28 @@ def simulate(
     grid = _sample_grid(sched.horizon, dt, breakpoints)
 
     bounds = [0.0] + sorted(breakpoints) + [sched.horizon]
-    times_all = [0.0]
-    states_all = [z0.copy()]
-    topo_all = []
+    # sample 0 carries the topology active just after t = 0; every later
+    # sample carries the topology of the segment it closes
+    times_all = [grid[:1]]
+    states_all = [z0[None, :]]
+    topo_all = [np.array([switching_signal(sched, _TIME_EPS)])]
     segments = []
-    z = z0.copy()
-    mode = None
+    # one (augmented drift, attack-start mode) per (topology, attack active),
+    # shared by the segments
+    drift: dict[tuple, tuple] = {}
+    state = z0
 
-    for k in range(len(bounds) - 1):
-        a, b = bounds[k], bounds[k + 1]
+    for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a <= _TIME_EPS:
             continue
         tid = switching_signal(sched, a + _TIME_EPS)
-        A = A_by_id[tid]
         active = attack is not None and a >= attack.rho - _TIME_EPS
-        if active and mode is None:
-            _, mode = _mode_block(complex(attack.eta))
-
-        if active:
-            Eta, _ = _mode_block(complex(attack.eta))
-            B_K = attack_injection(attack.attacked, n)
-            G = _mode_gain(B_K, attack.g0, complex(attack.eta))
-            d = Eta.shape[0]
-            A_aug = np.zeros((2 * n + d, 2 * n + d))
-            A_aug[: 2 * n, : 2 * n] = A
-            A_aug[: 2 * n, 2 * n :] = G
-            A_aug[2 * n :, 2 * n :] = Eta
-            state = np.concatenate([z, mode])
-        else:
-            A_aug = A
-            state = z.copy()
+        if (tid, active) not in drift:
+            A = assemble_A(laplacian(topo_by_id[tid]))
+            drift[tid, active] = _augment(A, attack, n) if active else (A, None)
+        A_aug, mode0 = drift[tid, active]
+        if active and state.shape[0] == 2 * n:
+            state = np.concatenate([state, mode0])
         segments.append(
             Segment(
                 t0=a,
@@ -286,65 +286,50 @@ def simulate(
                 topology_id=tid,
                 attack_active=bool(active),
                 A_aug=A_aug,
-                state0=state.copy(),
-                n=n,
+                state0=state,
             )
         )
 
-        seg_samples = grid[(grid > a + _TIME_EPS) & (grid <= b + _TIME_EPS)]
-        cache: dict[float, np.ndarray] = {}
-        t = a
-        for ts in seg_samples:
-            step = ts - t
-            E = cache.get(step)
-            if E is None:
-                E = expm(A_aug * step)
-                cache[step] = E
-            state = E @ state
-            t = ts
-            if not np.all(np.isfinite(state)):
-                partial = _finalize_trace(
-                    times_all, states_all, topo_all + [tid], C, observed,
-                    attacked, attack, segments, n,
-                )
-                err = SimulationError(
-                    f"instability overflow at t={ts:.6g}", blowup_time=float(ts)
-                )
-                err.trace = partial
-                raise err
-            times_all.append(float(ts))
-            states_all.append(state[: 2 * n].copy())
-            topo_all.append(tid)
-        z = state[: 2 * n].copy()
-        mode = state[2 * n :].copy() if active else mode
+        seg_times = grid[(grid > a + _TIME_EPS) & (grid <= b + _TIME_EPS)]
+        seg_states = np.empty((len(seg_times), 2 * n))
+        times_all.append(seg_times)
+        states_all.append(seg_states)
+        topo_all.append(np.full(len(seg_times), tid))
+        try:
+            state = _propagate(
+                A_aug, state, seg_times, np.diff(seg_times, prepend=a), seg_states
+            )
+        except SimulationError as err:
+            done = int(np.searchsorted(seg_times, err.blowup_time))
+            for part in (times_all, states_all, topo_all):
+                part[-1] = part[-1][:done]
+            err.trace = _finalize_trace(
+                times_all, states_all, topo_all, C, observed, attacked, attack, segments
+            )
+            raise
 
-    # topology id per sample: active topology on the interval the sample ends
-    topo_all = [switching_signal(sched, 0.0 + _TIME_EPS)] + topo_all
     return _finalize_trace(
-        times_all, states_all, topo_all, C, observed, attacked, attack, segments, n
+        times_all, states_all, topo_all, C, observed, attacked, attack, segments
     )
 
 
-def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments, n):
-    times = np.asarray(times)
-    states = np.asarray(states)
+def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments):
+    times = np.concatenate(times)
+    states = np.concatenate(states)
     outputs = states @ C.T
+    vals = np.zeros((len(times), len(attacked)))
     if attack is not None and attacked:
-        vals = np.zeros((len(times), len(attacked)))
         post = times >= attack.rho - _TIME_EPS
         if np.any(post):
             g0 = np.asarray(attack.g0)
             e = np.exp(complex(attack.eta) * (times[post] - attack.rho))
             vals[post] = np.real(np.outer(e, g0))
-    else:
-        vals = np.zeros((len(times), len(attacked)))
-    topo = np.asarray(topo[: len(times)])
     return Trace(
         times=times,
         states=states,
         outputs=outputs,
         attack_values=vals,
-        topology_ids=topo,
+        topology_ids=np.concatenate(topo),
         observed=tuple(sorted(observed)),
         attacked=attacked,
         segments=tuple(segments),

@@ -13,6 +13,8 @@ from zdalab.observer import (
 )
 from zdalab.scheduling import ScheduleError
 
+from test_simulation import rk4
+
 
 class TestConfig:
     def test_valid_config_normalized(self):
@@ -130,6 +132,61 @@ class TestRunObserver:
         )
         err = np.linalg.norm(np.hstack([run.xhat, run.vhat]) - tr.states, axis=1)
         assert err[-1] < 1e-2 * err[0]
+
+
+class TestObserverUnderAttack:
+    @pytest.mark.parametrize(
+        "eta, g0",
+        [
+            (0.3, np.array([0.02, -0.01])),
+            (0.15 + 0.9j, np.array([0.02 + 0.01j, -0.01 + 0.03j])),
+        ],
+        ids=["real-eta", "complex-eta"],
+    )
+    def test_matches_rk4_of_plant_and_observer(self, topo1, topo2, eta, g0):
+        # the attack starts between two switches and stays active across the
+        # later ones; the oracle integrates plant and observer as written
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(
+            order=(1, 2), dwell={1: tau, 2: tau}, horizon=7.0
+        )
+        rho = 2.6
+        atk = attacks.ZdaAttack(
+            eta=eta, rho=rho, g0=g0, delta_z0=np.ones(8), attacked=(2, 4)
+        )
+        z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
+        tr = simulation.simulate([topo1, topo2], sched, z0, attack=atk, dt=0.25)
+        cfg = ObserverConfig(observed=(1, 3), psi=(0.8, 0.4), theta=(0.6, 0.9))
+        xhat0, vhat0 = np.array([0.5, 2, 3.5, 4]), np.array([0, 0, -0.5, 0.5])
+        run = run_observer(tr, [topo1, topo2], sched, cfg, xhat0=xhat0, vhat0=vhat0)
+
+        phi = np.array([0.8, 0, 0.4, 0])
+        theta = np.array([0.6, 0, 0.9, 0])
+        L_by_id = {1: graphs.laplacian(topo1), 2: graphs.laplacian(topo2)}
+        w = np.concatenate([z0, xhat0, vhat0])
+        oracle = [w[8:]]
+        for a, b in zip(tr.times[:-1], tr.times[1:]):
+            L = L_by_id[scheduling.switching_signal(sched, 0.5 * (a + b))]
+            active = 0.5 * (a + b) > rho
+
+            def f(t, w, L=L, active=active):
+                x, v, xh, vh = w[:4], w[4:8], w[8:12], w[12:]
+                u = np.zeros(4)
+                if active:
+                    u[[1, 3]] = np.real(g0 * np.exp(eta * (t - rho)))
+                return np.concatenate([
+                    v,
+                    -L @ x + u,
+                    vh,
+                    -L @ xh - phi * (xh - x) - theta * (vh - v),
+                ])
+
+            w = rk4(f, w, a, b, 100)
+            oracle.append(w[8:])
+        oracle = np.array(oracle)
+        est = np.hstack([run.xhat, run.vhat])
+        assert np.abs(est - oracle).max() < 1e-8 * np.abs(oracle).max()
+        assert np.abs(tr.states - oracle).max() > 1e-3
 
 
 class TestDetect:

@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +192,58 @@ class TestCli:
         assert set(table) == {"1", "2"}
         for entry in table.values():
             assert "switch_count" in entry
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "overrides, extra_args",
+        [
+            ({"dt": 0}, []),
+            ({"dt": -0.1}, []),
+            ({"dwell": {"1": TAU}}, []),
+            ({"order": []}, []),
+            ({}, ["--dt", "0"]),
+            ({}, ["--dt", "-0.1"]),
+            (None, []),
+        ],
+        ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
+             "flag-dt-negative", "missing-file"],
+    )
+    def test_invalid_input_exits_two(self, tmp_path, capsys, overrides, extra_args):
+        path = tmp_path / "scenario.json"
+        if overrides is not None:
+            path.write_text(json.dumps(stealth_doc(**overrides)))
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + extra_args) == 2
+        if overrides is None:
+            assert "no such file" in capsys.readouterr().err
+
+    def test_synthesized_attack_file_is_strict_json(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc()))
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        text = (out / "stealth_attack.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["certificate"]["max_output_gap"] is None
+
+    def test_module_entry_point_has_no_runpy_warning(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(horizon=5.0)))
+        src = os.path.dirname(os.path.dirname(zdalab.observer.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zdalab.cli", "validate", "--scenario", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "found in sys.modules" not in proc.stderr
 
 
 class TestInformationBarrier:

@@ -205,6 +205,26 @@ class TestSimulate:
         assert len(partial.times) > 1
         assert np.all(np.isfinite(partial.states))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_step_rejected(self, topo1, topo2, dt):
+        with pytest.raises(ValueError, match="dt"):
+            simulate([topo1, topo2], self.make_schedule(), np.ones(8), dt=dt)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_partial_trace_topology_marks_follow_schedule(self, topo1, topo2):
+        sched = self.make_schedule(horizon=1000.0)
+        atk = attacks.ZdaAttack(
+            eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
+        )
+        with pytest.raises(SimulationError) as err:
+            simulate([topo1, topo2], sched, np.ones(8), attack=atk, dt=0.3)
+        partial = err.value.trace
+        assert partial.times[-1] < err.value.blowup_time
+        assert len(partial.topology_ids) == len(partial.times)
+        assert partial.topology_ids[0] == 1
+        for t, tid in zip(partial.times[1:], partial.topology_ids[1:]):
+            assert tid == scheduling.switching_signal(sched, t - 1e-9)
+
 
 class TestTraceExports:
     def test_consensus_error_examples(self):
