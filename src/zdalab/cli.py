@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     except simulation.SimulationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # ScheduleError, GraphError, the work caps
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ the observer); the plant state itself never enters.  The alarm fires when
 the residual stays above threshold for a full window of samples.
 
 This module never sees which agents are attacked or when the attack starts;
-it consumes only the trace's samples and exact per-segment propagators.
+it consumes only the trace's samples and exact per-segment drifts and steps.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .graphs import laplacian
-from .scheduling import ScheduleError, SwitchingSchedule, switching_signal
+from .scheduling import ScheduleError, SwitchingSchedule, hurwitz, switching_signal
 from .simulation import Trace
 
 __all__ = [
@@ -100,15 +100,6 @@ def assemble_observer_A(L: np.ndarray, Phi: np.ndarray, Theta: np.ndarray) -> np
     )
 
 
-def hurwitz(A: np.ndarray, tol: float = 1e-7) -> bool:
-    """True when every eigenvalue has real part below -tol."""
-    try:
-        vals = np.linalg.eigvals(np.asarray(A, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    return bool(np.max(vals.real) < -tol)
-
-
 def run_observer(
     tr: Trace,
     topologies,
@@ -141,6 +132,8 @@ def run_observer(
                 f"schedule mismatch at t={seg.t0:.6g}: trace ran topology "
                 f"{seg.topology_id}"
             )
+    if sum(len(seg.steps) for seg in tr.segments) != len(tr.times) - 1:
+        raise ValueError("trace segments do not step through every sample")
     Phi, Theta = gain_matrices(cfg, n)
 
     if xhat0 is None:
@@ -153,27 +146,29 @@ def run_observer(
     err = np.empty((len(times), 2 * n))
     err[0] = zhat - tr.states[0]
 
+    # one joint (mode, error) drift and its steady propagator per
+    # (topology, attack active), each built on first use
+    joint: dict[tuple, np.ndarray] = {}
+    steady: dict[tuple, np.ndarray] = {}
     k = 1
     for seg in tr.segments:
-        # segment drift [[A, G], [0, Eta]] over (plant, mode) gives the
-        # joint (mode, error) drift [[Eta, 0], [-G, A_obs]]
-        d = seg.A_aug.shape[0] - 2 * n
-        J = np.zeros((d + 2 * n, d + 2 * n))
-        J[:d, :d] = seg.A_aug[2 * n :, 2 * n :]
-        J[d:, :d] = -seg.A_aug[: 2 * n, 2 * n :]
-        J[d:, d:] = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+        key = (seg.topology_id, seg.attack_active)
+        if key not in joint:
+            # segment drift [[A, G], [0, Eta]] over (plant, mode) gives the
+            # joint (mode, error) drift [[Eta, 0], [-G, A_obs]]
+            d = seg.A_aug.shape[0] - 2 * n
+            J = np.zeros((d + 2 * n, d + 2 * n))
+            J[:d, :d] = seg.A_aug[2 * n :, 2 * n :]
+            J[d:, :d] = -seg.A_aug[: 2 * n, 2 * n :]
+            J[d:, d:] = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+            joint[key] = J
+        J = joint[key]
         state = np.concatenate([seg.state0[2 * n :], err[k - 1]])
-        t = seg.t0
-        cache: dict[float, np.ndarray] = {}
-        while k < len(times) and times[k] <= seg.t1 + 1e-9:
-            step = times[k] - t
-            E = cache.get(step)
-            if E is None:
-                E = expm(J * step)
-                cache[step] = E
-            state = E @ state
-            t = times[k]
-            err[k] = state[d:]
+        for step in seg.steps.tolist():
+            if step == tr.dt and key not in steady:
+                steady[key] = expm(J * step)
+            state = (steady[key] if step == tr.dt else expm(J * step)) @ state
+            err[k] = state[-2 * n :]
             k += 1
 
     zhat = tr.states + err

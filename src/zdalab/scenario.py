@@ -111,7 +111,7 @@ def load_scenario(source) -> Scenario:
     _require(not unknown, f"unknown dwell parameters: {sorted(unknown)}")
     dwell_params = scheduling.DwellParams(**dp)
     dwell_override = None
-    if "dwell" in d:
+    if d.get("dwell") is not None:
         dwell_override = {int(k): float(v) for k, v in d["dwell"].items()}
         _require(
             all(dwell_override.get(tid, 0.0) > 0.0 for tid in order),

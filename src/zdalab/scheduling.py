@@ -25,10 +25,15 @@ __all__ = [
     "xi",
     "base_period",
     "dwell_time",
+    "hurwitz",
     "lyapunov_weight",
     "measure_condition",
     "switching_signal",
 ]
+
+
+# most switch instants one schedule may hold, checked before computing them
+MAX_SWITCHES = 1_000_000
 
 
 class ScheduleError(ValueError):
@@ -84,20 +89,20 @@ class SwitchingSchedule:
         if not self.order:
             raise ScheduleError("switching order must be nonempty")
         for tid in self.order:
-            if self.dwell.get(tid, 0.0) <= 0.0:
-                raise ScheduleError(f"dwell time for topology {tid} must be positive")
-        if self.horizon <= 0.0:
+            if not 0.0 < self.dwell.get(tid, 0.0) < math.inf:
+                raise ScheduleError(f"dwell for topology {tid} must be positive and finite")
+        if not self.horizon > 0.0:
             raise ScheduleError("horizon must be positive")
-        times = []
-        t = 0.0
-        k = 0
-        while True:
-            t += self.dwell[self.order[k % len(self.order)]]
-            if t >= self.horizon - 1e-12:
-                break
-            times.append(t)
-            k += 1
-        object.__setattr__(self, "switch_times", tuple(times))
+        # switch k of cycle c is at c * period + the prefix sum of the dwells
+        # up to k, so no rounding drift accumulates over the cycles
+        prefix = np.cumsum([self.dwell[tid] for tid in self.order])
+        count = len(self.order) * self.horizon / prefix[-1]
+        if count > MAX_SWITCHES:
+            raise ScheduleError(f"{count:.3g} switches exceed the cap of {MAX_SWITCHES}")
+        cycles = np.arange(math.ceil(self.horizon / prefix[-1]) + 1)
+        times = (cycles[:, None] * prefix[-1] + prefix).ravel()
+        times = times[times < self.horizon - 1e-12]
+        object.__setattr__(self, "switch_times", tuple(times.tolist()))
 
     def intervals(self):
         """Yield (t_start, t_end, topology_id) covering [0, horizon]."""
@@ -161,13 +166,27 @@ def dwell_time(p: DwellParams, T_r: float, xi_value: float) -> float:
     return p.tau_hat_max + m * T_r / 2.0
 
 
+def hurwitz(A: np.ndarray, tol: float | None = None) -> bool:
+    """True when every eigenvalue of A has real part below -tol.  The default
+    margin, 1e-12 * max(1, ||A||_2), scales with A so that an eigenvalue at
+    rounding distance from the imaginary axis does not count as decaying."""
+    A = np.asarray(A, dtype=float)
+    if tol is None:
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(A, 2)))
+    try:
+        vals = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed: {exc}") from exc
+    return bool(np.max(vals.real) < -tol)
+
+
 def lyapunov_weight(A_list) -> np.ndarray:
     """Positive-definite P with P A + A^T P = -I for the first Hurwitz A in
     the list.  Such a mode exists only when some active Laplacian has distinct
     eigenvalues; otherwise the observer-error dynamics have no decaying mode."""
     for A in A_list:
         A = np.asarray(A, dtype=float)
-        if np.max(np.linalg.eigvals(A).real) < 0.0:
+        if hurwitz(A):
             P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
             P = 0.5 * (P + P.T)
             if np.min(np.linalg.eigvalsh(P)) <= 0.0:

@@ -7,7 +7,8 @@ single matrix exponential, with no discretization error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-9
+# most samples one run or interval may hold, checked before allocating
+MAX_SAMPLES = 10_000_000
 
 
 class SimulationError(RuntimeError):
@@ -78,7 +81,9 @@ def attack_injection(K, n: int) -> np.ndarray:
 class Segment:
     """One constant-dynamics stretch of a simulation: z_aug(t) =
     expm(A_aug (t - t0)) @ state0 for t in [t0, t1].  While the attack is
-    active, z_aug is the plant state followed by the attack mode."""
+    active, z_aug is the plant state followed by the attack mode.  ``steps``
+    holds the step reaching each of the segment's samples; every step between
+    two lattice points is exactly the trace's ``dt``."""
 
     t0: float
     t1: float
@@ -86,6 +91,7 @@ class Segment:
     attack_active: bool
     A_aug: np.ndarray
     state0: np.ndarray
+    steps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,10 @@ class Trace:
 
     ``states`` holds the plant state per sample; ``attack_values`` the injected
     signal per channel (zero while the attack is dormant).  ``segments``
-    carries the exact per-interval propagators so downstream consumers (the
-    observer) can integrate against the continuous-time plant rather than
-    interpolating samples.
+    carries the exact per-interval drifts and steps, one step per sample after
+    the first, so downstream consumers (the observer) can integrate against
+    the continuous-time plant rather than interpolating samples.  ``dt`` is
+    the lattice spacing of the samples.
     """
 
     times: np.ndarray
@@ -107,6 +114,7 @@ class Trace:
     observed: tuple
     attacked: tuple
     segments: tuple = field(repr=False, default=())
+    dt: float | None = None
 
     @property
     def n(self) -> int:
@@ -138,32 +146,48 @@ def _augment(A: np.ndarray, attack, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A_aug, mode0
 
 
+def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times in (a, b] and the step reaching each: the lattice points
+    k*dt more than _TIME_EPS inside the interval, then b.  Every step between
+    two lattice points is exactly dt."""
+    if (b - a) / dt > MAX_SAMPLES:
+        raise ValueError(f"{(b - a) / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+    pts = np.arange(math.floor(a / dt), math.ceil(b / dt) + 1) * dt
+    pts = pts[(pts - a > _TIME_EPS) & (b - pts > _TIME_EPS)]
+    times = np.append(pts, b)
+    steps = np.diff(times, prepend=a)
+    steps[1:-1] = dt
+    return times, steps
+
+
 def _propagate(
     A_aug: np.ndarray,
     state: np.ndarray,
     times: np.ndarray,
     steps: np.ndarray,
     out: np.ndarray,
-) -> np.ndarray:
+    dt: float,
+    steady: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance ``state`` under dz/dt = A_aug z by each of ``steps``, writing
-    the plant part at ``times[k]`` into ``out[k]``; returns the final state.
+    the plant part at ``times[k]`` into ``out[k]``.  A step of exactly dt
+    uses the steady propagator expm(A_aug dt), built here on first use; any
+    other step is a one-off.  Returns the final state and the steady
+    propagator.
 
     Raises SimulationError at the first non-finite sample; the rows of
     ``out`` before it are filled."""
     n2 = out.shape[1]
-    cache: dict[float, np.ndarray] = {}
     for k, step in enumerate(steps.tolist()):
-        E = cache.get(step)
-        if E is None:
-            E = expm(A_aug * step)
-            cache[step] = E
-        state = E @ state
+        if step == dt and steady is None:
+            steady = expm(A_aug * dt)
+        state = (steady if step == dt else expm(A_aug * step)) @ state
         if not np.all(np.isfinite(state)):
             raise SimulationError(
                 f"instability overflow at t={times[k]:.6g}", blowup_time=float(times[k])
             )
         out[k] = state[:n2]
-    return state
+    return state, steady
 
 
 def propagate_interval(
@@ -196,33 +220,15 @@ def propagate_interval(
         A_aug = np.asarray(A, dtype=float)
         state = z0
 
-    n_steps = int(np.floor(duration / dt + _TIME_EPS))
-    offsets = np.arange(n_steps + 1) * dt
-    if duration - offsets[-1] > _TIME_EPS:
-        offsets = np.append(offsets, duration)
-    else:
-        offsets[-1] = duration
-
-    times = t0 + offsets
+    offsets, steps = np.zeros(0), np.zeros(0)
+    if duration > _TIME_EPS:  # a vanishing interval merges into its start sample
+        offsets, steps = _lattice(0.0, duration, dt)
+    times = t0 + np.concatenate([[0.0], offsets])
     states = np.empty((len(times), n2))
     states[0] = z0
-    state = _propagate(A_aug, state, times[1:], np.diff(offsets), states[1:])
+    state, _ = _propagate(A_aug, state, times[1:], steps, states[1:], dt)
     final_mode = state[n2:] if state.shape[0] > n2 else None
     return times, states, final_mode
-
-
-def _sample_grid(horizon: float, dt: float, breakpoints) -> np.ndarray:
-    base = np.arange(0.0, horizon + dt * 0.5, dt)
-    if base[-1] > horizon:
-        base = base[:-1]
-    pts = np.concatenate([base, np.asarray(sorted(breakpoints), dtype=float), [horizon]])
-    pts = np.unique(pts)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > _TIME_EPS:
-            keep.append(p)
-    keep[-1] = min(keep[-1], horizon)
-    return np.array(keep)
 
 
 def simulate(
@@ -251,21 +257,23 @@ def simulate(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
 
+    if sched.horizon / dt > MAX_SAMPLES:
+        raise ValueError(f"{sched.horizon / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+
     breakpoints = set(sched.switch_times)
     if attack is not None and 0.0 < attack.rho < sched.horizon:
         breakpoints.add(float(attack.rho))
-    grid = _sample_grid(sched.horizon, dt, breakpoints)
-
     bounds = [0.0] + sorted(breakpoints) + [sched.horizon]
     # sample 0 carries the topology active just after t = 0; every later
     # sample carries the topology of the segment it closes
-    times_all = [grid[:1]]
+    times_all = [np.zeros(1)]
     states_all = [z0[None, :]]
     topo_all = [np.array([switching_signal(sched, _TIME_EPS)])]
     segments = []
-    # one (augmented drift, attack-start mode) per (topology, attack active),
-    # shared by the segments
+    # one (augmented drift, attack-start mode) and one steady propagator per
+    # (topology, attack active), shared by the segments
     drift: dict[tuple, tuple] = {}
+    steady: dict[tuple, np.ndarray | None] = {}
     state = z0
 
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -273,47 +281,41 @@ def simulate(
             continue
         tid = switching_signal(sched, a + _TIME_EPS)
         active = attack is not None and a >= attack.rho - _TIME_EPS
-        if (tid, active) not in drift:
+        key = (tid, active)
+        if key not in drift:
             A = assemble_A(laplacian(topo_by_id[tid]))
-            drift[tid, active] = _augment(A, attack, n) if active else (A, None)
-        A_aug, mode0 = drift[tid, active]
+            drift[key] = _augment(A, attack, n) if active else (A, None)
+        A_aug, mode0 = drift[key]
         if active and state.shape[0] == 2 * n:
             state = np.concatenate([state, mode0])
-        segments.append(
-            Segment(
-                t0=a,
-                t1=b,
-                topology_id=tid,
-                attack_active=bool(active),
-                A_aug=A_aug,
-                state0=state,
-            )
-        )
+        seg_times, steps = _lattice(a, b, dt)
+        segments.append(Segment(a, b, tid, active, A_aug=A_aug, state0=state, steps=steps))
 
-        seg_times = grid[(grid > a + _TIME_EPS) & (grid <= b + _TIME_EPS)]
         seg_states = np.empty((len(seg_times), 2 * n))
         times_all.append(seg_times)
         states_all.append(seg_states)
         topo_all.append(np.full(len(seg_times), tid))
         try:
-            state = _propagate(
-                A_aug, state, seg_times, np.diff(seg_times, prepend=a), seg_states
+            state, steady[key] = _propagate(
+                A_aug, state, seg_times, steps, seg_states, dt, steady.get(key)
             )
         except SimulationError as err:
             done = int(np.searchsorted(seg_times, err.blowup_time))
             for part in (times_all, states_all, topo_all):
                 part[-1] = part[-1][:done]
+            segments[-1] = replace(segments[-1], steps=steps[:done])
             err.trace = _finalize_trace(
-                times_all, states_all, topo_all, C, observed, attacked, attack, segments
+                times_all, states_all, topo_all, C, observed, attacked, attack,
+                segments, dt,
             )
             raise
 
     return _finalize_trace(
-        times_all, states_all, topo_all, C, observed, attacked, attack, segments
+        times_all, states_all, topo_all, C, observed, attacked, attack, segments, dt
     )
 
 
-def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments):
+def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments, dt):
     times = np.concatenate(times)
     states = np.concatenate(states)
     outputs = states @ C.T
@@ -333,6 +335,7 @@ def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments
         observed=tuple(sorted(observed)),
         attacked=attacked,
         segments=tuple(segments),
+        dt=dt,
     )
 
 

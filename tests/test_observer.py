@@ -189,6 +189,26 @@ class TestObserverUnderAttack:
         assert np.abs(tr.states - oracle).max() > 1e-3
 
 
+class TestPartialTrace:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_observer_aligns_with_partial_trace(self, topo1, topo2):
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(
+            order=(1, 2), dwell={1: tau, 2: tau}, horizon=1000.0
+        )
+        atk = attacks.ZdaAttack(
+            eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
+        )
+        with pytest.raises(simulation.SimulationError) as err:
+            simulation.simulate([topo1, topo2], sched, np.ones(8), attack=atk, dt=0.3)
+        partial = err.value.trace
+        steps = sum(len(seg.steps) for seg in partial.segments)
+        assert steps == len(partial.times) - 1
+        cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
+        run = run_observer(partial, [topo1, topo2], sched, cfg)
+        assert run.residuals.shape == (len(partial.times), 1)
+
+
 class TestDetect:
     def cfg(self, window=3):
         return ObserverConfig(

@@ -205,9 +205,13 @@ class TestExitCodes:
             ({}, ["--dt", "0"]),
             ({}, ["--dt", "-0.1"]),
             (None, []),
+            ({"dwell": None}, []),
+            ({"dwell": {"1": 1e-300, "2": 1e-300}}, []),
+            ({"dt": 1e-12, "horizon": 420.0}, []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
-             "flag-dt-negative", "missing-file"],
+             "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
+             "dwell-tiny", "dt-tiny"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, overrides, extra_args):
         path = tmp_path / "scenario.json"

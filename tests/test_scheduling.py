@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ class TestSwitchingSchedule:
     def test_missing_dwell_rejected(self):
         with pytest.raises(ScheduleError):
             SwitchingSchedule(order=(1, 2), dwell={1: 1.0}, horizon=5.0)
+
+    @pytest.mark.parametrize(
+        "dwell, horizon",
+        [
+            ({1: 0.2 + 20000 * np.pi, 2: 0.2 + 20000 * np.pi}, 5e8),
+            ({1: 0.2 + 3 * np.pi, 2: 0.2 + 4.5 * np.pi, 3: 0.7}, 1e5),
+        ],
+    )
+    def test_switch_instants_match_exact_sums(self, dwell, horizon):
+        s = SwitchingSchedule(order=tuple(dwell), dwell=dwell, horizon=horizon)
+        assert len(s.switch_times) > 7000
+        exact = Fraction(0)
+        for k, t in enumerate(s.switch_times):
+            exact += Fraction(dwell[s.order[k % len(s.order)]])
+            assert abs(Fraction(t) - exact) <= 4 * Fraction(np.spacing(t))
+        # no switch is lost at the horizon
+        following = dwell[s.order[len(s.switch_times) % len(s.order)]]
+        assert exact < horizon <= exact + Fraction(following)
+
+    def test_switch_count_capped_before_computing(self):
+        with pytest.raises(ScheduleError, match="cap"):
+            SwitchingSchedule(order=(1, 2), dwell={1: 1e-300, 2: 1e-300}, horizon=60.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_dwell_rejected(self, bad):
+        with pytest.raises(ScheduleError):
+            SwitchingSchedule(order=(1,), dwell={1: bad}, horizon=10.0)
 
 
 def _spec(vals):
@@ -168,3 +196,33 @@ class TestMeasureCondition:
     def test_measure_condition_requires_definite_weight(self):
         with pytest.raises(ScheduleError):
             scheduling.measure_condition([-np.eye(2)], [1.0], np.zeros((2, 2)))
+
+
+class TestHurwitz:
+    def test_margin_scales_with_norm(self):
+        # decay at rounding level relative to ||A|| is not decay
+        assert not scheduling.hurwitz(np.diag([-1e-13, -4.0]))
+        assert scheduling.hurwitz(np.diag([-1e-10, -4.0]))
+        assert scheduling.hurwitz(np.diag([-1e-10, -4.0]), tol=0.0)
+        assert not scheduling.hurwitz(np.diag([-1e-10, -4.0]), tol=1e-7)
+
+    def test_small_gain_observer_matrices(self, topo2, k4_149):
+        from zdalab import observer
+
+        cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
+        Phi, Theta = observer.gain_matrices(cfg, 4)
+        # max Re = -2.5e-17: one mode is undamped up to rounding
+        blind = observer.assemble_observer_A(graphs.laplacian(topo2), Phi, Theta)
+        assert not scheduling.hurwitz(blind)
+        # max Re = -2.06e-8 at ||A|| = 9: slow but genuine decay
+        slow = observer.assemble_observer_A(graphs.laplacian(k4_149), Phi, Theta)
+        assert scheduling.hurwitz(slow)
+        # the weight comes from the slow matrix, not from the blind one
+        np.testing.assert_array_equal(
+            scheduling.lyapunov_weight([blind, slow]), scheduling.lyapunov_weight([slow])
+        )
+
+    def test_observer_uses_the_same_predicate(self):
+        from zdalab import observer
+
+        assert observer.hurwitz is scheduling.hurwitz

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zdalab import attacks, graphs, scheduling, simulation
+from zdalab import attacks, graphs, observer, scenario, scheduling, simulation
 from zdalab.simulation import (
     SimulationError,
     assemble_A,
@@ -224,6 +228,63 @@ class TestSimulate:
         assert partial.topology_ids[0] == 1
         for t, tid in zip(partial.times[1:], partial.topology_ids[1:]):
             assert tid == scheduling.switching_signal(sched, t - 1e-9)
+
+
+class TestLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.0, 1e3),
+        span=st.floats(3e-9, 50.0),
+        dt=st.floats(1e-3, 10.0),
+    )
+    def test_samples_and_steps(self, a, span, dt):
+        b = a + span
+        times, steps = simulation._lattice(a, b, dt)
+        assert times[-1] == b
+        # strictly increasing, each sample more than the merge tolerance past
+        # the one before it (the first past a)
+        assert np.all(np.diff(times, prepend=a) > simulation._TIME_EPS)
+        assert np.all(steps[1:-1] == dt)
+        assert abs(math.fsum(steps) - (b - a)) <= 4 * np.spacing(b)
+
+    @pytest.mark.parametrize("offset", [-5e-11, 5e-11])
+    def test_switch_near_lattice_point_is_one_sample(self, topo1, topo2, offset):
+        sched = scheduling.SwitchingSchedule(
+            order=(1, 2), dwell={1: 1.0 + offset, 2: 2.0}, horizon=5.0
+        )
+        tr = simulate([topo1, topo2], sched, np.ones(8), dt=0.25)
+        near = tr.times[np.abs(tr.times - 1.0) < 1e-9]
+        assert near.tolist() == [sched.switch_times[0]]
+
+    def test_sample_count_capped_before_allocating(self, topo1):
+        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e4}, horizon=420.0)
+        with pytest.raises(ValueError, match="samples"):
+            simulate([topo1], sched, np.ones(8), dt=1e-12)
+        A = assemble_A(graphs.laplacian(topo1))
+        with pytest.raises(ValueError, match="samples"):
+            propagate_interval(A, np.ones(8), 0.0, 1e-12, 420.0)
+
+    def test_expm_calls_bounded_by_segments(self, monkeypatch):
+        """One steady propagator per (topology, attack active) drift; only the
+        partial first and last step of a segment need their own."""
+        from test_scenario_cli import stealth_doc
+
+        calls = {}
+        for mod in (simulation, observer):
+            def counted(M, name=mod.__name__, expm=mod.expm):
+                calls[name] = calls.get(name, 0) + 1
+                return expm(M)
+
+            monkeypatch.setattr(mod, "expm", counted)
+        sc = scenario.load_scenario(stealth_doc())
+        sched = scenario.build_schedule(sc)
+        atk, _ = scenario.synthesize_for(sc)
+        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt, observed=sc.observed)
+        observer.run_observer(tr, sc.topologies, sched, sc.observer_cfg)
+        bound = 2 * len(tr.segments) + 4
+        assert 0 < calls["zdalab.simulation"] <= bound
+        assert 0 < calls["zdalab.observer"] <= bound
 
 
 class TestTraceExports:
