@@ -5,6 +5,8 @@ g0 * e^{eta (t - rho)}) chosen so the observed output never changes: the
 discrepancy starts in the common unobservable subspace and, from the start
 time on, the pair (discrepancy, -g0) sits in the kernel of the system pencil
 [[eta I - A, B], [-C, 0]] for every topology the attacker expects to face.
+Such attacks exist only at that stacked pencil's zeros (at every rate when
+it is rank-deficient), which synthesis computes rather than searches for.
 """
 from __future__ import annotations
 
@@ -130,31 +132,6 @@ def _stacked_pencil(A_list, B_K, C, eta) -> np.ndarray:
     return np.vstack([rosenbrock_pencil(A, B_K, C, eta) for A in A_list])
 
 
-def _invariant_zero_candidates(A_list, B_K, C) -> list:
-    """Finite generalized eigenvalues of each square single-topology pencil.
-
-    Only defined when the pencil is square (as many attack channels as
-    outputs); fat pencils have kernels at generic eta and are covered by
-    probe values instead.
-    """
-    n2 = A_list[0].shape[0]
-    if B_K.shape[1] != C.shape[0]:
-        return []
-    out = []
-    E = np.zeros((n2 + C.shape[0], n2 + B_K.shape[1]))
-    E[:n2, :n2] = np.eye(n2)
-    for A in A_list:
-        F = np.vstack(
-            [
-                np.hstack([-A, B_K]),
-                np.hstack([-C, np.zeros((C.shape[0], B_K.shape[1]))]),
-            ]
-        )
-        vals = scipy.linalg.eigvals(F, -E)
-        out.extend(complex(v) for v in vals if np.isfinite(v))
-    return out
-
-
 def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
     """Kernel vector of the stacked pencil with a nonzero signal part, split
     as (w, g) with the sign convention (w, -g) in the kernel.  None if the
@@ -190,6 +167,28 @@ def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
     return v[:n2], -v[n2:]
 
 
+def _candidate_rates(A, B_K, U, target):
+    """The target rate, then the finite zeros of the reduced pencil
+    [eta U - A U, B_K], destabilizing ones first and nearest the target next.
+    With B_K projected out the pencil is eta E - F; a staircase deflates
+    ker E until E has full column rank.  A rank-deficient F ker E means a
+    kernel at every eta, for which the target suffices."""
+    yield complex(target)
+    Q = _nullspace(B_K.T)
+    E, F = Q.T @ U, Q.T @ A @ U
+    while True:
+        N = _nullspace(E)
+        if N.shape[1] == 0:
+            break
+        FN = F @ N
+        if _nullspace(FN).shape[1] > 0:
+            return
+        P, Y = _nullspace(FN.T), _nullspace(N.T)
+        E, F = P.T @ E @ Y, P.T @ F @ Y
+    zeros = (complex(z) for z in np.linalg.eigvals(np.linalg.pinv(E) @ F))
+    yield from sorted(zeros, key=lambda e: (e.real <= 1e-12, abs(e - target)))
+
+
 def _prefix_propagator(sched: SwitchingSchedule, A_by_id: dict, rho: float) -> np.ndarray:
     """State-transition matrix of the unattacked plant from 0 to rho under the
     schedule."""
@@ -209,24 +208,23 @@ def synthesize(
     K,
     rho: float = 0.0,
     schedule_prefix: SwitchingSchedule | None = None,
-    n_probes: int = 40,
-    seed: int = 0,
     tol: float = 1e-8,
     eta_target: float | None = None,
 ):
-    """Search for a stealthy attack against every topology in ``S_stealth``.
+    """Synthesize a stealthy attack against every topology in ``S_stealth``.
 
-    Candidate decay rates are the finite invariant zeros of each
-    single-topology pencil plus a deterministic ladder of real probes and
-    seeded random ones.  Candidates with positive real part are preferred
-    (destabilizing), ties broken by smallest magnitude, or by distance to
-    ``eta_target`` when one is given.  For ``rho > 0`` a
-    ``schedule_prefix`` must be supplied; the discrepancy is back-propagated
-    to time zero and must land in the common unobservable subspace.
+    The state part w of every kernel vector (w, -g) lies in the subspace U
+    where C w = 0 and (A_r - A_1) w = 0 for all r (inside the back-propagated
+    unobservable subspace when ``rho > 0``); an empty U admits no attack.
+    Otherwise the rates of ``_candidate_rates`` are certified in turn: the
+    target ``eta_target`` (0.05 when None), then the reduced pencil's zeros,
+    which may be complex.  For ``rho > 0`` a ``schedule_prefix`` must be
+    supplied, the rate must be real, and the discrepancy back-propagated to
+    time zero must land in the common unobservable subspace.
 
-    Returns (ZdaAttack, StealthCertificate) or None when no candidate admits
-    a kernel vector with a nonzero signal component (the detectability
-    condition of the topology set blocks every attack).
+    Returns (ZdaAttack, StealthCertificate) for the first certified rate, or
+    None when there is none (the detectability condition of the topology
+    set blocks every attack).
     """
     from .graphs import laplacian
 
@@ -253,22 +251,14 @@ def synthesize(
         Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
         w_subspace, _ = np.linalg.qr(Phi @ V)
 
-    candidates = _invariant_zero_candidates(A_list, B_K, C)
-    candidates += [0.05, 0.1, 0.15, 0.2, 0.25]
-    rng = np.random.default_rng(seed)
-    candidates += list(rng.uniform(0.01, 1.0, n_probes))
-    # prefer destabilizing rates; among those, the slowest, unless the caller
-    # asks for rates near a target growth; drop near-duplicates
-    if eta_target is None:
-        candidates.sort(key=lambda e: (complex(e).real <= 1e-12, abs(complex(e))))
-    else:
-        candidates.sort(
-            key=lambda e: (complex(e).real <= 1e-12, abs(complex(e) - eta_target))
-        )
+    W = np.eye(2 * n) if w_subspace is None else w_subspace
+    U = W @ _nullspace(np.vstack([C] + [A - A_list[0] for A in A_list[1:]]) @ W)
+    if U.shape[1] == 0:
+        return None
+    target = 0.05 if eta_target is None else eta_target
     seen: list[complex] = []
 
-    for eta in candidates:
-        eta = complex(eta)
+    for eta in _candidate_rates(A_list[0], B_K, U, target):
         if any(abs(eta - p) < 1e-9 for p in seen):
             continue
         seen.append(eta)

@@ -19,6 +19,18 @@ EXIT_NO_ATTACK = 3
 EXIT_NUMERIC = 4
 
 
+def _fail(exc: Exception) -> int:
+    """Report an error a verb raised on stderr and return its exit code."""
+    if isinstance(exc, attacks.SynthesisError):
+        label, code = "synthesis failed", EXIT_NO_ATTACK
+    elif isinstance(exc, simulation.SimulationError):
+        label, code = "numeric failure", EXIT_NUMERIC
+    else:  # ScheduleError, GraphError, the work caps
+        label, code = "scenario error", EXIT_INVALID
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
+
+
 def _positive(text: str) -> float:
     try:
         value = float(text)
@@ -47,14 +59,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     sc = _load(args.scenario)
-    try:
-        result = scenario.run(sc, args.out, dt=args.dt)
-    except attacks.SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_NO_ATTACK
-    except simulation.SimulationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = scenario.run(sc, args.out, dt=args.dt)
     print(result.summary)
     print(f"trace: {result.trace_path}")
     print(f"alarm: {result.alarm_path}")
@@ -67,20 +72,14 @@ def cmd_synthesize(args) -> int:
     if sc.synthesize_directive is None and not sc.attacked:
         print("scenario error: no attack channels", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        if sc.synthesize_directive is not None:
-            atk, cert = scenario.synthesize_for(sc)
-        else:
-            stealth = list(sc.topologies)
-            result = attacks.synthesize(stealth, sc.observed, sc.attacked, rho=0.0)
-            if result is None:
-                raise attacks.SynthesisError(
-                    "no stealthy attack exists for this topology set"
-                )
-            atk, cert = result
-    except attacks.SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_NO_ATTACK
+    if sc.synthesize_directive is not None:
+        atk, cert = scenario.synthesize_for(sc)
+    else:
+        stealth = list(sc.topologies)
+        result = attacks.synthesize(stealth, sc.observed, sc.attacked, rho=0.0)
+        if result is None:
+            raise attacks.SynthesisError("no stealthy attack exists for this topology set")
+        atk, cert = result
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_attack.json")
     with open(path, "w") as fh:
@@ -91,7 +90,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_sweep(args) -> int:
     sc = _load(args.scenario)
-    table = {}
+    table, errors = {}, []
     for m in range(args.m_min, args.m_max + 1):
         try:
             sched = scenario.build_schedule(sc, m=m)
@@ -104,18 +103,18 @@ def cmd_sweep(args) -> int:
                 "switch_count": len(sched.switch_times),
                 "summary": result.summary,
             }
-        except (
-            attacks.SynthesisError,
-            simulation.SimulationError,
-            scenario.scheduling.ScheduleError,
-        ) as exc:
+        except (simulation.SimulationError, ValueError) as exc:
             table[str(m)] = {"error": str(exc)}
+            errors.append(exc)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_sweep.json")
     with open(path, "w") as fh:
         json.dump(table, fh, indent=2)
     print(f"sweep: {path}")
+    if errors and len(errors) == len(table):
+        # no m succeeded: exit as `run` would on the first m
+        return _fail(errors[0])
     return EXIT_OK
 
 
@@ -157,12 +156,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except simulation.SimulationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # ScheduleError, GraphError, the work caps
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (simulation.SimulationError, ValueError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -278,7 +278,6 @@ def synthesize_for(sc: Scenario) -> tuple:
         sc.attacked,
         rho=rho,
         schedule_prefix=sched,
-        seed=int(directive.get("seed", 0)),
         eta_target=directive.get("eta_target"),
     )
     if result is None:
@@ -301,8 +300,9 @@ class RunResult:
 def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     """Simulate the scenario, run the observer when configured, and write
     trace CSV, alarm JSON, and a report.  Deterministic for a fixed scenario."""
-    os.makedirs(out_dir, exist_ok=True)
     dt = sc.dt if dt is None else dt
+    simulation.check_sample_count(sc.horizon, dt)
+    os.makedirs(out_dir, exist_ok=True)
     sched = build_schedule(sc)
     report = validate(sc)
 

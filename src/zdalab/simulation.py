@@ -23,6 +23,7 @@ __all__ = [
     "assemble_A",
     "assemble_C",
     "attack_injection",
+    "check_sample_count",
     "propagate_interval",
     "simulate",
     "consensus_error",
@@ -146,12 +147,20 @@ def _augment(A: np.ndarray, attack, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A_aug, mode0
 
 
+def check_sample_count(span: float, dt: float) -> None:
+    """Raise ValueError unless dt is positive and sampling ``span`` every
+    ``dt`` stays within MAX_SAMPLES samples."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if span / dt > MAX_SAMPLES:
+        raise ValueError(f"{span / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+
+
 def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample times in (a, b] and the step reaching each: the lattice points
     k*dt more than _TIME_EPS inside the interval, then b.  Every step between
     two lattice points is exactly dt."""
-    if (b - a) / dt > MAX_SAMPLES:
-        raise ValueError(f"{(b - a) / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+    check_sample_count(b - a, dt)
     pts = np.arange(math.floor(a / dt), math.ceil(b / dt) + 1) * dt
     pts = pts[(pts - a > _TIME_EPS) & (b - pts > _TIME_EPS)]
     times = np.append(pts, b)
@@ -254,11 +263,7 @@ def simulate(
     attacked = tuple(sorted(attack.attacked)) if attack is not None else ()
     if attack is not None and attack.rho < 0.0:
         raise ValueError("attack start time must be nonnegative")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-
-    if sched.horizon / dt > MAX_SAMPLES:
-        raise ValueError(f"{sched.horizon / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+    check_sample_count(sched.horizon, dt)
 
     breakpoints = set(sched.switch_times)
     if attack is not None and 0.0 < attack.rho < sched.horizon:

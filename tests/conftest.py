@@ -7,6 +7,7 @@ connected.
 """
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zdalab import graphs
 
@@ -73,3 +74,30 @@ def random_connected_topology(rng, n, id=1, lo=0.2, hi=2.0):
             if a[i, j] == 0.0 and rng.random() < 0.5:
                 a[i, j] = a[j, i] = rng.uniform(lo, hi)
     return graphs.Topology(id=id, n=n, adjacency=a)
+
+
+# The scan oracles' own zero candidates, kept apart from the synthesis code
+# they check.
+def _invariant_zero_candidates(A_list, B_K, C) -> list:
+    """Finite generalized eigenvalues of each square single-topology pencil.
+
+    Only defined when the pencil is square (as many attack channels as
+    outputs); fat pencils have kernels at generic eta and are covered by
+    probe values instead.
+    """
+    n2 = A_list[0].shape[0]
+    if B_K.shape[1] != C.shape[0]:
+        return []
+    out = []
+    E = np.zeros((n2 + C.shape[0], n2 + B_K.shape[1]))
+    E[:n2, :n2] = np.eye(n2)
+    for A in A_list:
+        F = np.vstack(
+            [
+                np.hstack([-A, B_K]),
+                np.hstack([-C, np.zeros((C.shape[0], B_K.shape[1]))]),
+            ]
+        )
+        vals = scipy.linalg.eigvals(F, -E)
+        out.extend(complex(v) for v in vals if np.isfinite(v))
+    return out

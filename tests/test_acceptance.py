@@ -17,7 +17,7 @@ import scipy.linalg
 
 from zdalab import attacks, graphs, observer, scheduling, simulation
 
-from conftest import K4_WEIGHTS, random_connected_topology
+from conftest import K4_WEIGHTS, _invariant_zero_candidates, random_connected_topology
 
 
 def report(num, desc, ok, detail=""):
@@ -119,7 +119,7 @@ def _eta_scan(topos, M, K):
     C = assemble_C(M, n)
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, 100))
-    candidates += attacks._invariant_zero_candidates(A_list, B, C)
+    candidates += _invariant_zero_candidates(A_list, B, C)
     return any(
         attacks._kernel_pair(A_list, B, C, complex(e)) is not None for e in candidates
     )

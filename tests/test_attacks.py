@@ -19,7 +19,7 @@ from zdalab.attacks import (
 )
 from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
-from conftest import random_connected_topology
+from conftest import _invariant_zero_candidates, random_connected_topology
 
 
 def pbh_unobservable_dim(A, C, tol=1e-8):
@@ -46,7 +46,7 @@ def eta_scan_oracle(topos, M, K, grid_points=100):
     C = assemble_C(M, n)
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, grid_points))
-    candidates += attacks._invariant_zero_candidates(A_list, B, C)
+    candidates += _invariant_zero_candidates(A_list, B, C)
     for eta in candidates:
         if attacks._kernel_pair(A_list, B, C, complex(eta)) is not None:
             return True
@@ -124,6 +124,35 @@ class TestSynthesize:
         assert max(cert.pencil_residuals) < 1e-8
         assert atk.eta.real > 0.0
         assert np.max(np.abs(atk.g0)) == pytest.approx(1e-2)
+
+    def test_generic_kernel_meets_target_rate_exactly(self, topo1, topo2):
+        atk, cert = synthesize([topo1, topo2], (1,), (1, 2, 3, 4), eta_target=0.137)
+        assert cert.valid
+        assert atk.eta == 0.137
+
+    def test_attack_at_imaginary_zeros_only(self):
+        # The two stars differ only in edge 2-3.  With agent 1 observed and
+        # channels on agents 1 and 2, the stacked pencil drops rank only at
+        # eta = +-i, which no real rate reaches.
+        star = [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)]
+        t1 = graphs.Topology.from_edges(1, 4, star)
+        t2 = graphs.Topology.from_edges(2, 4, star + [(2, 3, 1.0)])
+        result = synthesize([t1, t2], (1,), (1, 2))
+        assert result is not None
+        atk, cert = result
+        assert cert.valid
+        assert abs(abs(atk.eta) - 1.0) < 1e-12
+        assert abs(atk.eta.real) < 1e-12
+
+        # the real parts of discrepancy and signal stay hidden under switching
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=20.0)
+        z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
+        clean = simulation.simulate([t1, t2], sched, z0, dt=0.05, observed=(1,))
+        attacked = simulation.simulate(
+            [t1, t2], sched, z0 + atk.delta_z0, attack=atk, dt=0.05, observed=(1,)
+        )
+        assert np.max(np.abs(attacked.states - clean.states)) > 1e-3
+        assert np.max(np.abs(attacked.outputs - clean.outputs)) < 1e-10
 
     def test_detectable_set_blocks_synthesis(self, topo1, topo2):
         third = graphs.Topology.from_edges(

@@ -107,6 +107,16 @@ class TestRun:
         report = open(result.report_path).read()
         assert "admissibility checks" in report
 
+    def test_sample_cap_checked_before_any_stage(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("stage ran before the sample cap was checked")
+
+        for stage in ("build_schedule", "validate", "synthesize_for"):
+            monkeypatch.setattr(scenario, stage, unreachable)
+        sc = load_scenario(stealth_doc(horizon=420.0))
+        with pytest.raises(ValueError, match="exceed the cap"):
+            scenario.run(sc, str(tmp_path), dt=1e-12)
+
     def test_attack_free_consensus_summary_absent_for_marginal_run(self, tmp_path):
         doc = stealth_doc()
         doc.pop("attack")
@@ -159,6 +169,16 @@ class TestCli:
         doc["dwell"]["3"] = TAU
         path = self.write(tmp_path, doc)
         assert cli.main(["synthesize", "--scenario", path, "--out", str(tmp_path)]) == 3
+
+    def test_synthesize_ignores_directive_seed(self, tmp_path):
+        outs = []
+        for extra in ({}, {"seed": 5}):
+            doc = stealth_doc(attack={"synthesize": True, "rho": 20.0, **extra})
+            path = self.write(tmp_path, doc)
+            out = tmp_path / f"out{len(outs)}"
+            assert cli.main(["synthesize", "--scenario", path, "--out", str(out)]) == 0
+            outs.append((out / "stealth_attack.json").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_numeric_failure_exit_four(self, tmp_path, monkeypatch):
         path = self.write(tmp_path, stealth_doc())
@@ -221,6 +241,40 @@ class TestExitCodes:
         assert cli.main(argv + extra_args) == 2
         if overrides is None:
             assert "no such file" in capsys.readouterr().err
+
+    @staticmethod
+    def undetected_k4_doc():
+        from conftest import K4_WEIGHTS
+
+        # K4/9 and its 3-cycle relabelling: dwell times derive from the
+        # common modal period, and no stealthy attack exists for the pair
+        base = [[i, j, w / 9.0] for i, j, w in K4_WEIGHTS]
+        perm = (2, 3, 1, 4)
+        twin = [[perm[i - 1], perm[j - 1], w] for i, j, w in base]
+        doc = stealth_doc(horizon=10.0, dwell=None, dwell_params={"tau_hat_max": 0.2})
+        doc["topologies"] = [{"id": 1, "n": 4, "edges": base}, {"id": 2, "n": 4, "edges": twin}]
+        doc["attack"] = {"synthesize": True}
+        return doc
+
+    @pytest.mark.parametrize("case, code", [("no-dwell", 2), ("no-attack", 3), ("overflow", 4)])
+    def test_sweep_exits_as_run_when_every_m_fails(self, tmp_path, monkeypatch, case, code):
+        doc = stealth_doc(dwell=None) if case == "no-dwell" else self.undetected_k4_doc()
+        if case == "overflow":
+            doc.pop("attack")
+
+            def overflow(*args, **kwargs):
+                raise scenario.simulation.SimulationError("overflow")
+
+            monkeypatch.setattr(scenario.simulation, "simulate", overflow)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == code
+        argv = ["sweep", "--scenario", str(path), "--out", str(out), "--m-min", "1", "--m-max", "2"]
+        assert cli.main(argv) == code
+        table = json.loads((out / "stealth_sweep.json").read_text())
+        assert set(table) == {"1", "2"}
+        assert all("error" in entry for entry in table.values())
 
     def test_synthesized_attack_file_is_strict_json(self, tmp_path):
         path = tmp_path / "scenario.json"
