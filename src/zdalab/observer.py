@@ -154,16 +154,13 @@ def run_observer(
     for seg in tr.segments:
         key = (seg.topology_id, seg.attack_active)
         if key not in joint:
-            # segment drift [[A, G], [0, Eta]] over (plant, mode) gives the
-            # joint (mode, error) drift [[Eta, 0], [-G, A_obs]]
-            d = seg.A_aug.shape[0] - 2 * n
-            J = np.zeros((d + 2 * n, d + 2 * n))
-            J[:d, :d] = seg.A_aug[2 * n :, 2 * n :]
-            J[d:, :d] = -seg.A_aug[: 2 * n, 2 * n :]
-            J[d:, d:] = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
-            joint[key] = J
+            # the segment's mode m enters the plant as G m, so the joint
+            # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
+            A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+            zero = np.zeros((seg.Eta.shape[0], 2 * n))
+            joint[key] = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
         J = joint[key]
-        state = np.concatenate([seg.state0[2 * n :], err[k - 1]])
+        state = np.concatenate([seg.mode0, err[k - 1]])
         for step in seg.steps.tolist():
             if step == tr.dt and key not in steady:
                 steady[key] = expm(J * step)

@@ -65,7 +65,9 @@ def _require(cond: bool, msg: str):
 
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a JSON file path, JSON text, or a dict.  A string
-    that does not start with ``{`` is a path."""
+    that does not start with ``{`` is a path, and so is a string attack.
+    An attack path in a scenario file is relative to that file's folder."""
+    base = ""
     if isinstance(source, dict):
         d = source
     else:
@@ -73,6 +75,7 @@ def load_scenario(source) -> Scenario:
             text = source
         else:
             _require(os.path.isfile(source), f"no such file: {source}")
+            base = os.path.dirname(source)
             with open(source) as fh:
                 text = fh.read()
         try:
@@ -127,7 +130,7 @@ def load_scenario(source) -> Scenario:
     elif isinstance(a, dict):
         attack = attacks.attack_from_json(json.dumps(a))
     elif isinstance(a, str):
-        with open(a) as fh:
+        with open(os.path.join(base, a)) as fh:
             attack = attacks.attack_from_json(fh.read())
 
     reported = d.get("reported_initial")

@@ -1,14 +1,15 @@
 """Exact piecewise-LTI propagation of the switched double-integrator network.
 
 The stacked state is z = [x_1..x_n, v_1..v_n].  Position coupling enters the
-velocity rows through the active Laplacian; an exponential attack input is
-carried as an extra mode block so that every dwell interval is integrated by a
-single matrix exponential, with no discretization error.
+velocity rows through the active Laplacian L = Q diag(lam) Q^T, whose modes
+are undamped oscillators; an exponential attack input adds a particular
+solution.  Every sample of a dwell interval is thus evaluated in closed form
+from the interval's start, with no discretization error and no stepping.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,6 +34,12 @@ __all__ = [
 _TIME_EPS = 1e-9
 # most samples one run or interval may hold, checked before allocating
 MAX_SAMPLES = 10_000_000
+# a drift resonates when |eta^2 + lam_i| <= RES_TOL * max(1, |eta|^2, lam_i)
+# for some mode i, where its modal particular solution fails
+RES_TOL = 1e-6
+# values per block of rows the CSV writer formats at once
+CSV_BLOCK_VALUES = 4096
+_W = np.array([1.0, -1j])  # real mode m -> its complex value m @ _W
 
 
 class SimulationError(RuntimeError):
@@ -50,48 +57,45 @@ def assemble_A(L: np.ndarray) -> np.ndarray:
     return np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
 
 
+def _agents(S, n: int, what: str) -> list:
+    """The 0-based indices of the agents S (1-based), ascending; ValueError
+    unless S is a nonempty subset of 1..n."""
+    S = sorted(S)
+    if not S:
+        raise ValueError(f"{what} set must be nonempty")
+    if any(not (1 <= i <= n) for i in S):
+        raise ValueError(f"{what} set {S} not within 1..{n}")
+    return [i - 1 for i in S]
+
+
 def assemble_C(M, n: int) -> np.ndarray:
     """Output matrix selecting the positions of the observed agents (1-based,
     ascending)."""
-    M = sorted(M)
-    if not M:
-        raise ValueError("observed set must be nonempty")
-    if any(not (1 <= i <= n) for i in M):
-        raise ValueError(f"observed set {M} not within 1..{n}")
-    C = np.zeros((len(M), 2 * n))
-    for k, i in enumerate(M):
-        C[k, i - 1] = 1.0
-    return C
+    return np.eye(2 * n)[_agents(M, n, "observed")]
 
 
 def attack_injection(K, n: int) -> np.ndarray:
     """Injection matrix routing attack channels into the velocity rows of the
     misbehaving agents (1-based, ascending)."""
-    K = sorted(K)
-    if not K:
-        raise ValueError("attacked set must be nonempty")
-    if any(not (1 <= i <= n) for i in K):
-        raise ValueError(f"attacked set {K} not within 1..{n}")
-    B = np.zeros((2 * n, len(K)))
-    for k, i in enumerate(K):
-        B[n + i - 1, k] = 1.0
-    return B
+    return np.eye(2 * n)[:, [n + i for i in _agents(K, n, "attacked")]]
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One constant-dynamics stretch of a simulation: z_aug(t) =
-    expm(A_aug (t - t0)) @ state0 for t in [t0, t1].  While the attack is
-    active, z_aug is the plant state followed by the attack mode.  ``steps``
-    holds the step reaching each of the segment's samples; every step between
-    two lattice points is exactly the trace's ``dt``."""
+    """One constant-dynamics stretch of a simulation over [t0, t1].  While the
+    attack is active, its real exponential mode m obeys dm/dt = Eta m, enters
+    the plant as dz/dt = A z + G m and is ``mode0`` at t0; while it is
+    dormant all three are empty.  ``steps`` holds the step reaching each
+    of the segment's samples; every step between two lattice points is
+    exactly the trace's ``dt``."""
 
     t0: float
     t1: float
     topology_id: int
     attack_active: bool
-    A_aug: np.ndarray
-    state0: np.ndarray
+    Eta: np.ndarray
+    G: np.ndarray
+    mode0: np.ndarray
     steps: np.ndarray
 
 
@@ -122,29 +126,77 @@ class Trace:
         return self.states.shape[1] // 2
 
 
-def _augment(A: np.ndarray, attack, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Drift [[A, G], [0, Eta]] that carries the attack's exponential mode m
-    alongside the plant (Van Loan, IEEE TAC 1978), and m at the attack start.
-
-    G maps the real mode state onto the injected signal, so one matrix
-    exponential integrates the attacked plant exactly."""
+def _attack_mode(attack, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Drift Eta and gain G of the attack's real exponential mode m, empty
+    for no attack.  m is e^{eta s} for a real rate and (Re, -Im) of it for a
+    complex one, so m @ _W is e^{eta s} and G m is Re(B g0 e^{eta s})."""
+    if attack is None:
+        return np.zeros((0, 0)), np.zeros((2 * n, 0))
     eta = complex(attack.eta)
     g0 = np.asarray(attack.g0)
     if abs(eta.imag) < 1e-300:
-        Eta, mode0 = np.array([[eta.real]]), np.array([1.0])
-        gain = g0.real.reshape(-1, 1)
+        Eta, gain = np.array([[eta.real]]), g0.real.reshape(-1, 1)
     else:
-        # m evolves as e^{a t} (cos b t, -sin b t); Re(g0 e^{eta t}) is then
-        # Re(g0) * m1 + Im(g0) * m2
         a, b = eta.real, eta.imag
-        Eta, mode0 = np.array([[a, b], [-b, a]]), np.array([1.0, 0.0])
-        gain = np.column_stack([g0.real, g0.imag])
-    d = Eta.shape[0]
-    A_aug = np.zeros((2 * n + d, 2 * n + d))
-    A_aug[: 2 * n, : 2 * n] = A
-    A_aug[: 2 * n, 2 * n :] = attack_injection(attack.attacked, n) @ gain
-    A_aug[2 * n :, 2 * n :] = Eta
-    return A_aug, mode0
+        Eta, gain = np.array([[a, b], [-b, a]]), np.column_stack([g0.real, g0.imag])
+    return Eta, attack_injection(attack.attacked, n) @ gain
+
+
+def _propagator(L: np.ndarray, Eta: np.ndarray, G: np.ndarray):
+    """Exact sampler of dz/dt = [[0, I], [-L, 0]] z + G m, dm/dt = Eta m: a
+    function of (z0, m0, tau) giving the plant state at each offset in tau.
+
+    With L = Q diag(lam) Q^T and omega = sqrt(lam), the modes xi = Q^T x,
+    nu = Q^T v move freely as xi0 cos(omega t) + nu0 sin(omega t) / omega,
+    and the mode value mu0 e^{eta t} adds Re(c mu0 e^{eta t}), where
+    c_i = (Q^T B g0)_i / (eta^2 + lam_i).  A resonant drift (RES_TOL) has no
+    such c; its samples are expm(A_aug tau) (z0, m0) instead."""
+    n, d = L.shape[0], Eta.shape[0]
+    lam, Q = np.linalg.eigh(L)
+    if lam[0] < -1e-9 * max(1.0, lam[-1]):
+        raise ValueError("L must be positive semidefinite")
+    w = _W[:d]
+    eta = Eta[:, 0] @ w if d else 0.0
+    den = eta**2 + lam
+    if d and np.any(np.abs(den) <= RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam))):
+        # the drift augmented with the mode (Van Loan, IEEE TAC 1978)
+        A_aug = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
+
+        def resonant(z0, m0, tau):
+            rows = [expm(A_aug * t)[: 2 * n] @ np.append(z0, m0) for t in tau.tolist()]
+            return np.reshape(rows, (-1, 2 * n))
+
+        return resonant
+
+    # one column per position mode, then one per velocity mode
+    omega = np.tile(np.sqrt(np.maximum(lam, 0.0)), 2)
+    still = (omega == 0.0).astype(float)  # sin(omega t) / omega -> t
+    inv = 1.0 / np.maximum(omega, still)
+    swap = np.vstack([np.ones(n), -lam])
+    QQ = np.kron(np.eye(2), Q.T)
+    c = Q.T @ (G[n:] @ w.conj()) / den if d else np.zeros(n)
+    cp = np.vstack([c, c * eta])  # particular (xi, nu) per unit mode value
+
+    def modal(z0, m0, tau):
+        mu0 = m0 @ w
+        free = z0.reshape(2, n) @ Q - (mu0 * cp).real
+        wt = tau[:, None] * omega
+        sin = np.sin(wt) * inv + tau[:, None] * still
+        y = free.ravel() * np.cos(wt) + (free[::-1] * swap).ravel() * sin
+        if d:
+            y += (mu0 * np.exp(eta * tau)[:, None] * cp.ravel()).real
+        return y @ QQ
+
+    return modal
+
+
+def _evaluate(sample, z0, m0, tau) -> tuple[np.ndarray, int]:
+    """Plant states at the offsets tau, and how many rows precede the first
+    non-finite one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = sample(z0, m0, tau)
+    finite = np.isfinite(states).all(axis=1)
+    return states, len(tau) if finite.all() else int(np.argmin(finite))
 
 
 def check_sample_count(span: float, dt: float) -> None:
@@ -169,36 +221,6 @@ def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return times, steps
 
 
-def _propagate(
-    A_aug: np.ndarray,
-    state: np.ndarray,
-    times: np.ndarray,
-    steps: np.ndarray,
-    out: np.ndarray,
-    dt: float,
-    steady: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Advance ``state`` under dz/dt = A_aug z by each of ``steps``, writing
-    the plant part at ``times[k]`` into ``out[k]``.  A step of exactly dt
-    uses the steady propagator expm(A_aug dt), built here on first use; any
-    other step is a one-off.  Returns the final state and the steady
-    propagator.
-
-    Raises SimulationError at the first non-finite sample; the rows of
-    ``out`` before it are filled."""
-    n2 = out.shape[1]
-    for k, step in enumerate(steps.tolist()):
-        if step == dt and steady is None:
-            steady = expm(A_aug * dt)
-        state = (steady if step == dt else expm(A_aug * step)) @ state
-        if not np.all(np.isfinite(state)):
-            raise SimulationError(
-                f"instability overflow at t={times[k]:.6g}", blowup_time=float(times[k])
-            )
-        out[k] = state[:n2]
-    return state, steady
-
-
 def propagate_interval(
     A: np.ndarray,
     z0: np.ndarray,
@@ -211,33 +233,37 @@ def propagate_interval(
 ):
     """Exactly propagate dz/dt = A z (+ attack injection) over one interval.
 
+    ``A`` must be [[0, I], [-L, 0]] with L symmetric positive semidefinite.
     Samples at t0 + k*dt and at the interval end.  Returns (times, states,
     final_mode).  ``attack`` is a ZdaAttack; when ``attack_active`` the
     exponential mode runs from ``mode0`` (defaults to its value at the attack
-    start).
+    start).  Raises SimulationError at a non-finite sample.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if duration <= 0.0 or dt <= 0.0:
+        raise ValueError("duration and dt must be positive")
     z0 = np.asarray(z0, dtype=float)
-    n2 = z0.shape[0]
-    if attack is not None and attack_active:
-        A_aug, mode_init = _augment(A, attack, n2 // 2)
-        state = np.concatenate([z0, mode_init if mode0 is None else mode0])
-    else:
-        A_aug = np.asarray(A, dtype=float)
-        state = z0
+    A = np.asarray(A, dtype=float)
+    n = z0.shape[0] // 2
+    L = -A[n:, :n]
+    if A.shape != (2 * n, 2 * n) or not np.array_equal(A, assemble_A(L)) or np.any(L != L.T):
+        raise ValueError("A must be [[0, I], [-L, 0]] with L symmetric")
+    Eta, G = _attack_mode(attack if attack_active else None, n)
+    d = Eta.shape[0]
+    m0 = _W[:d].real if mode0 is None else np.asarray(mode0, dtype=float)
 
-    offsets, steps = np.zeros(0), np.zeros(0)
+    offsets = np.zeros(0)
     if duration > _TIME_EPS:  # a vanishing interval merges into its start sample
-        offsets, steps = _lattice(0.0, duration, dt)
+        offsets, _ = _lattice(0.0, duration, dt)
     times = t0 + np.concatenate([[0.0], offsets])
-    states = np.empty((len(times), n2))
-    states[0] = z0
-    state, _ = _propagate(A_aug, state, times[1:], steps, states[1:], dt)
-    final_mode = state[n2:] if state.shape[0] > n2 else None
-    return times, states, final_mode
+    rows, done = _evaluate(_propagator(L, Eta, G), z0, m0, offsets)
+    if done < len(offsets):
+        t = float(times[done + 1])
+        raise SimulationError(f"instability overflow at t={t:.6g}", blowup_time=t)
+    final_mode = None
+    if d:
+        mu = m0 @ _W[:d] * np.exp(Eta[:, 0] @ _W[:d] * duration)
+        final_mode = np.array([mu.real, -mu.imag][:d])
+    return times, np.vstack([z0, rows]), final_mode
 
 
 def simulate(
@@ -275,11 +301,9 @@ def simulate(
     states_all = [z0[None, :]]
     topo_all = [np.array([switching_signal(sched, _TIME_EPS)])]
     segments = []
-    # one (augmented drift, attack-start mode) and one steady propagator per
-    # (topology, attack active), shared by the segments
-    drift: dict[tuple, tuple] = {}
-    steady: dict[tuple, np.ndarray | None] = {}
-    state = z0
+    # one (Eta, G, sampler) per (topology, attack active)
+    drifts: dict[tuple, tuple] = {}
+    state, blowup = z0, None
 
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a <= _TIME_EPS:
@@ -287,61 +311,45 @@ def simulate(
         tid = switching_signal(sched, a + _TIME_EPS)
         active = attack is not None and a >= attack.rho - _TIME_EPS
         key = (tid, active)
-        if key not in drift:
-            A = assemble_A(laplacian(topo_by_id[tid]))
-            drift[key] = _augment(A, attack, n) if active else (A, None)
-        A_aug, mode0 = drift[key]
-        if active and state.shape[0] == 2 * n:
-            state = np.concatenate([state, mode0])
+        if key not in drifts:
+            Eta, G = _attack_mode(attack if active else None, n)
+            drifts[key] = (Eta, G, _propagator(laplacian(topo_by_id[tid]), Eta, G))
+        Eta, G, sample = drifts[key]
+        mu0 = np.exp(complex(attack.eta) * (a - attack.rho)) if active else 0.0
+        mode0 = np.array([mu0.real, -mu0.imag][: Eta.shape[0]])
         seg_times, steps = _lattice(a, b, dt)
-        segments.append(Segment(a, b, tid, active, A_aug=A_aug, state0=state, steps=steps))
+        seg_states, done = _evaluate(sample, state, mode0, seg_times - a)
+        segments.append(Segment(a, b, tid, active, Eta=Eta, G=G, mode0=mode0, steps=steps[:done]))
+        times_all.append(seg_times[:done])
+        states_all.append(seg_states[:done])
+        topo_all.append(np.full(done, tid))
+        if done < len(seg_times):
+            blowup = float(seg_times[done])
+            break
+        state = seg_states[-1]
 
-        seg_states = np.empty((len(seg_times), 2 * n))
-        times_all.append(seg_times)
-        states_all.append(seg_states)
-        topo_all.append(np.full(len(seg_times), tid))
-        try:
-            state, steady[key] = _propagate(
-                A_aug, state, seg_times, steps, seg_states, dt, steady.get(key)
-            )
-        except SimulationError as err:
-            done = int(np.searchsorted(seg_times, err.blowup_time))
-            for part in (times_all, states_all, topo_all):
-                part[-1] = part[-1][:done]
-            segments[-1] = replace(segments[-1], steps=steps[:done])
-            err.trace = _finalize_trace(
-                times_all, states_all, topo_all, C, observed, attacked, attack,
-                segments, dt,
-            )
-            raise
-
-    return _finalize_trace(
-        times_all, states_all, topo_all, C, observed, attacked, attack, segments, dt
-    )
-
-
-def _finalize_trace(times, states, topo, C, observed, attacked, attack, segments, dt):
-    times = np.concatenate(times)
-    states = np.concatenate(states)
-    outputs = states @ C.T
+    times, states = np.concatenate(times_all), np.concatenate(states_all)
     vals = np.zeros((len(times), len(attacked)))
     if attack is not None and attacked:
         post = times >= attack.rho - _TIME_EPS
-        if np.any(post):
-            g0 = np.asarray(attack.g0)
-            e = np.exp(complex(attack.eta) * (times[post] - attack.rho))
-            vals[post] = np.real(np.outer(e, g0))
-    return Trace(
+        e = np.exp(complex(attack.eta) * (times[post] - attack.rho))
+        vals[post] = np.real(np.outer(e, np.asarray(attack.g0)))
+    tr = Trace(
         times=times,
         states=states,
-        outputs=outputs,
+        outputs=states @ C.T,
         attack_values=vals,
-        topology_ids=np.concatenate(topo),
+        topology_ids=np.concatenate(topo_all),
         observed=tuple(sorted(observed)),
         attacked=attacked,
         segments=tuple(segments),
         dt=dt,
     )
+    if blowup is not None:
+        err = SimulationError(f"instability overflow at t={blowup:.6g}", blowup_time=blowup)
+        err.trace = tr
+        raise err
+    return tr
 
 
 def consensus_error(tr: Trace) -> dict:
@@ -349,8 +357,7 @@ def consensus_error(tr: Trace) -> dict:
     if len(tr.times) == 0:
         raise ValueError("trace is empty")
     n = tr.n
-    x = tr.states[:, :n]
-    v = tr.states[:, n:]
+    x, v = tr.states[:, :n], tr.states[:, n:]
     return {
         "pos_disagreement": x.max(axis=1) - x.min(axis=1),
         "vel_disagreement": v.max(axis=1) - v.min(axis=1),
@@ -359,26 +366,22 @@ def consensus_error(tr: Trace) -> dict:
 
 def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     """Write the trace as CSV with deterministic 17-significant-digit
-    formatting.  Columns: t, topology, x*, v*, y*, r*, attack*."""
-    n = tr.n
-    cols = ["t", "topology"]
-    cols += [f"x{i}" for i in range(1, n + 1)]
-    cols += [f"v{i}" for i in range(1, n + 1)]
+    formatting.  Columns: t, topology, x*, v*, y*, r*, attack*.  Rows are
+    formatted by one format string per block of about CSV_BLOCK_VALUES
+    values."""
+    cols = ["t", "topology"] + [f"{c}{i}" for c in "xv" for i in range(1, tr.n + 1)]
     cols += [f"y{i}" for i in tr.observed]
+    parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.outputs]
     if residuals is not None:
         cols += [f"r{i}" for i in tr.observed]
+        parts.append(residuals)
     cols += [f"attack{i}" for i in tr.attacked]
-
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
-
+    parts.append(tr.attack_values)
+    row = "%.17g,%d" + ",%.17g" * (len(cols) - 2) + "\n"
+    rows = max(1, CSV_BLOCK_VALUES // len(cols))
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(tr.times)):
-            row = [fmt(tr.times[k]), str(int(tr.topology_ids[k]))]
-            row += [fmt(v) for v in tr.states[k]]
-            row += [fmt(v) for v in tr.outputs[k]]
-            if residuals is not None:
-                row += [fmt(v) for v in residuals[k]]
-            row += [fmt(v) for v in tr.attack_values[k]]
-            fh.write(",".join(row) + "\n")
+        for k in range(0, len(tr.times), rows):
+            block = np.hstack([p[k : k + rows] for p in parts]).ravel().tolist()
+            block[1 :: len(cols)] = tr.topology_ids[k : k + rows].tolist()  # exact ints
+            fh.write(row * (len(block) // len(cols)) % tuple(block))

@@ -101,3 +101,32 @@ def _invariant_zero_candidates(A_list, B_K, C) -> list:
         vals = scipy.linalg.eigvals(F, -E)
         out.extend(complex(v) for v in vals if np.isfinite(v))
     return out
+
+
+# The row-at-a-time trace writer the block writer replaced, kept as the
+# oracle for its bytes.
+def trace_to_csv_oracle(tr, path, residuals=None) -> None:
+    """Write the trace as CSV with deterministic 17-significant-digit
+    formatting.  Columns: t, topology, x*, v*, y*, r*, attack*."""
+    n = tr.n
+    cols = ["t", "topology"]
+    cols += [f"x{i}" for i in range(1, n + 1)]
+    cols += [f"v{i}" for i in range(1, n + 1)]
+    cols += [f"y{i}" for i in tr.observed]
+    if residuals is not None:
+        cols += [f"r{i}" for i in tr.observed]
+    cols += [f"attack{i}" for i in tr.attacked]
+
+    def fmt(v: float) -> str:
+        return format(float(v), ".17g")
+
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(len(tr.times)):
+            row = [fmt(tr.times[k]), str(int(tr.topology_ids[k]))]
+            row += [fmt(v) for v in tr.states[k]]
+            row += [fmt(v) for v in tr.outputs[k]]
+            if residuals is not None:
+                row += [fmt(v) for v in residuals[k]]
+            row += [fmt(v) for v in tr.attack_values[k]]
+            fh.write(",".join(row) + "\n")

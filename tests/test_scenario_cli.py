@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zdalab.observer
-from zdalab import cli, scenario
+from zdalab import attacks, cli, scenario
 from zdalab.scenario import ScenarioError, load_scenario
 
 
@@ -74,6 +74,30 @@ class TestLoadScenario:
         p.write_text('{"schema": 1,\n  "oops\n}')
         with pytest.raises(ScenarioError, match="line"):
             load_scenario(str(p))
+
+    def test_attack_path_relative_to_scenario_file(self, tmp_path, monkeypatch):
+        atk, cert = scenario.synthesize_for(load_scenario(stealth_doc()))
+        folder, elsewhere = tmp_path / "scenarios", tmp_path / "elsewhere"
+        folder.mkdir()
+        elsewhere.mkdir()
+        (folder / "attack.json").write_text(attacks.attack_to_json(atk, cert))
+        doc = stealth_doc(attack="attack.json")
+        (folder / "scenario.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(elsewhere)
+        for path in (str(folder / "scenario.json"), os.path.join("..", "scenarios", "scenario.json")):
+            loaded = load_scenario(path).attack
+            assert loaded.eta == atk.eta and loaded.rho == atk.rho
+            np.testing.assert_array_equal(loaded.delta_z0, atk.delta_z0)
+        # an absolute attack path is kept as it is
+        doc["attack"] = str(folder / "attack.json")
+        (elsewhere / "absolute.json").write_text(json.dumps(doc))
+        assert load_scenario("absolute.json").attack.eta == atk.eta
+
+    def test_missing_attack_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(attack="absent.json")))
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "absent.json" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdalab import graphs, scheduling
 from zdalab.scheduling import DwellParams, ScheduleError, SwitchingSchedule
@@ -91,6 +93,27 @@ class TestSwitchingSchedule:
     def test_non_finite_dwell_rejected(self, bad):
         with pytest.raises(ScheduleError):
             SwitchingSchedule(order=(1,), dwell={1: bad}, horizon=10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dwells=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+        cycles=st.floats(0.5, 20.0),
+    )
+    def test_signal_right_continuous_at_every_switch(self, dwells, cycles):
+        """At each switch instant the signal already holds the incoming
+        topology, which stays on until the next switch; just before the
+        instant it holds the outgoing one."""
+        order = tuple(range(1, len(dwells) + 1))
+        s = SwitchingSchedule(
+            order=order, dwell=dict(zip(order, dwells)), horizon=cycles * sum(dwells)
+        )
+        bounds = s.switch_times + (s.horizon,)
+        for k, t in enumerate(s.switch_times):
+            incoming = order[(k + 1) % len(order)]
+            assert scheduling.switching_signal(s, t) == incoming
+            assert scheduling.switching_signal(s, 0.5 * (t + bounds[k + 1])) == incoming
+            before = scheduling.switching_signal(s, math.nextafter(t, -math.inf))
+            assert before == order[k % len(order)]
 
 
 def _spec(vals):

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zdalab import attacks, graphs, observer, scenario, scheduling, simulation
 from zdalab.simulation import (
@@ -16,7 +19,7 @@ from zdalab.simulation import (
     simulate,
 )
 
-from conftest import random_connected_topology
+from conftest import random_connected_topology, trace_to_csv_oracle
 
 
 def rk4(f, z0, t0, t1, steps):
@@ -48,6 +51,48 @@ def make_attack(rng, n, eta=None):
         delta_z0=dz,
         attacked=K,
     )
+
+
+def augmented_oracle(A, atk, z0, offsets):
+    """Plant states expm(A_aug t) (z0, m0) at each offset t, with A_aug the
+    drift [[A, B gain], [0, Eta]] that carries the attack's exponential mode
+    alongside the plant and m0 the mode at the attack start."""
+    n = len(z0) // 2
+    eta, g0 = complex(atk.eta), np.asarray(atk.g0, dtype=complex)
+    if eta.imag == 0.0:
+        Eta, gain, m0 = [[eta.real]], g0.real[:, None], [1.0]
+    else:
+        a, b = eta.real, eta.imag
+        Eta, gain, m0 = [[a, b], [-b, a]], np.column_stack([g0.real, g0.imag]), [1.0, 0.0]
+    d = len(m0)
+    A_aug = np.zeros((2 * n + d, 2 * n + d))
+    A_aug[: 2 * n, : 2 * n] = A
+    A_aug[: 2 * n, 2 * n :] = attack_injection(atk.attacked, n) @ gain
+    A_aug[2 * n :, 2 * n :] = Eta
+    s0 = np.concatenate([z0, m0])
+    return np.array([(scipy.linalg.expm(A_aug * t) @ s0)[: 2 * n] for t in offsets])
+
+
+def count_expm(monkeypatch) -> list:
+    """Record every matrix exponential the simulation module takes."""
+    calls = []
+
+    def counted(M, expm=simulation.expm):
+        calls.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(simulation, "expm", counted)
+    return calls
+
+
+def star_resonant_attack():
+    """A star on 4 agents (Laplacian spectrum 0, 1, 1, 4) and an attack at the
+    rate eta = i on leaf 2, which forces the lam = 1 modes at resonance."""
+    star = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)])
+    atk = attacks.ZdaAttack(
+        eta=1j, rho=0.0, g0=np.array([0.05 + 0.02j]), delta_z0=np.eye(8)[0], attacked=(2,)
+    )
+    return star, atk
 
 
 class TestAssembly:
@@ -136,6 +181,93 @@ class TestPropagateInterval:
         oracle = rk4(f, z0, 0.0, duration, 4000)
         rel = np.linalg.norm(states[-1] - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["real", "complex", "small-real"])
+    def test_matches_augmented_exponential(self, seed, kind, monkeypatch):
+        """The closed modal form agrees with the exponential of the augmented
+        drift at every sample, without taking any exponential itself."""
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 7))
+        A = assemble_A(graphs.laplacian(random_connected_topology(rng, n)))
+        z0 = rng.normal(size=2 * n)
+        eta = {
+            "real": rng.uniform(-0.5, 0.5),
+            "complex": complex(rng.uniform(-0.3, 0.3), rng.uniform(0.2, 3.0)),
+            "small-real": rng.choice([-1.0, 1.0]) * rng.uniform(3e-3, 1e-2),
+        }[kind]
+        atk = make_attack(rng, n, eta=eta)
+        if kind == "complex":
+            g0 = atk.g0 + 1j * rng.uniform(-1.0, 1.0, len(atk.g0)) * 1e-2
+            atk = attacks.ZdaAttack(eta, 0.0, g0, atk.delta_z0, atk.attacked)
+        calls = count_expm(monkeypatch)
+        dt, duration = 0.37, float(rng.uniform(2.0, 6.0))
+        times, states, _ = propagate_interval(
+            A, z0, 0.0, dt, duration, attack=atk, attack_active=True
+        )
+        assert calls == []
+        oracle = augmented_oracle(A, atk, z0, times)
+        rel = np.linalg.norm(states - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+        assert rel.max() <= 1e-11
+
+    def test_exact_resonance_takes_the_exponential(self, monkeypatch):
+        """An attack at eta = i on a star with lam = 1 has no modal particular
+        solution: the trace grows secularly, every sample comes from the
+        augmented exponential, and it matches RK4."""
+        star, atk = star_resonant_attack()
+        A = assemble_A(graphs.laplacian(star))
+        B = attack_injection(atk.attacked, 4)
+        z0 = np.concatenate([np.full(4, 0.3), np.full(4, -0.1)])  # in consensus
+        calls = count_expm(monkeypatch)
+        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=60.0)
+        tr = simulate([star], sched, z0, attack=atk, dt=0.5)
+        assert len(calls) == len(tr.times) - 1
+
+        def f(t, z):
+            return A @ z + B @ np.real(atk.g0 * np.exp(atk.eta * t))
+
+        z, worst = z0, 0.0
+        for k in range(1, len(tr.times)):
+            z = rk4(f, z, tr.times[k - 1], tr.times[k], 200)
+            worst = max(worst, np.linalg.norm(tr.states[k] - z) / np.linalg.norm(z))
+        assert worst < 1e-8
+        # the forced lam = 1 mode grows like t sin t
+        dis = consensus_error(tr)["pos_disagreement"]
+        assert dis[tr.times >= 50.0].max() > 4.0 * dis[tr.times <= 10.0].max()
+
+    def test_rejects_drift_not_of_consensus_form(self, topo1):
+        A = assemble_A(graphs.laplacian(topo1))
+        damped = A.copy()
+        damped[4:, 4:] = -np.eye(4)
+        skew = A.copy()
+        skew[4, 1] += 0.5
+        for bad in (damped, skew, A[:6, :6]):
+            with pytest.raises(ValueError):
+                propagate_interval(bad, np.ones(bad.shape[0]), 0.0, 0.1, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.floats(0.05, 0.95),
+        complex_rate=st.booleans(),
+    )
+    def test_semigroup_carries_the_attack_mode(self, seed, split, complex_rate):
+        """Propagating to a split point and on from there, with the attack
+        mode handed across, equals one propagation over the whole interval."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        A = assemble_A(graphs.laplacian(random_connected_topology(rng, n)))
+        z0 = rng.normal(size=2 * n)
+        eta = complex(0.1, 1.3) if complex_rate else 0.2
+        atk = make_attack(rng, n, eta=eta)
+        T = float(rng.uniform(1.0, 5.0))
+        s = split * T
+        _, direct, end_mode = propagate_interval(A, z0, 0.0, T, T, atk, True)
+        _, first, mode = propagate_interval(A, z0, 0.0, s, s, atk, True)
+        _, second, mode = propagate_interval(A, first[-1], s, T - s, T - s, atk, True, mode)
+        rel = np.linalg.norm(direct[-1] - second[-1]) / np.linalg.norm(direct[-1])
+        assert rel < 1e-10
+        np.testing.assert_allclose(mode, end_mode, rtol=1e-12)
 
     def test_semigroup_property(self, topo2):
         rng = np.random.default_rng(8)
@@ -265,8 +397,10 @@ class TestLattice:
             propagate_interval(A, np.ones(8), 0.0, 1e-12, 420.0)
 
     def test_expm_calls_bounded_by_segments(self, monkeypatch):
-        """One steady propagator per (topology, attack active) drift; only the
-        partial first and last step of a segment need their own."""
+        """The plant is evaluated in closed modal form, with no exponential;
+        the observer builds one steady propagator per (topology, attack
+        active) drift, and only the partial first and last step of a segment
+        need their own."""
         from test_scenario_cli import stealth_doc
 
         calls = {}
@@ -283,8 +417,25 @@ class TestLattice:
         tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt, observed=sc.observed)
         observer.run_observer(tr, sc.topologies, sched, sc.observer_cfg)
         bound = 2 * len(tr.segments) + 4
-        assert 0 < calls["zdalab.simulation"] <= bound
+        assert calls.get("zdalab.simulation", 0) == 0
         assert 0 < calls["zdalab.observer"] <= bound
+
+    def test_segments_carry_the_mode_in_closed_form(self, topo1, topo2):
+        """Each active segment starts its attack mode at e^{eta (t0 - rho)}
+        in the mode's real form; dormant segments carry empty blocks."""
+        rng = np.random.default_rng(4)
+        atk = make_attack(rng, 4, eta=complex(0.05, 0.7))
+        atk = attacks.ZdaAttack(atk.eta, 3.1, atk.g0, atk.delta_z0, atk.attacked)
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.9}, horizon=9.0)
+        tr = simulate([topo1, topo2], sched, np.ones(8), attack=atk, dt=0.2)
+        for seg in tr.segments:
+            if not seg.attack_active:
+                assert seg.Eta.shape == (0, 0) and seg.G.shape == (8, 0)
+                assert seg.mode0.shape == (0,)
+                continue
+            mu = np.exp(atk.eta * (seg.t0 - atk.rho))
+            np.testing.assert_allclose(seg.mode0, [mu.real, -mu.imag], rtol=1e-14)
+            np.testing.assert_allclose(seg.Eta, [[0.05, 0.7], [-0.7, 0.05]])
 
 
 class TestTraceExports:
@@ -314,3 +465,58 @@ class TestTraceExports:
         header = p1.read_text().splitlines()[0]
         assert header == "t,topology,x1,x2,x3,x4,v1,v2,v3,v4,y1"
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_writer_matches_row_writer_on_simulated_trace(self, tmp_path):
+        """A stealth run of 3,001 rows spans more than two default blocks."""
+        from test_scenario_cli import stealth_doc
+
+        sc = scenario.load_scenario(stealth_doc())
+        atk, _ = scenario.synthesize_for(sc)
+        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        sched = scenario.build_schedule(sc)
+        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02, observed=sc.observed)
+        cols = 2 + tr.states.shape[1] + 2 * len(tr.observed) + len(tr.attacked)
+        assert len(tr.times) > 2 * (simulation.CSV_BLOCK_VALUES // cols)
+        res = tr.outputs * 1e-9
+        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_writer_matches_row_writer(self, tmp_path_factory, data):
+        """Byte-identical to the row-at-a-time writer on edge values, output
+        and attack widths, with and without residuals, and on one to many
+        blocks of rows."""
+        edge = st.sampled_from(
+            [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+             1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e16, 0.1, 1 / 3]
+        )
+        value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-(10**6), 10**6).map(float))
+        n = data.draw(st.integers(1, 4))
+        observed = tuple(sorted(data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=min(n, 3)))))
+        attacked = tuple(sorted(data.draw(st.sets(st.integers(1, n), max_size=min(n, 3)))))
+        rows = data.draw(st.integers(0, 30))
+        width = len(observed)
+        tr = simulation.Trace(
+            times=data.draw(arrays(np.float64, rows, elements=value)),
+            states=data.draw(arrays(np.float64, (rows, 2 * n), elements=value)),
+            outputs=data.draw(arrays(np.float64, (rows, width), elements=value)),
+            attack_values=data.draw(arrays(np.float64, (rows, len(attacked)), elements=value)),
+            topology_ids=data.draw(arrays(np.int64, rows, elements=st.integers(-(2**63), 2**63 - 1))),
+            observed=observed,
+            attacked=attacked,
+        )
+        residuals = None
+        if data.draw(st.booleans()):
+            residuals = data.draw(arrays(np.float64, (rows, width), elements=value))
+        # blocks of one value up to the whole trace
+        block = data.draw(st.integers(1, 64))
+        out = tmp_path_factory.getbasetemp() / "csv"
+        out.mkdir(exist_ok=True)
+        with mock.patch.object(simulation, "CSV_BLOCK_VALUES", block):
+            simulation.trace_to_csv(tr, out / "new.csv", residuals=residuals)
+        trace_to_csv_oracle(tr, out / "old.csv", residuals=residuals)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
