@@ -41,16 +41,8 @@ def _positive(text: str) -> float:
     return value
 
 
-def _load(path: str) -> scenario.Scenario:
-    try:
-        return scenario.load_scenario(path)
-    except (scenario.ScenarioError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
 def cmd_validate(args) -> int:
-    sc = _load(args.scenario)
+    sc = scenario.load_scenario(args.scenario)
     report = scenario.validate(sc)
     for line in report.lines():
         print(line)
@@ -58,7 +50,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    sc = _load(args.scenario)
+    sc = scenario.load_scenario(args.scenario)
     result = scenario.run(sc, args.out, dt=args.dt)
     print(result.summary)
     print(f"trace: {result.trace_path}")
@@ -68,18 +60,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    sc = _load(args.scenario)
-    if sc.synthesize_directive is None and not sc.attacked:
+    sc = scenario.load_scenario(args.scenario)
+    if not sc.attacked:
         print("scenario error: no attack channels", file=sys.stderr)
         return EXIT_INVALID
-    if sc.synthesize_directive is not None:
-        atk, cert = scenario.synthesize_for(sc)
-    else:
-        stealth = list(sc.topologies)
-        result = attacks.synthesize(stealth, sc.observed, sc.attacked, rho=0.0)
-        if result is None:
-            raise attacks.SynthesisError("no stealthy attack exists for this topology set")
-        atk, cert = result
+    directive = sc.synthesize_directive or {}
+    atk, cert = scenario.synthesize_for(dataclasses.replace(sc, synthesize_directive=directive))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_attack.json")
     with open(path, "w") as fh:
@@ -89,18 +75,17 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sc = _load(args.scenario)
+    sc = scenario.load_scenario(args.scenario)
     table, errors = {}, []
     for m in range(args.m_min, args.m_max + 1):
         try:
-            sched = scenario.build_schedule(sc, m=m)
-            sub = dataclasses.replace(
-                sc, dwell_override=dict(sched.dwell), id=f"{sc.id}_m{m}"
-            )
+            params = dataclasses.replace(sc.dwell_params, m=m)
+            sub = dataclasses.replace(sc, id=f"{sc.id}_m{m}", dwell_override=None, dwell_params=params)
+            switch_count = len(sub.schedule.switch_times)
             result = scenario.run(sub, os.path.join(args.out, f"m{m}"), dt=args.dt)
             table[str(m)] = {
                 "alarm_time": result.alarm_time,
-                "switch_count": len(sched.switch_times),
+                "switch_count": switch_count,
                 "summary": result.summary,
             }
         except (simulation.SimulationError, ValueError) as exc:

@@ -123,6 +123,7 @@ class ComponentPartition:
 class DetectabilityReport:
     ok: bool
     uncovered: tuple  # components (frozensets) with no observed agent
+    margin: float  # smallest singular value of the stacked kernel matrix N
 
 
 @dataclass(frozen=True)
@@ -209,31 +210,27 @@ def components(g: DiffGraph) -> ComponentPartition:
     return ComponentPartition(components=tuple(comps))
 
 
-def detectability(
-    S,
-    M,
-    wtol: float = 1e-12,
-    require_trivial_coverage: bool = True,
-) -> DetectabilityReport:
-    """Check that every component of the union difference graph contains an
-    observed agent.
+def detectability(S, M, wtol: float = 1e-12) -> DetectabilityReport:
+    """Exact detectability of the switching set S from the observed agents M
+    when every agent may be attacked: a stealthy attack exists exactly when
+    N = [E_M^T; L_2 - L_1; ...] has a nontrivial kernel, so ``ok`` needs the
+    smallest singular value of N (``margin``) above 1e-10 * max(sigma_max, 1).
 
-    With ``require_trivial_coverage`` false, isolated vertices (agents whose
-    links never change across the switching set) are exempt.
-    """
+    ``uncovered`` lists the union difference graph's components without an
+    observed agent.  Their indicators lie in the kernel of N, so each one
+    makes ``ok`` false; sign-cancelling weight changes can defeat a covered
+    set too."""
     M = sorted(M)
     n = S[0].n if S else 0
     if any(not (1 <= m <= n) for m in M):
         raise GraphError(f"observed set {M} not within 1..{n}")
     part = components(union_difference_graph(S, wtol))
-    mset = set(M)
-    uncovered = []
-    for comp in part.components:
-        if len(comp) == 1 and not require_trivial_coverage:
-            continue
-        if not (comp & mset):
-            uncovered.append(comp)
-    return DetectabilityReport(ok=not uncovered, uncovered=tuple(uncovered))
+    uncovered = tuple(comp for comp in part.components if not comp & set(M))
+    L1 = laplacian(S[0])
+    N = np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
+    s = np.linalg.svd(N, compute_uv=False)
+    ok = bool(s[-1] > 1e-10 * max(s[0], 1.0))
+    return DetectabilityReport(ok=ok, uncovered=uncovered, margin=float(s[-1]))
 
 
 def has_distinct_eigenvalues(spec: LaplacianSpectrum, septol: float | None = None) -> bool:

@@ -38,8 +38,9 @@ class ObserverConfig:
     """Observed channels, per-channel gains, and alarm policy.
 
     ``psi`` and ``theta`` are the position and velocity correction gains,
-    one per observed agent; each vector must be nonnegative with at least
-    one strictly positive entry.
+    one per observed agent; each vector must be nonnegative and finite with
+    at least one strictly positive entry.  The alarm threshold must be
+    positive and finite.
     """
 
     observed: tuple
@@ -56,12 +57,12 @@ class ObserverConfig:
             raise ValueError("observed set must be nonempty")
         if len(psi) != len(obs) or len(theta) != len(obs):
             raise ValueError("need one psi and one theta per observed agent")
-        if any(v < 0.0 for v in psi + theta):
-            raise ValueError("gains must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in psi + theta):
+            raise ValueError("gains must be nonnegative and finite")
         if not any(v > 0.0 for v in psi) or not any(v > 0.0 for v in theta):
             raise ValueError("at least one psi and one theta must be positive")
-        if self.alarm_threshold <= 0.0:
-            raise ValueError("alarm threshold must be positive")
+        if not 0.0 < self.alarm_threshold < np.inf:
+            raise ValueError("alarm threshold must be positive and finite")
         if self.alarm_window < 1:
             raise ValueError("alarm window must be a positive integer")
         object.__setattr__(self, "observed", obs)

@@ -7,7 +7,9 @@ an alarm decision, and a human-readable report.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,6 +38,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run plan: a scenario at one dwell-time multiplier
+    ``dwell_params.m``.  Its derived inputs are computed on first use and
+    cached on the instance; ``dataclasses.replace`` starts a fresh plan."""
+
     topologies: tuple
     order: tuple
     horizon: float
@@ -57,16 +63,41 @@ class Scenario:
     def n(self) -> int:
         return self.topologies[0].n
 
+    @functools.cached_property
+    def spectra(self) -> dict:
+        """Running topology id -> its Laplacian spectrum."""
+        by_id = {t.id: t for t in self.topologies}
+        return {tid: graphs.spectrum(graphs.laplacian(by_id[tid])) for tid in dict.fromkeys(self.order)}
+
+    @functools.cached_property
+    def certificates(self) -> dict:
+        """Running topology id -> its ratio certificate; raises GraphError
+        when a running topology is disconnected."""
+        return {tid: graphs.rational_ratio_certificate(s) for tid, s in self.spectra.items()}
+
+    @functools.cached_property
+    def schedule(self) -> scheduling.SwitchingSchedule:
+        """The switching schedule ``build_schedule`` derives."""
+        return build_schedule(self)
+
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ScenarioError(msg)
 
 
+def _state(part, n: int, what: str) -> tuple:
+    x, v = tuple(map(float, part["x"])), tuple(map(float, part["v"]))
+    _require(len(x) == n and len(v) == n, f"{what} size must match n")
+    _require(all(map(math.isfinite, x + v)), f"{what} must be finite")
+    return x, v
+
+
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a JSON file path, JSON text, or a dict.  A string
     that does not start with ``{`` is a path, and so is a string attack.
-    An attack path in a scenario file is relative to that file's folder."""
+    An attack path in a scenario file is relative to that file's folder.
+    Every malformed or inconsistent document raises ScenarioError."""
     base = ""
     if isinstance(source, dict):
         d = source
@@ -82,7 +113,14 @@ def load_scenario(source) -> Scenario:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    try:
+        return _parse(d, base)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ScenarioError(f"malformed scenario: {what}") from exc
 
+
+def _parse(d: dict, base: str) -> Scenario:
     _require(d.get("schema") == SCHEMA_VERSION, f"scenario schema must be {SCHEMA_VERSION}")
     _require("topologies" in d and d["topologies"], "scenario needs at least one topology")
     topologies = tuple(
@@ -100,9 +138,7 @@ def load_scenario(source) -> Scenario:
     _require(horizon > 0.0, "horizon must be positive")
     dt = float(d.get("dt", 0.01))
     _require(0.0 < dt < float("inf"), "dt must be positive and finite")
-    initial = d["initial"]
-    x0, v0 = tuple(map(float, initial["x"])), tuple(map(float, initial["v"]))
-    _require(len(x0) == n and len(v0) == n, "initial condition size must match n")
+    x0, v0 = _state(d["initial"], n, "initial condition")
     observed = tuple(sorted(int(i) for i in d["observed"]))
     _require(all(1 <= i <= n for i in observed), "observed agents out of range")
     attacked = tuple(sorted(int(i) for i in d.get("attacked", [])))
@@ -127,15 +163,25 @@ def load_scenario(source) -> Scenario:
     if isinstance(a, dict) and a.get("synthesize"):
         synth = a
         _require(bool(attacked), "synthesize directive requires a nonempty attacked set")
+        rho = float(a.get("rho", 0.0))
+        _require(0.0 <= rho < math.inf, "directive rho must be finite and nonnegative")
+        eta = a.get("eta_target")
+        _require(eta is None or math.isfinite(eta), "directive eta_target must be null or finite")
+        stealth = [int(tid) for tid in a.get("stealth_set", order)]
+        _require(stealth and all(tid in ids for tid in stealth),
+                 "directive stealth_set must name known topology ids")
     elif isinstance(a, dict):
         attack = attacks.attack_from_json(json.dumps(a))
     elif isinstance(a, str):
-        with open(os.path.join(base, a)) as fh:
+        path = os.path.join(base, a)
+        _require(os.path.isfile(path), f"no such attack file: {path}")
+        with open(path) as fh:
             attack = attacks.attack_from_json(fh.read())
+    else:
+        _require(a is None, "attack must be a directive, an attack object or a file path")
 
     reported = d.get("reported_initial")
-    rx = tuple(map(float, reported["x"])) if reported else None
-    rv = tuple(map(float, reported["v"])) if reported else None
+    rx, rv = _state(reported, n, "reported initial condition") if reported else (None, None)
 
     oc = d.get("observer")
     cfg = None
@@ -168,33 +214,16 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def build_schedule(sc: Scenario, m: int | None = None) -> scheduling.SwitchingSchedule:
+def build_schedule(sc: Scenario) -> scheduling.SwitchingSchedule:
     """Dwell times per topology from its modal period, or the explicit
     override when the scenario supplies one."""
-    if sc.dwell_override is not None and m is None:
-        return scheduling.SwitchingSchedule(
-            order=sc.order, dwell=sc.dwell_override, horizon=sc.horizon
-        )
-    topo_by_id = {t.id: t for t in sc.topologies}
-    spectra = {
-        tid: graphs.spectrum(graphs.laplacian(topo_by_id[tid])) for tid in sc.order
-    }
-    xi_val = scheduling.xi(spectra.values())
-    params = sc.dwell_params
-    if m is not None:
-        params = scheduling.DwellParams(
-            beta=params.beta,
-            alpha=params.alpha,
-            kappa=params.kappa,
-            tau_hat_max=params.tau_hat_max,
-            m=m,
-        )
-    dwell = {}
-    for tid in sc.order:
-        spec = spectra[tid]
-        cert = graphs.rational_ratio_certificate(spec)
-        T_r = scheduling.base_period(cert, spec.eigenvalues[1])
-        dwell[tid] = scheduling.dwell_time(params, T_r, xi_val)
+    dwell = sc.dwell_override
+    if dwell is None:
+        xi_val = scheduling.xi(sc.spectra.values())
+        dwell = {}
+        for tid, cert in sc.certificates.items():
+            T_r = scheduling.base_period(cert, sc.spectra[tid].eigenvalues[1])
+            dwell[tid] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
     return scheduling.SwitchingSchedule(order=sc.order, dwell=dwell, horizon=sc.horizon)
 
 
@@ -220,23 +249,18 @@ def validate(sc: Scenario) -> ValidationReport:
     the running topology set."""
     checks: dict = {}
     topo_by_id = {t.id: t for t in sc.topologies}
-    spectra = {tid: graphs.spectrum(graphs.laplacian(topo_by_id[tid])) for tid in sc.order}
-
-    rational_ok = True
-    for tid in sc.order:
-        try:
-            cert = graphs.rational_ratio_certificate(spectra[tid])
-            rational_ok &= cert.ok
-        except graphs.GraphError:
-            rational_ok = False
+    try:
+        rational_ok = all(cert.ok for cert in sc.certificates.values())
+    except graphs.GraphError:
+        rational_ok = False
     checks["rational modal-period ratios (all topologies)"] = bool(rational_ok)
 
-    distinct = any(graphs.has_distinct_eigenvalues(s) for s in spectra.values())
+    distinct = any(graphs.has_distinct_eigenvalues(s) for s in sc.spectra.values())
     checks["some topology has distinct eigenvalues"] = bool(distinct)
 
     sched = None
     try:
-        sched = build_schedule(sc)
+        sched = sc.schedule
         checks["dwell-time construction"] = True
     except (scheduling.ScheduleError, graphs.GraphError):
         checks["dwell-time construction"] = False
@@ -274,7 +298,7 @@ def synthesize_for(sc: Scenario) -> tuple:
     stealth_ids = directive.get("stealth_set", list(dict.fromkeys(sc.order)))
     stealth = [topo_by_id[int(tid)] for tid in stealth_ids]
     rho = float(directive.get("rho", 0.0))
-    sched = build_schedule(sc) if rho > 0.0 else None
+    sched = sc.schedule if rho > 0.0 else None
     result = attacks.synthesize(
         stealth,
         sc.observed,
@@ -306,7 +330,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     dt = sc.dt if dt is None else dt
     simulation.check_sample_count(sc.horizon, dt)
     os.makedirs(out_dir, exist_ok=True)
-    sched = build_schedule(sc)
+    sched = sc.schedule
     report = validate(sc)
 
     atk = sc.attack

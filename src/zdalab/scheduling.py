@@ -100,7 +100,8 @@ class SwitchingSchedule:
         if count > MAX_SWITCHES:
             raise ScheduleError(f"{count:.3g} switches exceed the cap of {MAX_SWITCHES}")
         cycles = np.arange(math.ceil(self.horizon / prefix[-1]) + 1)
-        times = (cycles[:, None] * prefix[-1] + prefix).ravel()
+        with np.errstate(over="ignore"):  # a cycle past the horizon may overflow
+            times = (cycles[:, None] * prefix[-1] + prefix).ravel()
         times = times[times < self.horizon - 1e-12]
         object.__setattr__(self, "switch_times", tuple(times.tolist()))
 

@@ -3,7 +3,8 @@
 Topologies 1 and 2 disagree only on links among agents {1, 3, 4}, leaving
 agent 2's links untouched, so with agent 1 observed the pair is undetectable.
 Topology 3 changes the (2, 3) link, making the union difference graph
-connected.
+connected; the set {1, 2, 3} is still undetectable, because the direction
+e2 + e3 - e4 cancels every Laplacian difference.
 """
 import numpy as np
 import pytest

@@ -154,7 +154,7 @@ def _stealth_family():
         2, 4,
         [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 0.5), (1, 3, 1.0), (1, 4, 1.0)],
     )
-    t3 = graphs.Topology.from_edges(3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.0), (3, 4, 1.0)])
+    t3 = graphs.Topology.from_edges(3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.3), (3, 4, 1.0)])
     return t1, t2, t3
 
 
@@ -199,8 +199,8 @@ def test_criterion_3_stealthiness():
 
 
 def test_criterion_4_detection_with_third_topology():
-    """Adding a topology that makes the union difference graph connected
-    exposes the same attack within two switching periods of its start."""
+    """Adding a topology that makes the switching set detectable exposes the
+    same attack within two switching periods of its start."""
     t1, t2, t3 = _stealth_family()
     tau = np.pi / 2 + 0.2
     pair_sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=420.0)
@@ -382,7 +382,7 @@ def test_criterion_7_integration_fidelity():
         )
 
     ok = worst_rk4 < 1e-8 and worst_semi < 1e-10
-    report(7, "matrix-exponential propagation matches RK4 oracle",
+    report(7, "closed-form modal propagation matches RK4 oracle",
            ok, f"worst RK4 gap {worst_rk4:.2e}, worst semigroup gap {worst_semi:.2e}")
     assert worst_rk4 < 1e-8
     assert worst_semi < 1e-10

@@ -166,8 +166,11 @@ class TestSynthesize:
         # impossibility.  Here the third topology changes a single link, and
         # the direction x = e2 + e3 - e4 cancels every pairwise Laplacian
         # difference, so a stealthy attack survives even though every
-        # difference-graph component touches the observed agent.
-        assert graphs.detectability([topo1, topo2, topo3], [1]).ok
+        # difference-graph component touches the observed agent; the exact
+        # rank test sees it.
+        rep = graphs.detectability([topo1, topo2, topo3], [1])
+        assert rep.uncovered == ()
+        assert not rep.ok
         result = synthesize([topo1, topo2, topo3], (1,), (1, 2, 3, 4), rho=0.0)
         assert result is not None
         assert result[1].valid

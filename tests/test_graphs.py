@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdalab import graphs
+from zdalab.attacks import synthesize
 from zdalab.graphs import GraphError
 
-from conftest import random_connected_topology
+from conftest import K4_WEIGHTS, random_connected_topology
 
 
 class TestTopology:
@@ -107,12 +108,62 @@ class TestDetectability:
         assert not rep.ok
         assert rep.uncovered == (frozenset({2}),)
 
-    def test_trivial_component_exemption(self, topo1, topo2):
-        rep = graphs.detectability([topo1, topo2], [1], require_trivial_coverage=False)
+    def test_third_topology_restores_detectability(self, topo1, topo2):
+        # topo3 with the (2, 4) link changed as well: no direction cancels
+        # every Laplacian difference
+        third = graphs.Topology.from_edges(
+            3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.3), (3, 4, 1.0)]
+        )
+        rep = graphs.detectability([topo1, topo2, third], [1])
         assert rep.ok
+        assert rep.margin > 1e-3
 
-    def test_third_topology_restores_detectability(self, topo1, topo2, topo3):
-        assert graphs.detectability([topo1, topo2, topo3], [1]).ok
+    def test_involutive_relabelling_is_undetectable_despite_coverage(self):
+        # K4 with spectrum {0, 1/9, 4/9, 1} and its relabelling by (2 1 4 3):
+        # the difference graph is connected, yet L2 - L1 has rank 2, so a
+        # stealthy attack on every agent exists
+        base = [(i, j, w / 9.0) for i, j, w in K4_WEIGHTS]
+        perm = (2, 1, 4, 3)
+        twin = [(perm[i - 1], perm[j - 1], w) for i, j, w in base]
+        S = [graphs.Topology.from_edges(1, 4, base), graphs.Topology.from_edges(2, 4, twin)]
+        rep = graphs.detectability(S, (1,))
+        assert rep.uncovered == ()
+        assert not rep.ok
+        assert rep.margin < 1e-12
+        assert synthesize(S, (1,), (1, 2, 3, 4)) is not None
+
+    def test_verdict_matches_synthesis_on_relabellings(self):
+        """Over random topologies and random relabellings of them, involutions
+        included: the set is detectable exactly when no attack on every agent
+        can be synthesized, and an uncovered component rules it out."""
+        rng = np.random.default_rng(11)
+        seen = set()
+        for k in range(200):
+            n = int(rng.integers(3, 6))
+            base = random_connected_topology(rng, n)
+            if k % 2:  # integer weights make cancelling differences common
+                base = graphs.Topology(id=1, n=n, adjacency=np.ceil(base.adjacency))
+            S = [base]
+            for tid in range(2, int(rng.integers(2, 4)) + 1):
+                if rng.random() < 0.5:
+                    perm = np.arange(n)
+                    idx = rng.permutation(n)
+                    for p in range(int(rng.integers(1, n // 2 + 1))):
+                        i, j = idx[2 * p], idx[2 * p + 1]
+                        perm[i], perm[j] = j, i
+                else:
+                    perm = rng.permutation(n)
+                a = base.adjacency[np.ix_(perm, perm)]
+                S.append(graphs.Topology(id=tid, n=n, adjacency=a))
+            size = int(rng.integers(1, 3))
+            M = sorted(int(m) for m in rng.choice(np.arange(1, n + 1), size, replace=False))
+            rep = graphs.detectability(S, M)
+            attack = synthesize(S, M, tuple(range(1, n + 1)))
+            assert rep.ok == (attack is None), (k, rep)
+            assert not (rep.uncovered and rep.ok)
+            seen.add((rep.ok, bool(rep.uncovered)))
+        # detectable, uncovered, and covered-but-undetectable sets all occur
+        assert seen == {(True, False), (False, True), (False, False)}
 
     def test_observed_set_validated(self, topo1, topo2):
         with pytest.raises(GraphError):

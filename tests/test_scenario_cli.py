@@ -1,5 +1,7 @@
 import ast
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,33 +240,63 @@ class TestCli:
             assert "switch_count" in entry
 
 
+def _directive(**keys):
+    return {"synthesize": True, "rho": 20.0, "eta_target": 0.05, **keys}
+
+
+def _observer(**keys):
+    return {"psi": [1e-6], "theta": [1e-6], "threshold": 1e-6, "window": 5, **keys}
+
+
+NAN = float("nan")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "overrides, extra_args",
+        "doc, extra_args",
         [
-            ({"dt": 0}, []),
-            ({"dt": -0.1}, []),
-            ({"dwell": {"1": TAU}}, []),
-            ({"order": []}, []),
-            ({}, ["--dt", "0"]),
-            ({}, ["--dt", "-0.1"]),
+            (stealth_doc(dt=0), []),
+            (stealth_doc(dt=-0.1), []),
+            (stealth_doc(dwell={"1": TAU}), []),
+            (stealth_doc(order=[]), []),
+            (stealth_doc(), ["--dt", "0"]),
+            (stealth_doc(), ["--dt", "-0.1"]),
             (None, []),
-            ({"dwell": None}, []),
-            ({"dwell": {"1": 1e-300, "2": 1e-300}}, []),
-            ({"dt": 1e-12, "horizon": 420.0}, []),
+            (stealth_doc(dwell=None), []),
+            (stealth_doc(dwell={"1": 1e-300, "2": 1e-300}), []),
+            (stealth_doc(dt=1e-12, horizon=420.0), []),
+            ([stealth_doc()], []),
+            (stealth_doc(initial=5), []),
+            (stealth_doc(dwell_params={"m": "x"}), []),
+            (stealth_doc(attack=_directive(stealth_set=[9])), []),
+            (stealth_doc(attack=_directive(rho=NAN)), []),
+            (stealth_doc(attack=_directive(rho=None)), []),
+            (stealth_doc(attack=_directive(eta_target="x")), []),
+            (stealth_doc(attack=0), []),
+            (stealth_doc(observer=_observer(threshold=NAN)), []),
+            (stealth_doc(observer=_observer(psi=[float("inf")])), []),
+            (stealth_doc(observer=_observer(window=float("inf"))), []),
+            (stealth_doc(initial={"x": [NAN, 2, 3, 4], "v": [1, 2, 3, 4]}), []),
+            (stealth_doc(reported_initial={"x": [1, 2], "v": [1, 2]}), []),
+            (stealth_doc(reported_initial={"x": [1, 2, 3, 4], "v": [1, 2, 3, NAN]}), []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
-             "dwell-tiny", "dt-tiny"],
+             "dwell-tiny", "dt-tiny", "top-level-list", "initial-not-object",
+             "dwell-m-not-number", "stealth-set-unknown-id", "rho-nan", "rho-null",
+             "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
+             "initial-nan", "reported-initial-short", "reported-initial-nan"],
     )
-    def test_invalid_input_exits_two(self, tmp_path, capsys, overrides, extra_args):
+    def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
         path = tmp_path / "scenario.json"
-        if overrides is not None:
-            path.write_text(json.dumps(stealth_doc(**overrides)))
+        if doc is not None:
+            path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
         assert cli.main(argv + extra_args) == 2
-        if overrides is None:
-            assert "no such file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert extra_args or err.startswith("scenario error: ")
+        if doc is None:
+            assert "no such file" in err
 
     @staticmethod
     def undetected_k4_doc():
@@ -326,6 +358,117 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert "found in sys.modules" not in proc.stderr
+
+
+def _field_paths(doc):
+    """Every top-level key, the keys of each nested object, and the keys of
+    the first topology."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, sub) for sub in value]
+    return paths + [("topologies", 0, sub) for sub in doc["topologies"][0]]
+
+
+_DELETE = object()
+_ODD_VALUES = [_DELETE, None, 0, -1, "x", [], {}, [1], True, NAN, 1e308]
+
+
+class TestNeverATraceback:
+    @pytest.mark.parametrize(
+        "path", _field_paths(stealth_doc()), ids=lambda p: ".".join(map(str, p))
+    )
+    def test_single_field_change(self, tmp_path, capsys, path):
+        """Deleting one field or giving it one odd value ends in a documented
+        exit code, never in an exception."""
+        scenario_path = tmp_path / "scenario.json"
+        for value in _ODD_VALUES:
+            doc = copy.deepcopy(stealth_doc())
+            box = doc
+            for key in path[:-1]:
+                box = box[key]
+            if value is _DELETE:
+                del box[path[-1]]
+            else:
+                box[path[-1]] = value
+            scenario_path.write_text(json.dumps(doc))
+            for verb in ("validate", "run"):
+                argv = [verb, "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
+                assert cli.main(argv) in (0, 2, 3), (verb, path, value)
+        capsys.readouterr()
+
+
+def _symmetric_k4(s):
+    """A weighting of K4 that swapping agents 2 and 3 leaves unchanged, with
+    spectrum {0, 1/9, 4/9, 1} and eigenvector (0, 1, -1, 0) for 4/9, for
+    each s in about [2.8, 3.3]: weights a (1-2, 1-3), b (2-4, 3-4), c (1-4)
+    and d (2-3), times 9, solve a + b + 2d = 4, 3(a + b) + 2c = 10 and
+    2ab + c(a + b) = 9/4."""
+    c, d = (10 - 3 * s) / 2, (4 - s) / 2
+    a = (s + math.sqrt(s * s - 9 / 2 + 2 * c * s)) / 2
+    b = s - a
+    weights = [(1, 2, a), (1, 3, a), (2, 4, b), (3, 4, b), (1, 4, c), (2, 3, d)]
+    return [[i, j, w / 9] for i, j, w in weights]
+
+
+def _delayed_attack_doc():
+    """Two such weightings: dwell times derive from the common modal period,
+    and agent 1 cannot see the shared mode (0, 1, -1, 0), so an attack that
+    starts at rho = 2 stays hidden."""
+    doc = stealth_doc(
+        horizon=10.0,
+        dwell=None,
+        dwell_params={"tau_hat_max": 0.2},
+        attack={"synthesize": True, "rho": 2.0},
+    )
+    doc["topologies"] = [
+        {"id": 1, "n": 4, "edges": _symmetric_k4(3.0)},
+        {"id": 2, "n": 4, "edges": _symmetric_k4(3.2)},
+    ]
+    return doc
+
+
+class TestRunPlan:
+    """Each derived input of a scenario is computed once per (scenario, m)."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_schedule_per_run(self, tmp_path, monkeypatch):
+        builds = self.count_calls(monkeypatch, scenario, "build_schedule")
+        scenario.run(load_scenario(stealth_doc()), str(tmp_path))
+        assert len(builds) == 1
+
+    def test_derived_inputs_once_per_running_topology(self, tmp_path, monkeypatch):
+        builds = self.count_calls(monkeypatch, scenario, "build_schedule")
+        spectra = self.count_calls(monkeypatch, scenario.graphs, "spectrum")
+        certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
+        sc = load_scenario(_delayed_attack_doc())
+        result = scenario.run(sc, str(tmp_path))
+        assert result.alarm_time is None
+        assert sc.synthesize_directive["rho"] > 0.0 and sc.dwell_override is None
+        assert (len(builds), len(spectra), len(certs)) == (1, 2, 2)
+
+    def test_sweep_builds_one_schedule_per_m(self, tmp_path, monkeypatch):
+        builds = self.count_calls(monkeypatch, scenario, "build_schedule")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_delayed_attack_doc()))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--m-min", "1", "--m-max", "4"]
+        assert cli.main(argv) == 0
+        assert [sc.dwell_params.m for (sc,) in builds] == [1, 2, 3, 4]
+        table = json.loads((tmp_path / "out" / "stealth_sweep.json").read_text())
+        assert [table[m]["switch_count"] for m in "1234"] == [1, 0, 0, 0]
 
 
 class TestInformationBarrier:
