@@ -10,14 +10,14 @@ it is rank-deficient), which synthesis computes rather than searches for.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .scheduling import SwitchingSchedule
-from .simulation import assemble_A, assemble_C, attack_injection
+from .simulation import EXPM_BLOCK_VALUES, assemble_A, assemble_C, attack_injection, expm
 
 __all__ = [
     "SynthesisError",
@@ -191,14 +191,19 @@ def _candidate_rates(A, B_K, U, target):
 
 def _prefix_propagator(sched: SwitchingSchedule, A_by_id: dict, rho: float) -> np.ndarray:
     """State-transition matrix of the unattacked plant from 0 to rho under the
-    schedule."""
+    schedule, from stacked exponentials over the intervals before rho (one
+    stack unless they exceed EXPM_BLOCK_VALUES entries).  Raises ValueError
+    when rho lies beyond the schedule's horizon."""
+    if rho > sched.horizon:
+        raise ValueError(f"attack start {rho:.6g} lies beyond the horizon {sched.horizon:.6g}")
+    prefix = itertools.takewhile(lambda iv: iv[0] < rho - 1e-12, sched.intervals())
+    spans = [(tid, min(t1, rho) - t0) for t0, t1, tid in prefix]
     n2 = next(iter(A_by_id.values())).shape[0]
+    size = max(1, EXPM_BLOCK_VALUES // n2**2)
     Phi = np.eye(n2)
-    for t0, t1, tid in sched.intervals():
-        if t0 >= rho - 1e-12:
-            break
-        d = min(t1, rho) - t0
-        Phi = scipy.linalg.expm(A_by_id[tid] * d) @ Phi
+    for k in range(0, len(spans), size):
+        for E in expm(np.array([A_by_id[tid] * d for tid, d in spans[k : k + size]])):
+            Phi = E @ Phi
     return Phi
 
 

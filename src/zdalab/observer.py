@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .graphs import laplacian
 from .scheduling import ScheduleError, SwitchingSchedule, hurwitz, switching_signal
-from .simulation import Trace
+from .simulation import Trace, expm
 
 __all__ = [
     "ObserverConfig",
@@ -112,14 +111,14 @@ def run_observer(
     """Integrate the observer along the plant trace.
 
     Per dwell segment, the estimation error e = zhat - z and the segment's
-    exogenous mode are propagated jointly with a single matrix exponential,
-    so the correction terms see the continuous plant output rather than a
-    sampled approximation.  Working in e keeps the small estimation error
-    away from the rounding floor of the O(1) plant state over long dwell
-    intervals; the estimate is the trace's plant state plus e, and the
-    residual is e on the observed positions.  The observer starts from the
-    supplied (possibly falsified) initial state, defaulting to the trace's
-    own initial sample.
+    exogenous mode are propagated jointly by exact matrix exponentials of
+    its steps, taken in one stacked call, so the correction terms see the
+    continuous plant output rather than a sampled approximation.  Working
+    in e keeps the small estimation error away from the rounding floor of
+    the O(1) plant state over long dwell intervals; the estimate is the
+    trace's plant state plus e, and the residual is e on the observed
+    positions.  The observer starts from the supplied (possibly falsified)
+    initial state, defaulting to the trace's own initial sample.
     """
     n = tr.n
     if not tr.segments:
@@ -160,12 +159,19 @@ def run_observer(
             A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
             zero = np.zeros((seg.Eta.shape[0], 2 * n))
             joint[key] = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
-        J = joint[key]
+        # one stacked exponential per segment, over its distinct steps
+        steps = seg.steps.tolist()
+        fresh = sorted(set(steps) - ({tr.dt} if key in steady else set()))
+        props = {}
+        if fresh:
+            props = dict(zip(fresh, expm(joint[key] * np.array(fresh)[:, None, None])))
+        if tr.dt in props:
+            steady[key] = props[tr.dt]
+        elif key in steady:
+            props[tr.dt] = steady[key]
         state = np.concatenate([seg.mode0, err[k - 1]])
-        for step in seg.steps.tolist():
-            if step == tr.dt and key not in steady:
-                steady[key] = expm(J * step)
-            state = (steady[key] if step == tr.dt else expm(J * step)) @ state
+        for step in steps:
+            state = props[step] @ state
             err[k] = state[-2 * n :]
             k += 1
 

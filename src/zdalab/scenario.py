@@ -165,6 +165,7 @@ def _parse(d: dict, base: str) -> Scenario:
         _require(bool(attacked), "synthesize directive requires a nonempty attacked set")
         rho = float(a.get("rho", 0.0))
         _require(0.0 <= rho < math.inf, "directive rho must be finite and nonnegative")
+        _require(rho <= horizon, "directive rho must not exceed the horizon")
         eta = a.get("eta_target")
         _require(eta is None or math.isfinite(eta), "directive eta_target must be null or finite")
         stealth = [int(tid) for tid in a.get("stealth_set", order)]

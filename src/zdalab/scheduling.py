@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import LaplacianSpectrum, RatioCertificate
 
@@ -34,6 +33,9 @@ __all__ = [
 
 # most switch instants one schedule may hold, checked before computing them
 MAX_SWITCHES = 1_000_000
+# sign-function steps allowed for a Lyapunov solve; observer matrices at
+# n = 64 with 1e-6 gains take about 50
+MAX_SIGN_STEPS = 100
 
 
 class ScheduleError(ValueError):
@@ -188,8 +190,7 @@ def lyapunov_weight(A_list) -> np.ndarray:
     for A in A_list:
         A = np.asarray(A, dtype=float)
         if hurwitz(A):
-            P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
-            P = 0.5 * (P + P.T)
+            P = _lyapunov(A)
             if np.min(np.linalg.eigvalsh(P)) <= 0.0:
                 raise ScheduleError("Lyapunov solve produced a non-definite weight")
             return P
@@ -197,6 +198,36 @@ def lyapunov_weight(A_list) -> np.ndarray:
         "no Hurwitz mode in list; the observer dynamics are Hurwitz only when "
         "the active Laplacian has distinct eigenvalues"
     )
+
+
+def _lyapunov(A: np.ndarray) -> np.ndarray:
+    """P with A^T P + P A + I = 0 for a Hurwitz A, by the matrix-sign Newton
+    iteration on [[A^T, I], [0, -A]] (Roberts, Int. J. Control 32(4), 1980):
+    F -> (F/c + c F^-1)/2 runs A^T to -I while Q -> (Q/c + c F^-1 Q F^-T)/2
+    runs I to 2P.  The scale c = sqrt(||F||_F / ||F^-1||_F) needs no
+    determinant; on small-gain observer matrices at n = 64 it converged
+    sooner and to a smaller residual than determinant scaling.  The map from
+    I to 2P is linear in Q, so replaying the stored steps on the residual
+    gives one correction step of iterative refinement."""
+    d = A.shape[0]
+    F, steps = A.T, []
+    for _ in range(MAX_SIGN_STEPS):
+        inv = np.linalg.inv(F)
+        c = math.sqrt(np.linalg.norm(F) / np.linalg.norm(inv))
+        steps.append((c, inv))
+        F = 0.5 * (F / c + c * inv)
+        if np.abs(F + np.eye(d)).sum(axis=0).max() <= 1e-12:
+            break
+    else:
+        raise ScheduleError("sign iteration of the Lyapunov solve did not converge")
+
+    def solve(Q):
+        for c, inv in steps:
+            Q = 0.5 * (Q / c + c * (inv @ Q @ inv.T))
+        return 0.25 * (Q + Q.T)
+
+    P = solve(np.eye(d))
+    return P + solve(np.eye(d) + A.T @ P + P @ A)
 
 
 @dataclass(frozen=True)
@@ -209,10 +240,12 @@ class MeasureReport:
 
 def weighted_log_norm(A: np.ndarray, P: np.ndarray) -> float:
     """Logarithmic norm of A in the P-weighted 2-norm: the largest eigenvalue
-    of the pencil (P A + A^T P, 2 P)."""
+    of the pencil (P A + A^T P, 2 P), that of R^-1 (P A + A^T P) R^-T for
+    the Cholesky factor 2 P = R R^T."""
     S = P @ A + A.T @ P
-    S = 0.5 * (S + S.T)
-    return float(scipy.linalg.eigh(S, 2.0 * P, eigvals_only=True).max())
+    R = np.linalg.cholesky(2.0 * P)
+    M = np.linalg.solve(R, np.linalg.solve(R, 0.5 * (S + S.T)).T)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).max())
 
 
 def measure_condition(A_list, tau_list, P: np.ndarray) -> MeasureReport:

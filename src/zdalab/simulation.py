@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .graphs import laplacian
 from .scheduling import SwitchingSchedule, switching_signal
@@ -25,6 +24,7 @@ __all__ = [
     "assemble_C",
     "attack_injection",
     "check_sample_count",
+    "expm",
     "propagate_interval",
     "simulate",
     "consensus_error",
@@ -40,6 +40,27 @@ RES_TOL = 1e-6
 # values per block of rows the CSV writer formats at once
 CSV_BLOCK_VALUES = 4096
 _W = np.array([1.0, -1j])  # real mode m -> its complex value m @ _W
+# most matrix entries a stacked exponential of many intervals takes at once
+EXPM_BLOCK_VALUES = 1 << 18
+# Pade degree m -> (theta_m, numerator coefficients b_0..b_m): below theta_m
+# the degree-m approximant is exact to unit roundoff (Higham, SIAM J. Matrix
+# Anal. Appl. 26(4), 2005; Al-Mohy & Higham 2009, Table 3.1)
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+         110880.0, 3960.0, 90.0, 1.0)),
+    13: (4.25,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+# degree m -> 1 / |c_{2m+1}|, the leading term of its backward-error series
+_ELL_C = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+          9: 5914384781877411840000.0, 13: 113250775606021113483283660800000000.0}
 
 
 class SimulationError(RuntimeError):
@@ -48,6 +69,86 @@ class SimulationError(RuntimeError):
     def __init__(self, message: str, blowup_time: float | None = None):
         super().__init__(message)
         self.blowup_time = blowup_time
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix, or of each matrix of a stack
+    (k, d, d): scaling and squaring of a diagonal Pade approximant (Al-Mohy
+    & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009).  One degree and one
+    scaling serve the whole stack, chosen by the exact 1-norms of A^4, A^6,
+    A^8 and A^10 of its largest member; A^8 and A^10 are formed only when the
+    choice still depends on them."""
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return np.zeros_like(A)
+    shape, d = A.shape, A.shape[-1]
+    A = A.reshape(-1, d, d)
+    P = np.empty((5,) + A.shape)  # I, A^2, A^4, A^6, A^8
+    P[0] = np.eye(d)
+    np.matmul(A, A, out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[2], P[1], out=P[3])
+    d4, d6 = _root_norms(P[2:4], (4, 6))
+    # max(d4, d6) also bounds max(d6, d8), since ||A^8|| <= ||A^4||^2
+    m = next((m for m in (3, 5, 7) if max(d4, d6) <= _PADE[m][0] and _ell(A, m) == 0), 13)
+    if m == 13:
+        np.matmul(P[2], P[2], out=P[4])
+        (d8,) = _root_norms(P[4:], (8,))
+        m = next((m for m in (7, 9) if max(d6, d8) <= _PADE[m][0] and _ell(A, m) == 0), 13)
+    s = 0
+    if m == 13:
+        (d10,) = _root_norms((P[2] @ P[3])[None], (10,))
+        eta = min(max(d6, d8), max(d8, d10))
+        s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if eta > 0.0 else 0
+        s += _ell(A * 2.0**-s, 13)
+    return _pade(A, P, m, s).reshape(shape)
+
+
+def _root_norms(powers: np.ndarray, degrees) -> list:
+    """||A^k||_1^(1/k) over a stack, for each power A^k and its degree k."""
+    norms = np.abs(powers).sum(axis=2).max(axis=(1, 2)).tolist()
+    return [v ** (1.0 / k) for v, k in zip(norms, degrees)]
+
+
+def _ell(A: np.ndarray, m: int) -> int:
+    """Extra squarings the degree-m approximant needs on the stack A, from
+    ||abs(A)^(2m+1)||_1 (Al-Mohy & Higham 2009, eq. (3.13)), taken as
+    1^T abs(A) (abs(A)^2)^m.  The bound ||A||_1 ||abs(A)^2||_1^m on that
+    norm settles a zero without the powers."""
+    absA = np.abs(A)
+    v = absA.sum(axis=1, keepdims=True)
+    sq = absA @ absA
+    norm = v.max(axis=(1, 2))
+    top, top2 = float(norm.max()), float(sq.sum(axis=1).max())
+    if top2 == 0.0 or math.log2(top) + m * math.log2(top2) + 53 <= math.log2(_ELL_C[m]):
+        return 0
+    for _ in range(m):
+        v = v @ sq
+    live = norm > 0.0
+    alpha = float((v.max(axis=(1, 2))[live] / norm[live]).max()) / _ELL_C[m]
+    return max(0, math.ceil((math.log2(alpha) + 53) / (2 * m))) if alpha > 0.0 else 0
+
+
+def _pade(A: np.ndarray, P: np.ndarray, m: int, s: int) -> np.ndarray:
+    """r_m(A / 2^s)^(2^s) for the stack A with even powers P = I, A^2, ..."""
+    b = _PADE[m][1]
+    if s:
+        A = A * 2.0**-s
+        P[1:4] *= 2.0 ** (-2.0 * s * np.arange(1, 4)).reshape(3, 1, 1, 1)
+    # rows: odd and even coefficients, then for m = 13 the ones that A^6 multiplies
+    k = 4 if m == 13 else (m + 1) // 2
+    rows = [b[1 : 2 * k : 2], b[0 : 2 * k : 2]]
+    if m == 13:
+        rows += [(0.0,) + b[9::2], (0.0,) + b[8:13:2]]
+    W = (np.array(rows) @ P[:k].reshape(k, -1)).reshape((len(rows),) + A.shape)
+    if m == 13:
+        W[0] += P[3] @ W[2]
+        W[1] += P[3] @ W[3]
+    U = A @ W[0]
+    X = np.linalg.solve(W[1] - U, W[1] + U)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def assemble_A(L: np.ndarray) -> np.ndarray:
@@ -163,8 +264,10 @@ def _propagator(L: np.ndarray, Eta: np.ndarray, G: np.ndarray):
         A_aug = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
 
         def resonant(z0, m0, tau):
-            rows = [expm(A_aug * t)[: 2 * n] @ np.append(z0, m0) for t in tau.tolist()]
-            return np.reshape(rows, (-1, 2 * n))
+            s0, size = np.append(z0, m0), max(1, EXPM_BLOCK_VALUES // A_aug.size)
+            blocks = [tau[k : k + size] for k in range(0, len(tau), size)]
+            return np.vstack([expm(A_aug * t[:, None, None])[:, : 2 * n] @ s0 for t in blocks]
+                             or [np.zeros((0, 2 * n))])
 
         return resonant
 
@@ -195,8 +298,9 @@ def _evaluate(sample, z0, m0, tau) -> tuple[np.ndarray, int]:
     non-finite one."""
     with np.errstate(over="ignore", invalid="ignore"):
         states = sample(z0, m0, tau)
-    finite = np.isfinite(states).all(axis=1)
-    return states, len(tau) if finite.all() else int(np.argmin(finite))
+    if np.isfinite(states).all():
+        return states, len(tau)
+    return states, int(np.argmin(np.isfinite(states).all(axis=1)))
 
 
 def check_sample_count(span: float, dt: float) -> None:
@@ -213,11 +317,18 @@ def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     k*dt more than _TIME_EPS inside the interval, then b.  Every step between
     two lattice points is exactly dt."""
     check_sample_count(b - a, dt)
-    pts = np.arange(math.floor(a / dt), math.ceil(b / dt) + 1) * dt
-    pts = pts[(pts - a > _TIME_EPS) & (b - pts > _TIME_EPS)]
-    times = np.append(pts, b)
-    steps = np.diff(times, prepend=a)
-    steps[1:-1] = dt
+    lo, hi = math.floor(a / dt), math.ceil(b / dt)
+    while lo <= hi and lo * dt - a <= _TIME_EPS:
+        lo += 1
+    while hi >= lo and b - hi * dt <= _TIME_EPS:
+        hi -= 1
+    count = hi - lo + 1
+    times, steps = np.empty((2, count + 1))
+    np.multiply(np.arange(lo, hi + 1), dt, out=times[:count])
+    times[count] = b
+    steps.fill(dt)
+    steps[0] = times[0] - a
+    steps[count] = b - times[count - 1] if count else b - a
     return times, steps
 
 

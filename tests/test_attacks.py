@@ -186,6 +186,13 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=5.0)
 
+    def test_rho_beyond_horizon_rejected(self, topo1, topo2):
+        # the prefix propagator would stop at the horizon and certify the
+        # attack for the wrong start time
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        with pytest.raises(ValueError, match="horizon"):
+            synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=1e308, schedule_prefix=sched)
+
     def test_positive_rho_needs_hidden_subspace(self, topo1, topo3):
         # the pair {1, 3} covers every changed component, so nothing can hide
         # before the start time

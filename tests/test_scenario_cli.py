@@ -240,6 +240,14 @@ class TestCli:
             assert "switch_count" in entry
 
 
+def _src_env() -> dict:
+    """The environment of a subprocess that imports this checkout's zdalab."""
+    src = os.path.dirname(os.path.dirname(zdalab.observer.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 def _directive(**keys):
     return {"synthesize": True, "rho": 20.0, "eta_target": 0.05, **keys}
 
@@ -271,6 +279,7 @@ class TestExitCodes:
             (stealth_doc(attack=_directive(stealth_set=[9])), []),
             (stealth_doc(attack=_directive(rho=NAN)), []),
             (stealth_doc(attack=_directive(rho=None)), []),
+            (stealth_doc(attack=_directive(rho=1e308)), []),
             (stealth_doc(attack=_directive(eta_target="x")), []),
             (stealth_doc(attack=0), []),
             (stealth_doc(observer=_observer(threshold=NAN)), []),
@@ -284,7 +293,7 @@ class TestExitCodes:
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
              "dwell-tiny", "dt-tiny", "top-level-list", "initial-not-object",
              "dwell-m-not-number", "stealth-set-unknown-id", "rho-nan", "rho-null",
-             "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
+             "rho-past-horizon", "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
              "initial-nan", "reported-initial-short", "reported-initial-nan"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
@@ -345,19 +354,39 @@ class TestExitCodes:
         doc = json.loads(text, parse_constant=reject)
         assert doc["certificate"]["max_output_gap"] is None
 
+    def test_directive_rho_within_horizon(self):
+        assert load_scenario(stealth_doc(attack=_directive(rho=60.0))).synthesize_directive
+        with pytest.raises(ScenarioError, match="horizon"):
+            load_scenario(stealth_doc(attack=_directive(rho=60.5)))
+
     def test_module_entry_point_has_no_runpy_warning(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(stealth_doc(horizon=5.0)))
-        src = os.path.dirname(os.path.dirname(zdalab.observer.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
+        path.write_text(json.dumps(stealth_doc(horizon=5.0, attack=_directive(rho=2.0))))
         proc = subprocess.run(
             [sys.executable, "-m", "zdalab.cli", "validate", "--scenario", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_src_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert "found in sys.modules" not in proc.stderr
+
+    def test_run_path_imports_no_scipy(self, tmp_path):
+        """scipy is only the test suite's oracle: importing the CLI and
+        running the README stealth scenario loads no scipy module."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(horizon=420.0, attack=_directive(rho=110.0))))
+        code = (
+            "import sys, zdalab.cli; "
+            "code = zdalab.cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(code)"
+        )
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code] + argv,
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _field_paths(doc):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +220,56 @@ class TestMeasureCondition:
     def test_measure_condition_requires_definite_weight(self):
         with pytest.raises(ScheduleError):
             scheduling.measure_condition([-np.eye(2)], [1.0], np.zeros((2, 2)))
+
+
+def lyapunov_residual(A, P) -> float:
+    return float(np.linalg.norm(P @ A + A.T @ P + np.eye(len(A)), 1))
+
+
+def rel_diff(X, Y) -> float:
+    return float(np.linalg.norm(X - Y, 1) / np.linalg.norm(Y, 1))
+
+
+class TestScipyOracles:
+    """The sign-function Lyapunov solve and the Cholesky-reduced log-norm
+    against scipy's Bartels-Stewart solve and generalized eigh."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 40])
+    def test_lyapunov_weight_matches_scipy(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(d, d))
+        A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.1, 1.0)) * np.eye(d)
+        P = scheduling.lyapunov_weight([A])
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(d))
+        assert rel_diff(P, ref) <= 1e-12
+        assert lyapunov_residual(A, P) <= lyapunov_residual(A, ref)
+
+    def test_small_gain_weight(self, k4_149):
+        """Criterion 6's matrix decays at 2e-8 against ||A|| = 9, so ||P|| is
+        about 1e13.  The weight must solve its equation no worse than scipy,
+        and its log-norm is then -1 / (2 lam_max(P)).  It reads 1.1e-6
+        relative off that value: storing P in doubles moves the exact
+        log-norm by 2e-7 and forming P A + A^T P in doubles by the rest
+        (checked in 50-digit arithmetic), so 1e-6 would sit on the rounding
+        floor and 1e-5 bounds it with margin; scipy's own P reads 7e-4 off."""
+        from zdalab import observer
+
+        cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
+        A = observer.assemble_observer_A(graphs.laplacian(k4_149), *observer.gain_matrices(cfg, 4))
+        P = scheduling.lyapunov_weight([A])
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(8))
+        assert lyapunov_residual(A, P) <= lyapunov_residual(A, 0.5 * (ref + ref.T))
+        exact = -1.0 / (2.0 * np.linalg.eigvalsh(P).max())
+        assert scheduling.weighted_log_norm(A, P) == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("d", [2, 8, 40])
+    def test_log_norm_matches_generalized_eigh(self, d):
+        rng = np.random.default_rng(10 + d)
+        A = rng.normal(size=(d, d))
+        B = rng.normal(size=(d, d))
+        P = B @ B.T + 0.1 * np.eye(d)
+        vals = scipy.linalg.eigh(P @ A + A.T @ P, 2.0 * P, eigvals_only=True)
+        assert abs(scheduling.weighted_log_norm(A, P) - vals.max()) <= 1e-12 * np.abs(vals).max()
 
 
 class TestHurwitz:

@@ -74,11 +74,12 @@ def augmented_oracle(A, atk, z0, offsets):
 
 
 def count_expm(monkeypatch) -> list:
-    """Record every matrix exponential the simulation module takes."""
+    """Record the shape of every matrix exponential the simulation module
+    takes, one entry per matrix of a stacked call."""
     calls = []
 
     def counted(M, expm=simulation.expm):
-        calls.append(M.shape)
+        calls.extend([M.shape[-2:]] * int(np.prod(M.shape[:-2])))
         return expm(M)
 
     monkeypatch.setattr(simulation, "expm", counted)
@@ -93,6 +94,97 @@ def star_resonant_attack():
         eta=1j, rho=0.0, g0=np.array([0.05 + 0.02j]), delta_z0=np.eye(8)[0], attacked=(2,)
     )
     return star, atk
+
+
+def record_pade(monkeypatch) -> list:
+    """Record the (degree, squarings) of every Pade approximant expm forms."""
+    picks = []
+
+    def recorded(A, P, m, s, pade=simulation._pade):
+        picks.append((m, s))
+        return pade(A, P, m, s)
+
+    monkeypatch.setattr(simulation, "_pade", recorded)
+    return picks
+
+
+def rel_1norm(X, Y) -> float:
+    return float(np.linalg.norm(X - Y, 1) / np.linalg.norm(Y, 1))
+
+
+class TestExpm:
+    """The scaling-and-squaring exponential against scipy.linalg.expm."""
+
+    # 1-norms of random matrices that reach Pade degrees 3, 5, 7, 9 and 13,
+    # then degree 13 with squarings
+    NORMS = (1e-3, 0.1, 0.6, 1.9, 4.0, 12.0, 40.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 9, 129])
+    def test_matches_scipy(self, monkeypatch, d):
+        """scipy's own 2x2 exponential errs by up to ~1e-12 once it squares
+        (against 40-digit arithmetic), so the 2x2 case stops short of
+        squaring here and squares in the closed-form test below."""
+        rng = np.random.default_rng(d)
+        norms = self.NORMS[:5] if d == 2 else self.NORMS
+        picks = record_pade(monkeypatch)
+        for norm in norms:
+            A = rng.normal(size=(d, d))
+            A *= norm / np.abs(A).sum(axis=0).max()
+            assert rel_1norm(simulation.expm(A), scipy.linalg.expm(A)) <= 1e-13
+        if d > 1:
+            assert {m for m, _ in picks} == {3, 5, 7, 9, 13}
+        assert any(s > 0 for _, s in picks) == (d != 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 9, 129])
+    def test_stack_members_match_scipy(self, d):
+        """One degree and one scaling serve the whole stack; each member is
+        still its own exponential."""
+        rng = np.random.default_rng(100 + d)
+        norms = self.NORMS[:5] if d == 2 else self.NORMS
+        S = rng.normal(size=(len(norms), d, d))
+        S *= np.array(norms)[:, None, None] / np.abs(S).sum(axis=1).max(axis=1)[:, None, None]
+        X = simulation.expm(S)
+        assert X.shape == S.shape
+        for Xk, Sk in zip(X, S):
+            assert rel_1norm(Xk, scipy.linalg.expm(Sk)) <= 1e-13
+
+    def test_rotation_with_squaring_in_closed_form(self, monkeypatch):
+        """exp([[a, b], [-b, a]] t) = e^{a t} [[cos bt, sin bt], [-sin bt, cos bt]],
+        the attack mode's own drift, at norms that need squarings."""
+        picks = record_pade(monkeypatch)
+        for a, b in [(0.3, 7.0), (-2.0, 11.0), (1.5, -30.0), (0.05, 40.0)]:
+            X = simulation.expm(np.array([[a, b], [-b, a]]))
+            c, s = np.cos(b), np.sin(b)
+            assert rel_1norm(X, np.exp(a) * np.array([[c, s], [-s, c]])) <= 1e-13
+        assert all(m == 13 and s > 0 for m, s in picks)
+
+    def test_each_degree_up_to_its_bound(self, monkeypatch):
+        """A rotation generator b J has ||(b J)^k||_1 = b^k, so just below
+        each theta_m the rule picks degree m, which must still be exact."""
+        picks = record_pade(monkeypatch)
+        for m, (theta, _) in sorted(simulation._PADE.items()):
+            b = 0.99 * theta
+            X = simulation.expm(np.array([[0.0, b], [-b, 0.0]]))
+            c, s = np.cos(b), np.sin(b)
+            assert rel_1norm(X, np.array([[c, s], [-s, c]])) <= 1e-15
+            assert picks[-1] == (m, 0)
+
+    def test_nonnormality_raises_the_degree(self, monkeypatch):
+        """A^2 = -1e-4 I gives ||A^k||^(1/k) = 0.01, within degree 3's
+        bound, but abs(A)^(2m+1) is large: the ell term asks for degree 9."""
+        picks = record_pade(monkeypatch)
+        A = np.array([[1.0, 1.0], [-1.0001, -1.0]])
+        X = simulation.expm(A)
+        w = math.sqrt(1e-4)
+        assert rel_1norm(X, math.cos(w) * np.eye(2) + math.sin(w) / w * A) <= 1e-14
+        assert picks == [(9, 0)]
+
+    def test_zero_and_empty(self):
+        np.testing.assert_array_equal(simulation.expm(np.zeros((5, 5))), np.eye(5))
+        np.testing.assert_array_equal(
+            simulation.expm(np.zeros((3, 4, 4))), np.tile(np.eye(4), (3, 1, 1))
+        )
+        assert simulation.expm(np.zeros((0, 6, 6))).shape == (0, 6, 6)
 
 
 class TestAssembly:
