@@ -79,8 +79,7 @@ def cmd_sweep(args) -> int:
     table, errors = {}, []
     for m in range(args.m_min, args.m_max + 1):
         try:
-            params = dataclasses.replace(sc.dwell_params, m=m)
-            sub = dataclasses.replace(sc, id=f"{sc.id}_m{m}", dwell_override=None, dwell_params=params)
+            sub = sc.at_multiplier(m)
             switch_count = len(sub.schedule.switch_times)
             result = scenario.run(sub, os.path.join(args.out, f"m{m}"), dt=args.dt)
             table[str(m)] = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import laplacian
 from .scheduling import ScheduleError, SwitchingSchedule, hurwitz, switching_signal
-from .simulation import Trace, expm
+from .simulation import Trace, expm, expm_action, taylor_plan
 
 __all__ = [
     "ObserverConfig",
@@ -111,14 +111,19 @@ def run_observer(
     """Integrate the observer along the plant trace.
 
     Per dwell segment, the estimation error e = zhat - z and the segment's
-    exogenous mode are propagated jointly by exact matrix exponentials of
-    its steps, taken in one stacked call, so the correction terms see the
-    continuous plant output rather than a sampled approximation.  Working
-    in e keeps the small estimation error away from the rounding floor of
-    the O(1) plant state over long dwell intervals; the estimate is the
-    trace's plant state plus e, and the residual is e on the observed
-    positions.  The observer starts from the supplied (possibly falsified)
-    initial state, defaulting to the trace's own initial sample.
+    exogenous mode are propagated jointly and exactly, so the correction
+    terms see the continuous plant output rather than a sampled
+    approximation: exp(J tau) acts on the joint state for the partial first
+    and last steps, by a truncated Taylor series when its matrix-vector
+    products cost at most one d x d product and by a stacked exponential
+    otherwise, and the samples between them, exactly ``dt`` apart, are
+    filled by doubling with the powers P, P^2, P^4, ... of the steady
+    propagator.  Working in e keeps the small estimation error away from
+    the rounding floor of the O(1) plant state over long dwell intervals;
+    the estimate is the trace's plant state plus e, and the residual is e
+    on the observed positions.  The observer starts from the supplied
+    (possibly falsified) initial state, defaulting to the trace's own
+    initial sample.
     """
     n = tr.n
     if not tr.segments:
@@ -142,38 +147,60 @@ def run_observer(
         vhat0 = tr.states[0, n:]
     zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
 
-    times = tr.times
-    err = np.empty((len(times), 2 * n))
+    times, dt = tr.times, tr.dt
+    # one row per sample: the segment's mode (at most two columns, flush
+    # against e), then e
+    work = np.empty((len(times), 2 + 2 * n))
+    err = work[:, 2:]
     err[0] = zhat - tr.states[0]
 
-    # one joint (mode, error) drift and its steady propagator per
-    # (topology, attack active), each built on first use
-    joint: dict[tuple, np.ndarray] = {}
-    steady: dict[tuple, np.ndarray] = {}
+    # per (topology, attack active): the joint (mode, error) drift, its size
+    # and 1-norm, and the powers P, P^2, P^4, ... of its steady propagator
+    drifts: dict[tuple, tuple] = {}
     k = 1
     for seg in tr.segments:
+        steps = seg.steps.tolist()
+        if not steps:
+            continue
         key = (seg.topology_id, seg.attack_active)
-        if key not in joint:
+        if key not in drifts:
             # the segment's mode m enters the plant as G m, so the joint
             # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
             A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
             zero = np.zeros((seg.Eta.shape[0], 2 * n))
-            joint[key] = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
-        # one stacked exponential per segment, over its distinct steps
-        steps = seg.steps.tolist()
-        fresh = sorted(set(steps) - ({tr.dt} if key in steady else set()))
-        props = {}
-        if fresh:
-            props = dict(zip(fresh, expm(joint[key] * np.array(fresh)[:, None, None])))
-        if tr.dt in props:
-            steady[key] = props[tr.dt]
-        elif key in steady:
-            props[tr.dt] = steady[key]
-        state = np.concatenate([seg.mode0, err[k - 1]])
-        for step in steps:
-            state = props[step] @ state
-            err[k] = state[-2 * n :]
-            k += 1
+            J = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
+            drifts[key] = J, len(J), float(np.abs(J).sum(axis=0).max()), []
+        J, d, norm, pw = drifts[key]
+        first, last, count = steps[0], steps[-1], len(steps)
+        # one stacked exponential over the partial steps the Taylor action
+        # does not take, with P on the drift's first steady step
+        plans = {tau: taylor_plan(norm * tau, d) for tau in {first, last} - {dt}}
+        fresh = [tau for tau, plan in plans.items() if plan is None]
+        if not pw and (count > 2 or dt in (first, last)):
+            fresh.append(dt)
+        props = dict(zip(fresh, expm(J * np.array(fresh)[:, None, None]))) if fresh else {}
+        if dt in props:
+            pw.append(props[dt])
+        if pw:
+            props[dt] = pw[0]
+
+        def step(tau, v):
+            return props[tau] @ v if tau in props else expm_action(J, v, tau, *plans[tau])
+
+        S = work[k : k + count, 2 + 2 * n - d :]
+        state = np.concatenate([seg.mode0, err[k - 1]]) if seg.attack_active else err[k - 1]
+        S[0] = step(first, state)
+        # S[j] = P^j S[0] up to the last step: each pass doubles the filled rows
+        filled, j = 1, 0
+        while filled < count - 1:
+            if j == len(pw):
+                pw.append(pw[-1] @ pw[-1])
+            rows = min(filled, count - 1 - filled)
+            np.matmul(S[:rows], pw[j].T, out=S[filled : filled + rows])
+            filled, j = filled + rows, j + 1
+        if count > 1:
+            S[-1] = step(last, S[-2])
+        k += count
 
     zhat = tr.states + err
     idx = [i - 1 for i in cfg.observed]

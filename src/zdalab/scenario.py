@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ class ScenarioError(ValueError):
 class Scenario:
     """One run plan: a scenario at one dwell-time multiplier
     ``dwell_params.m``.  Its derived inputs are computed on first use and
-    cached on the instance; ``dataclasses.replace`` starts a fresh plan."""
+    cached on the instance; ``dataclasses.replace`` starts a fresh plan, and
+    ``at_multiplier`` one that keeps the inputs that do not depend on m."""
 
     topologies: tuple
     order: tuple
@@ -79,6 +80,14 @@ class Scenario:
     def schedule(self) -> scheduling.SwitchingSchedule:
         """The switching schedule ``build_schedule`` derives."""
         return build_schedule(self)
+
+    def at_multiplier(self, m: int) -> Scenario:
+        """This plan at multiplier m with derived dwell times, as ``<id>_m<m>``;
+        it keeps the spectra and certificates, which do not depend on m."""
+        sub = replace(self, id=f"{self.id}_m{m}", dwell_override=None,
+                      dwell_params=replace(self.dwell_params, m=m))
+        sub.__dict__.update(spectra=self.spectra, certificates=self.certificates)
+        return sub
 
 
 def _require(cond: bool, msg: str):

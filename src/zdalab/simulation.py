@@ -25,9 +25,11 @@ __all__ = [
     "attack_injection",
     "check_sample_count",
     "expm",
+    "expm_action",
     "propagate_interval",
     "simulate",
     "consensus_error",
+    "taylor_plan",
     "trace_to_csv",
 ]
 
@@ -61,6 +63,15 @@ _PADE = {
 # degree m -> 1 / |c_{2m+1}|, the leading term of its backward-error series
 _ELL_C = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
           9: 5914384781877411840000.0, 13: 113250775606021113483283660800000000.0}
+# Taylor degree m -> theta_m: for ||A||_1 <= theta_m the degree-m truncated
+# series of exp(A) v meets unit roundoff (Al-Mohy & Higham, SIAM J. Sci.
+# Comput. 33(2), 2011, Table 3.1; m <= 30 from Higham, Functions of
+# Matrices, Table A.3)
+_TAYLOR_THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], (
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2,
+    1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26,
+    1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
+)))
 
 
 class SimulationError(RuntimeError):
@@ -102,6 +113,40 @@ def expm(A: np.ndarray) -> np.ndarray:
         s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if eta > 0.0 else 0
         s += _ell(A * 2.0**-s, 13)
     return _pade(A, P, m, s).reshape(shape)
+
+
+def taylor_plan(norm: float, budget: int) -> tuple[int, int] | None:
+    """Degree m and step count s minimizing m*s for exp(tA) v with
+    ||tA||_1 = ``norm``, or None when that takes more than ``budget``
+    matrix-vector products.  A norm above the budget, or not finite, is
+    refused at once: every plan costs m*s >= m*norm/theta_m > norm."""
+    if not norm <= budget:
+        return None
+    cost, plan = budget + 1, None
+    for m, theta in _TAYLOR_THETA.items():
+        if m >= cost:  # every step count costs at least m
+            break
+        s = max(math.ceil(norm / theta), 1)
+        if m * s < cost:
+            cost, plan = m * s, (m, s)
+    return plan
+
+
+def expm_action(A: np.ndarray, v: np.ndarray, t: float, m: int, s: int) -> np.ndarray:
+    """exp(tA) v by s steps of the degree-m truncated Taylor series of
+    exp(tA/s), each stopped once two consecutive terms fall below unit
+    roundoff relative to the sum (Al-Mohy & Higham 2011, Algorithm 3.2
+    without its trace shift)."""
+    for _ in range(s):
+        b, c1 = v, np.abs(v).max()
+        for k in range(1, m + 1):
+            b = (A @ b) * (t / (s * k))
+            c2 = np.abs(b).max()
+            v = v + b
+            if c1 + c2 <= 2.0**-53 * np.abs(v).max():
+                break
+            c1 = c2
+    return v
 
 
 def _root_norms(powers: np.ndarray, degrees) -> list:

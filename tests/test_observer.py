@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zdalab import attacks, graphs, observer, scheduling, simulation
+from zdalab import attacks, graphs, observer, scenario, scheduling, simulation
 from zdalab.observer import (
     ObserverConfig,
     assemble_observer_A,
@@ -13,6 +13,8 @@ from zdalab.observer import (
 )
 from zdalab.scheduling import ScheduleError
 
+from conftest import random_connected_topology
+from test_scenario_cli import stealth_doc
 from test_simulation import rk4
 
 
@@ -133,6 +135,49 @@ class TestRunObserver:
         err = np.linalg.norm(np.hstack([run.xhat, run.vhat]) - tr.states, axis=1)
         assert err[-1] < 1e-2 * err[0]
 
+    def test_huge_steps_take_the_exponential(self, topo1, topo2, monkeypatch):
+        """Partial steps of 5e5 put ||J||_1 tau far above the Taylor budget
+        of d products; they go to the stacked exponential (an overflowing
+        product is refused the same way, see ``taylor_plan``'s tests)."""
+        def refused(*args):
+            raise AssertionError("Taylor action taken for a huge step")
+
+        monkeypatch.setattr(observer, "expm_action", refused)
+        sched = scheduling.SwitchingSchedule(
+            order=(1, 2), dwell={1: 2.5e6, 2: 2.5e6}, horizon=1e7
+        )
+        tr = simulation.simulate([topo1, topo2], sched, np.ones(8), dt=1e6, observed=(1,))
+        assert 5e5 in {float(seg.steps[0]) for seg in tr.segments}
+        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
+        run = run_observer(tr, [topo1, topo2], sched, cfg)
+        assert np.max(np.abs(run.residuals)) < 1e-10
+
+    def test_taylor_action_costs_at_most_one_matrix_product(self, monkeypatch):
+        """On the stealth scenario (d = 8 or 9) some partial steps take the
+        action and the rest the exponential; no action takes more than d
+        matrix-vector products."""
+        taken, stacked = [], []
+
+        def action(A, v, t, m, s, expm_action=observer.expm_action):
+            taken.append((len(A), m * s))
+            return expm_action(A, v, t, m, s)
+
+        def exponential(M, expm=observer.expm):
+            stacked.append(len(M))
+            return expm(M)
+
+        monkeypatch.setattr(observer, "expm_action", action)
+        monkeypatch.setattr(observer, "expm", exponential)
+        sc = scenario.load_scenario(stealth_doc())
+        atk, _ = scenario.synthesize_for(sc)
+        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        tr = simulation.simulate(
+            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
+        )
+        run_observer(tr, sc.topologies, sc.schedule, sc.observer_cfg)
+        assert taken and stacked
+        assert all(cost <= d for d, cost in taken)
+
 
 class TestObserverUnderAttack:
     @pytest.mark.parametrize(
@@ -187,6 +232,90 @@ class TestObserverUnderAttack:
         est = np.hstack([run.xhat, run.vhat])
         assert np.abs(est - oracle).max() < 1e-8 * np.abs(oracle).max()
         assert np.abs(tr.states - oracle).max() > 1e-3
+
+
+def sequential_errors(tr, topologies, cfg, e0):
+    """The per-step oracle: the joint (mode, error) state of each segment
+    advanced sample by sample with scipy's exponential of each step."""
+    n = tr.n
+    Phi, Theta = gain_matrices(cfg, n)
+    L_by_id = {t.id: graphs.laplacian(t) for t in topologies}
+    err = [np.asarray(e0, float)]
+    for seg in tr.segments:
+        A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+        d = len(seg.mode0)
+        J = np.block([[seg.Eta, np.zeros((d, 2 * n))], [-seg.G, A_obs]])
+        props = {tau: scipy.linalg.expm(J * tau) for tau in set(seg.steps.tolist())}
+        state = np.concatenate([seg.mode0, err[-1]])
+        for tau in seg.steps.tolist():
+            state = props[tau] @ state
+            err.append(state[d:])
+    return np.array(err)
+
+
+class TestLargeNetwork:
+    """A seeded random pair at n = 64 (d = 128, or 129 with the attack mode):
+    the partial steps take the Taylor action and the steady runs are filled
+    by doubling, with one exponential per drift."""
+
+    def test_matches_per_step_oracle_with_one_expm_per_drift(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        n, horizon = 64, 52.5
+        topologies = []
+        for tid in (1, 2):
+            a = random_connected_topology(rng, n).adjacency
+            # a largest weighted degree of n/2 keeps ||J||_1 dt near 3.2
+            a *= (n / 2) / a.sum(axis=1).max()
+            topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
+        atk = attacks.ZdaAttack(
+            eta=0.1, rho=horizon / 2, g0=np.array([1.0, -0.5]),
+            delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3),
+        )
+        z0 = rng.uniform(0.5, 4.5, 2 * n)
+        tr = simulation.simulate(topologies, sched, z0, attack=atk, dt=0.05, observed=(1,))
+        cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
+        calls = []
+
+        def counted(M, expm=observer.expm):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(observer, "expm", counted)
+        run = run_observer(tr, topologies, sched, cfg)
+        drifts = {(seg.topology_id, seg.attack_active) for seg in tr.segments}
+        assert len(calls) == len(drifts) == 4
+        oracle = sequential_errors(tr, topologies, cfg, np.zeros(2 * n))[:, [0]]
+        assert np.abs(run.residuals - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        alarm = detect(run.times, run.residuals, cfg)
+        assert alarm is not None and alarm > atk.rho
+        assert alarm == detect(tr.times, oracle, cfg)
+
+
+class TestStealthErrorClosedForm:
+    @pytest.mark.parametrize("dwell", [None, 40.0], ids=["test-dwell", "long-dwell"])
+    def test_error_is_minus_the_attack_response(self, dwell):
+        """Under a stealthy attack the output correction never acts, so the
+        observer error is minus the plant's response to (delta_z0, attack)
+        from the zero state; each row within 1e-10 of its own size, over
+        steady runs of 35 and of 800 samples."""
+        doc = stealth_doc()
+        if dwell is not None:
+            doc = stealth_doc(dwell={"1": dwell, "2": dwell}, horizon=400.0)
+        sc = scenario.load_scenario(doc)
+        atk, _ = scenario.synthesize_for(sc)
+        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        tr = simulation.simulate(
+            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
+        )
+        run = run_observer(tr, sc.topologies, sc.schedule, sc.observer_cfg,
+                           xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+        e = np.hstack([run.xhat, run.vhat]) - tr.states
+        response = simulation.simulate(
+            sc.topologies, sc.schedule, atk.delta_z0, attack=atk, dt=sc.dt, observed=sc.observed
+        ).states
+        assert np.all(np.abs(e + response).max(axis=1) <= 1e-10 * np.abs(e).max(axis=1))
 
 
 class TestPartialTrace:

@@ -499,6 +499,30 @@ class TestRunPlan:
         table = json.loads((tmp_path / "out" / "stealth_sweep.json").read_text())
         assert [table[m]["switch_count"] for m in "1234"] == [1, 0, 0, 0]
 
+    def test_sweep_computes_spectra_and_certificates_once(self, tmp_path, monkeypatch):
+        """They do not depend on m: one of each per running topology for the
+        whole sweep, not per m."""
+        spectra = self.count_calls(monkeypatch, scenario.graphs, "spectrum")
+        certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_delayed_attack_doc()))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--m-min", "1", "--m-max", "4"]
+        assert cli.main(argv) == 0
+        assert (len(spectra), len(certs)) == (2, 2)
+
+    def test_sweep_certificate_error_lands_in_each_row(self, tmp_path):
+        doc = stealth_doc()
+        doc["topologies"][0]["edges"] = [[1, 2, 1], [3, 4, 1]]
+        doc.pop("dwell")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--m-min", "1", "--m-max", "2"]
+        assert cli.main(argv) == 2
+        table = json.loads((tmp_path / "out" / "stealth_sweep.json").read_text())
+        assert sorted(table) == ["1", "2"] and all("error" in row for row in table.values())
+
 
 class TestInformationBarrier:
     def test_observer_module_never_touches_attack_description(self):

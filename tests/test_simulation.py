@@ -187,6 +187,63 @@ class TestExpm:
         assert simulation.expm(np.zeros((0, 6, 6))).shape == (0, 6, 6)
 
 
+def random_observer_drift(rng, n, eta):
+    """The observer's joint drift [[Eta, 0], [-G, A_obs]] on a random
+    topology with random gains, with no attack mode for ``eta`` None."""
+    L = graphs.laplacian(random_connected_topology(rng, n))
+    k = int(rng.integers(1, n + 1))
+    cfg = observer.ObserverConfig(
+        observed=tuple(int(i) for i in rng.choice(np.arange(1, n + 1), k, replace=False)),
+        psi=tuple(rng.uniform(0.1, 2.0, k)),
+        theta=tuple(rng.uniform(0.1, 2.0, k)),
+    )
+    A_obs = observer.assemble_observer_A(L, *observer.gain_matrices(cfg, n))
+    Eta, G = simulation._attack_mode(None if eta is None else make_attack(rng, n, eta), n)
+    return np.block([[Eta, np.zeros((len(Eta), 2 * n))], [-G, A_obs]])
+
+
+class TestExpmAction:
+    """The truncated-Taylor action exp(tA) v against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    @pytest.mark.parametrize(
+        "eta", [None, 0.2, complex(0.05, 0.7)], ids=["no-mode", "real-mode", "complex-mode"]
+    )
+    def test_matches_scipy_on_observer_drifts(self, n, eta):
+        rng = np.random.default_rng(n)
+        J = random_observer_drift(rng, n, eta)
+        norm = float(np.abs(J).sum(axis=0).max())
+        dt = 0.05
+        for tau in [*rng.uniform(0.0, dt, 4), dt]:
+            v = rng.normal(size=len(J))
+            ref = scipy.linalg.expm(J * tau) @ v
+            got = simulation.expm_action(J, v, tau, *simulation.taylor_plan(norm * tau, 10**6))
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_several_steps_match_scipy(self):
+        rng = np.random.default_rng(7)
+        J = random_observer_drift(rng, 16, complex(0.05, 0.7))
+        tau = 30.0 / np.abs(J).sum(axis=0).max()
+        m, s = simulation.taylor_plan(30.0, 10**6)
+        assert s > 1
+        v = rng.normal(size=len(J))
+        ref = scipy.linalg.expm(J * tau) @ v
+        got = simulation.expm_action(J, v, tau, m, s)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "norm, budget, plan",
+        [(0.0, 9, (1, 1)), (0.05, 9, (8, 1)), (0.3, 129, (12, 1)), (0.3, 9, None),
+         (10.0, 129, (40, 2)), (10.0, 79, None)],
+    )
+    def test_plan_minimizes_products_within_budget(self, norm, budget, plan):
+        assert simulation.taylor_plan(norm, budget) == plan
+
+    @pytest.mark.parametrize("norm", [1e308 * 10.0, math.nan, 1e300, 129.5])
+    def test_overflowing_or_huge_norm_has_no_plan(self, norm):
+        assert simulation.taylor_plan(norm, 129) is None
+
+
 class TestAssembly:
     def test_double_integrator(self):
         np.testing.assert_array_equal(
