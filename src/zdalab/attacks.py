@@ -27,13 +27,14 @@ __all__ = [
     "unobservable_subspace",
     "rosenbrock_pencil",
     "synthesize",
-    "attack_signal",
     "predicted_state",
     "attack_to_json",
     "attack_from_json",
 ]
 
 _SVD_RTOL = 1e-10
+# largest relative pencil and observability residual a certified attack has
+CERT_TOL = 1e-8
 
 
 class SynthesisError(ValueError):
@@ -105,18 +106,19 @@ def _nullspace(M: np.ndarray, rtol: float = _SVD_RTOL) -> np.ndarray:
     """Orthonormal kernel basis by singular-value thresholding."""
     if M.size == 0:
         return np.eye(M.shape[1])
-    _, s, Vh = np.linalg.svd(M)
+    # a tall M needs only the thin V^H; a fat one needs all of V^H for its kernel
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if len(s) else 0.0
     rank = int(np.sum(s > rtol * max(smax, 1.0)))
     return Vh[rank:].conj().T
 
 
-def unobservable_subspace(A_list, C: np.ndarray, tol: float = _SVD_RTOL) -> np.ndarray:
+def unobservable_subspace(A_list, C: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of the unobservable subspaces of
     (A_r, C) over the list.  An empty basis (zero columns) means every
     nonzero initial discrepancy is eventually visible."""
     stacked = np.vstack([observability_matrix(A, C) for A in A_list])
-    return _nullspace(stacked, tol)
+    return _nullspace(stacked)
 
 
 def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: complex) -> np.ndarray:
@@ -132,7 +134,7 @@ def _stacked_pencil(A_list, B_K, C, eta) -> np.ndarray:
     return np.vstack([rosenbrock_pencil(A, B_K, C, eta) for A in A_list])
 
 
-def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
+def _kernel_pair(A_list, B_K, C, eta, w_subspace=None):
     """Kernel vector of the stacked pencil with a nonzero signal part, split
     as (w, g) with the sign convention (w, -g) in the kernel.  None if the
     kernel carries no usable signal component.
@@ -140,7 +142,7 @@ def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
     With ``w_subspace`` (orthonormal columns) the state part w is restricted
     to that subspace, which pins pre-start invisibility when the kernel has
     extra directions."""
-    Z = _nullspace(_stacked_pencil(A_list, B_K, C, eta), rtol)
+    Z = _nullspace(_stacked_pencil(A_list, B_K, C, eta))
     if Z.shape[1] == 0:
         return None
     n2 = A_list[0].shape[0]
@@ -152,7 +154,7 @@ def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
             return None
         Z = Z @ Cb
     G = Z[n2:, :]
-    _, s, Vh = np.linalg.svd(G)
+    _, s, Vh = np.linalg.svd(G, full_matrices=False)
     if len(s) == 0 or s[0] <= 1e-8:
         return None
     v = Z @ Vh[0].conj()
@@ -160,7 +162,7 @@ def _kernel_pair(A_list, B_K, C, eta, rtol=_SVD_RTOL, w_subspace=None):
         # the max-signal combination has no state discrepancy; mix in a
         # kernel direction that does carry one
         W = Z[:n2, :]
-        _, sw, Vwh = np.linalg.svd(W)
+        _, sw, Vwh = np.linalg.svd(W, full_matrices=False)
         if len(sw) == 0 or sw[0] <= 1e-10:
             return None
         v = v + Z @ Vwh[0].conj()
@@ -213,7 +215,6 @@ def synthesize(
     K,
     rho: float = 0.0,
     schedule_prefix: SwitchingSchedule | None = None,
-    tol: float = 1e-8,
     eta_target: float | None = None,
 ):
     """Synthesize a stealthy attack against every topology in ``S_stealth``.
@@ -286,7 +287,7 @@ def synthesize(
             delta_z0 = np.linalg.solve(Phi, w)
             proj = V @ (V.conj().T @ delta_z0)
             obs_res = float(np.linalg.norm(delta_z0 - proj) / np.linalg.norm(delta_z0))
-            if obs_res > tol:
+            if obs_res > CERT_TOL:
                 continue
         else:
             delta_z0 = w.real if np.iscomplexobj(w) else w
@@ -308,7 +309,7 @@ def synthesize(
             for A in A_list
         )
         cert = StealthCertificate(
-            valid=max(residuals) < tol and obs_res < tol,
+            valid=max(residuals) < CERT_TOL and obs_res < CERT_TOL,
             pencil_residuals=residuals,
             observability_residual=obs_res,
         )
@@ -317,16 +318,6 @@ def synthesize(
         atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=tuple(sorted(K)))
         return atk, cert
     return None
-
-
-def attack_signal(atk: ZdaAttack, t: float) -> np.ndarray:
-    """Injected signal at time t: zero before the start time, then the real
-    part of g0 * e^{eta (t - rho)}."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if t < atk.rho:
-        return np.zeros(len(atk.attacked))
-    return np.real(np.asarray(atk.g0) * np.exp(atk.eta * (t - atk.rho)))
 
 
 def predicted_state(atk: ZdaAttack, clean_state_at_t, discrepancy_at_rho, t: float) -> np.ndarray:

@@ -6,9 +6,8 @@ are indexed 0-based internally.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,18 @@ __all__ = [
     "has_distinct_eigenvalues",
     "rational_ratio_certificate",
 ]
+
+
+# a Laplacian is connected when lambda_2 exceeds CONNECTED_RTOL * max(1, ||L||_2)
+CONNECTED_RTOL = 1e-9
+# two topologies differ on a link whose weights differ by more than WEIGHT_TOL
+WEIGHT_TOL = 1e-12
+# eigenvalues are distinct when every gap exceeds SEPARATION_RTOL * max(1, |lambda|)
+SEPARATION_RTOL = 1e-9
+# a modal ratio is rational when a convergent lies within RATIO_TOL of it
+RATIO_TOL = 1e-9
+# continued-fraction terms tried before the last convergent stands
+_MAX_CONVERGENTS = 64
 
 
 class GraphError(ValueError):
@@ -68,26 +79,6 @@ class Topology:
                 raise GraphError(f"bad edge ({i}, {j}) for n={n}")
             a[i - 1, j - 1] = a[j - 1, i - 1] = float(w)
         return cls(id=id, n=n, adjacency=a)
-
-    def edges(self):
-        """Sorted list of (i, j, weight) with i < j, 1-based."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                w = self.adjacency[i, j]
-                if w != 0.0:
-                    out.append((i + 1, j + 1, float(w)))
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"id": self.id, "n": self.n, "edges": [[i, j, w] for i, j, w in self.edges()]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        d = json.loads(text)
-        return cls.from_edges(d["id"], d["n"], d["edges"])
 
 
 @dataclass(frozen=True)
@@ -141,39 +132,38 @@ def laplacian(t: Topology) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def spectrum(L: np.ndarray, tol: float | None = None) -> LaplacianSpectrum:
+def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     """Eigendecomposition of a symmetric Laplacian.
 
-    ``connected`` is true when the second-smallest eigenvalue exceeds ``tol``
-    (default 1e-9 * ||L||).
+    ``connected`` is true when the second-smallest eigenvalue exceeds
+    CONNECTED_RTOL * max(1, ||L||_2).
     """
     L = np.asarray(L, dtype=float)
     if not np.allclose(L, L.T, atol=1e-12 * max(1.0, abs(L).max())):
         raise GraphError("Laplacian must be symmetric")
-    if tol is None:
-        tol = 1e-9 * max(1.0, np.linalg.norm(L, 2))
     try:
         vals, vecs = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise GraphError(f"eigensolver failed: {exc}") from exc
+    tol = CONNECTED_RTOL * max(1.0, np.linalg.norm(L, 2))
     connected = bool(vals[1] > tol) if len(vals) > 1 else True
     return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs, connected=connected)
 
 
-def difference_graph(r: Topology, s: Topology, wtol: float = 1e-12) -> DiffGraph:
-    """Edges where the two topologies' weights differ by more than ``wtol``."""
+def difference_graph(r: Topology, s: Topology) -> DiffGraph:
+    """Edges where the two topologies' weights differ by more than WEIGHT_TOL."""
     if r.n != s.n:
         raise GraphError(f"topology sizes differ: {r.n} vs {s.n}")
     d = np.abs(r.adjacency - s.adjacency)
     edges = set()
     for i in range(r.n):
         for j in range(i + 1, r.n):
-            if d[i, j] > wtol:
+            if d[i, j] > WEIGHT_TOL:
                 edges.add((i + 1, j + 1))
     return DiffGraph(n=r.n, vertices=frozenset(range(1, r.n + 1)), edges=frozenset(edges))
 
 
-def union_difference_graph(S, wtol: float = 1e-12) -> DiffGraph:
+def union_difference_graph(S) -> DiffGraph:
     """Edge union of the pairwise difference graphs over all pairs in S."""
     S = list(S)
     if len(S) < 2:
@@ -182,7 +172,7 @@ def union_difference_graph(S, wtol: float = 1e-12) -> DiffGraph:
     edges = set()
     for a in range(len(S)):
         for b in range(a + 1, len(S)):
-            edges |= difference_graph(S[a], S[b], wtol).edges
+            edges |= difference_graph(S[a], S[b]).edges
     return DiffGraph(n=n, vertices=frozenset(range(1, n + 1)), edges=frozenset(edges))
 
 
@@ -210,7 +200,7 @@ def components(g: DiffGraph) -> ComponentPartition:
     return ComponentPartition(components=tuple(comps))
 
 
-def detectability(S, M, wtol: float = 1e-12) -> DetectabilityReport:
+def detectability(S, M) -> DetectabilityReport:
     """Exact detectability of the switching set S from the observed agents M
     when every agent may be attacked: a stealthy attack exists exactly when
     N = [E_M^T; L_2 - L_1; ...] has a nontrivial kernel, so ``ok`` needs the
@@ -224,7 +214,7 @@ def detectability(S, M, wtol: float = 1e-12) -> DetectabilityReport:
     n = S[0].n if S else 0
     if any(not (1 <= m <= n) for m in M):
         raise GraphError(f"observed set {M} not within 1..{n}")
-    part = components(union_difference_graph(S, wtol))
+    part = components(union_difference_graph(S))
     uncovered = tuple(comp for comp in part.components if not comp & set(M))
     L1 = laplacian(S[0])
     N = np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
@@ -233,22 +223,21 @@ def detectability(S, M, wtol: float = 1e-12) -> DetectabilityReport:
     return DetectabilityReport(ok=ok, uncovered=uncovered, margin=float(s[-1]))
 
 
-def has_distinct_eigenvalues(spec: LaplacianSpectrum, septol: float | None = None) -> bool:
-    """True when the minimum consecutive eigenvalue gap exceeds ``septol``."""
+def has_distinct_eigenvalues(spec: LaplacianSpectrum) -> bool:
+    """True when the minimum consecutive eigenvalue gap exceeds
+    SEPARATION_RTOL * max(1, |lambda|)."""
     vals = spec.eigenvalues
     if len(vals) < 2:
         return True
-    if septol is None:
-        septol = 1e-9 * max(1.0, abs(vals).max())
-    return bool(np.min(np.diff(vals)) > septol)
+    return bool(np.min(np.diff(vals)) > SEPARATION_RTOL * max(1.0, abs(vals).max()))
 
 
-def _first_convergent_within(x: float, tol: float, max_iter: int = 64) -> Fraction:
+def _first_convergent_within(x: float, tol: float) -> Fraction:
     """Smallest-denominator continued-fraction convergent of x within tol."""
     h0, h1 = 1, int(math.floor(x))
     k0, k1 = 0, 1
     frac = x - math.floor(x)
-    for _ in range(max_iter):
+    for _ in range(_MAX_CONVERGENTS):
         if abs(x - h1 / k1) <= tol:
             break
         if frac <= 0:
@@ -261,10 +250,8 @@ def _first_convergent_within(x: float, tol: float, max_iter: int = 64) -> Fracti
     return Fraction(h1, k1)
 
 
-def rational_ratio_certificate(
-    spec: LaplacianSpectrum, max_den: int = 10**6, tol: float = 1e-9
-) -> RatioCertificate:
-    """Certify that sqrt(lambda_i / lambda_2) is rational (within ``tol``)
+def rational_ratio_certificate(spec: LaplacianSpectrum, max_den: int = 10**6) -> RatioCertificate:
+    """Certify that sqrt(lambda_i / lambda_2) is rational (within RATIO_TOL)
     for every nonzero eigenvalue, with denominators at most ``max_den``.
 
     Ratios are anchored to lambda_2; pairwise rationality follows.
@@ -277,8 +264,8 @@ def rational_ratio_certificate(
     ok = True
     for lam in vals[1:]:
         x = math.sqrt(lam / lam2)
-        f = _first_convergent_within(x, tol)
-        if f.denominator > max_den or abs(x - float(f)) > tol:
+        f = _first_convergent_within(x, RATIO_TOL)
+        if f.denominator > max_den or abs(x - float(f)) > RATIO_TOL:
             ok = False
         ratios.append(f)
     return RatioCertificate(ok=ok, ratios=tuple(ratios))

@@ -8,7 +8,6 @@ average contraction of the switched observer-error dynamics.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,24 +115,6 @@ class SwitchingSchedule:
     @property
     def period(self) -> float:
         return sum(self.dwell[tid] for tid in self.order)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": list(self.order),
-                "dwell": {str(k): v for k, v in self.dwell.items()},
-                "horizon": self.horizon,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SwitchingSchedule":
-        d = json.loads(text)
-        return cls(
-            order=tuple(d["order"]),
-            dwell={int(k): float(v) for k, v in d["dwell"].items()},
-            horizon=float(d["horizon"]),
-        )
 
 
 def xi(spectra) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "check_sample_count",
     "expm",
     "expm_action",
-    "propagate_interval",
     "simulate",
     "consensus_error",
     "taylor_plan",
@@ -375,51 +374,6 @@ def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     steps[0] = times[0] - a
     steps[count] = b - times[count - 1] if count else b - a
     return times, steps
-
-
-def propagate_interval(
-    A: np.ndarray,
-    z0: np.ndarray,
-    t0: float,
-    dt: float,
-    duration: float,
-    attack=None,
-    attack_active: bool = False,
-    mode0: np.ndarray | None = None,
-):
-    """Exactly propagate dz/dt = A z (+ attack injection) over one interval.
-
-    ``A`` must be [[0, I], [-L, 0]] with L symmetric positive semidefinite.
-    Samples at t0 + k*dt and at the interval end.  Returns (times, states,
-    final_mode).  ``attack`` is a ZdaAttack; when ``attack_active`` the
-    exponential mode runs from ``mode0`` (defaults to its value at the attack
-    start).  Raises SimulationError at a non-finite sample.
-    """
-    if duration <= 0.0 or dt <= 0.0:
-        raise ValueError("duration and dt must be positive")
-    z0 = np.asarray(z0, dtype=float)
-    A = np.asarray(A, dtype=float)
-    n = z0.shape[0] // 2
-    L = -A[n:, :n]
-    if A.shape != (2 * n, 2 * n) or not np.array_equal(A, assemble_A(L)) or np.any(L != L.T):
-        raise ValueError("A must be [[0, I], [-L, 0]] with L symmetric")
-    Eta, G = _attack_mode(attack if attack_active else None, n)
-    d = Eta.shape[0]
-    m0 = _W[:d].real if mode0 is None else np.asarray(mode0, dtype=float)
-
-    offsets = np.zeros(0)
-    if duration > _TIME_EPS:  # a vanishing interval merges into its start sample
-        offsets, _ = _lattice(0.0, duration, dt)
-    times = t0 + np.concatenate([[0.0], offsets])
-    rows, done = _evaluate(_propagator(L, Eta, G), z0, m0, offsets)
-    if done < len(offsets):
-        t = float(times[done + 1])
-        raise SimulationError(f"instability overflow at t={t:.6g}", blowup_time=t)
-    final_mode = None
-    if d:
-        mu = m0 @ _W[:d] * np.exp(Eta[:, 0] @ _W[:d] * duration)
-        final_mode = np.array([mu.real, -mu.imag][:d])
-    return times, np.vstack([z0, rows]), final_mode
 
 
 def simulate(

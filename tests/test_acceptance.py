@@ -345,10 +345,12 @@ def test_criterion_6_observer_tracking_small_gains():
 
 
 def test_criterion_7_integration_fidelity():
-    """Exact-exponential propagation agrees with a fine-step RK4 oracle and
-    satisfies the semigroup property."""
-    from test_simulation import rk4, make_attack
-    from zdalab.simulation import assemble_A, attack_injection, propagate_interval
+    """``simulate``'s closed-form propagation of one attacked dwell interval
+    agrees with a fine-step RK4 oracle, and handing the interval over to an
+    identical topology midway, with the attack mode active across the
+    switch, ends where the unsplit interval ends (the semigroup property)."""
+    from test_simulation import make_attack, rk4, run_interval, run_split
+    from zdalab.simulation import assemble_A, attack_injection
 
     rng = np.random.default_rng(123)
     worst_rk4 = 0.0
@@ -362,7 +364,7 @@ def test_criterion_7_integration_fidelity():
         B = attack_injection(atk.attacked, n)
         duration = float(rng.uniform(0.3, 1.2))
         dt = duration / 10.0
-        _, states, _ = propagate_interval(A, z0, 0.0, dt, duration, attack=atk, attack_active=True)
+        states = run_interval(topo, z0, dt, duration, attack=atk).states
 
         def f(t, z, A=A, B=B, atk=atk):
             return A @ z + B @ np.real(atk.g0 * np.exp(atk.eta * t))
@@ -373,9 +375,8 @@ def test_criterion_7_integration_fidelity():
         )
 
         split = float(rng.uniform(0.2, 0.8)) * duration
-        _, first, _ = propagate_interval(A, z0, 0.0, split, split)
-        _, second, _ = propagate_interval(A, first[-1], split, duration - split, duration - split)
-        _, direct, _ = propagate_interval(A, z0, 0.0, duration, duration)
+        second = run_split(topo, z0, duration, [split], duration, attack=atk).states
+        direct = run_interval(topo, z0, duration, duration, attack=atk).states
         worst_semi = max(
             worst_semi,
             np.linalg.norm(direct[-1] - second[-1]) / np.linalg.norm(direct[-1]),

@@ -9,7 +9,6 @@ from zdalab.attacks import (
     SynthesisError,
     ZdaAttack,
     attack_from_json,
-    attack_signal,
     attack_to_json,
     observability_matrix,
     predicted_state,
@@ -261,19 +260,29 @@ class TestSignalsAndPrediction:
             attacked=(1, 2, 3, 4),
         )
 
-    def test_zero_before_start(self):
+    def injected(self, topo, t):
+        """The trace's injected signal at the sample taken at time t, from a
+        run of ``make()``'s attack that ends 100 s after its start."""
         atk = self.make()
-        np.testing.assert_array_equal(attack_signal(atk, 10.0), np.zeros(4))
+        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=atk.rho + 100.0)
+        tr = simulation.simulate([topo], sched, np.ones(8), attack=atk, dt=10.0)
+        (i,) = np.flatnonzero(tr.times == t)
+        return tr.attack_values[i], tr.attack_values[tr.times < atk.rho]
 
-    def test_exactly_g0_at_start(self):
-        atk = self.make()
-        np.testing.assert_allclose(attack_signal(atk, atk.rho), np.real(atk.g0))
+    def test_zero_before_start(self, topo1):
+        at_10, before = self.injected(topo1, 10.0)
+        np.testing.assert_array_equal(at_10, np.zeros(4))
+        assert len(before) > 100 and not before.any()
 
-    def test_exponential_shape(self):
+    def test_exactly_g0_at_start(self, topo1):
         atk = self.make()
-        t = atk.rho + 100.0
+        np.testing.assert_array_equal(self.injected(topo1, atk.rho)[0], np.real(atk.g0))
+
+    def test_exponential_shape(self, topo1):
+        atk = self.make()
         expected = 1e-3 * np.array([0.0, 7.3, 7.3, -14.6]) * np.exp(0.0161 * 100.0)
-        np.testing.assert_allclose(attack_signal(atk, t), expected, rtol=1e-12)
+        at_end, _ = self.injected(topo1, atk.rho + 100.0)
+        np.testing.assert_allclose(at_end, expected, rtol=1e-12)
 
     def test_prediction_trivial_cases(self):
         atk = self.make()

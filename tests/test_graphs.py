@@ -34,13 +34,6 @@ class TestTopology:
         with pytest.raises(GraphError):
             graphs.Topology.from_edges(1, 3, [(2, 2, 1.0)])
 
-    def test_edges_round_trip(self):
-        t = graphs.Topology.from_edges(7, 4, [(1, 2, 0.5), (3, 4, 2.0)])
-        assert t.edges() == [(1, 2, 0.5), (3, 4, 2.0)]
-        back = graphs.Topology.from_json(t.to_json())
-        assert back.id == 7
-        np.testing.assert_array_equal(back.adjacency, t.adjacency)
-
 
 class TestLaplacian:
     def test_path_of_two(self):

@@ -57,13 +57,6 @@ class TestSwitchingSchedule:
         with pytest.raises(ScheduleError):
             scheduling.switching_signal(s, 3.0)
 
-    def test_json_round_trip(self):
-        s = SwitchingSchedule(order=(2, 1), dwell={1: 0.5, 2: 1.5}, horizon=10.0)
-        back = SwitchingSchedule.from_json(s.to_json())
-        assert back.order == s.order
-        assert back.dwell == s.dwell
-        assert back.switch_times == s.switch_times
-
     def test_missing_dwell_rejected(self):
         with pytest.raises(ScheduleError):
             SwitchingSchedule(order=(1, 2), dwell={1: 1.0}, horizon=5.0)

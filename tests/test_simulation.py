@@ -15,7 +15,6 @@ from zdalab.simulation import (
     assemble_C,
     attack_injection,
     consensus_error,
-    propagate_interval,
     simulate,
 )
 
@@ -24,7 +23,7 @@ from conftest import random_connected_topology, trace_to_csv_oracle
 
 def rk4(f, z0, t0, t1, steps):
     """Classic fixed-step integrator, the independent oracle for the
-    exact-exponential propagation."""
+    closed-form propagation."""
     z = np.array(z0, dtype=float)
     h = (t1 - t0) / steps
     t = t0
@@ -71,6 +70,22 @@ def augmented_oracle(A, atk, z0, offsets):
     A_aug[2 * n :, 2 * n :] = Eta
     s0 = np.concatenate([z0, m0])
     return np.array([(scipy.linalg.expm(A_aug * t) @ s0)[: 2 * n] for t in offsets])
+
+
+def run_interval(topo, z0, dt, duration, attack=None):
+    """``simulate`` over one dwell interval of ``topo`` lasting ``duration``."""
+    sched = scheduling.SwitchingSchedule(order=(topo.id,), dwell={topo.id: 1e9}, horizon=duration)
+    return simulate([topo], sched, z0, attack=attack, dt=dt)
+
+
+def run_split(topo, z0, dt, splits, duration, attack=None):
+    """``simulate`` over ``duration`` with copies of ``topo`` (identical
+    weights, ids 1, 2, ...) handing over at each of the ascending ``splits``."""
+    ids = tuple(range(1, len(splits) + 2))
+    dwell = dict(zip(ids, np.diff([0.0, *splits]).tolist() + [1e9]))
+    copies = [graphs.Topology(id=k, n=topo.n, adjacency=topo.adjacency) for k in ids]
+    sched = scheduling.SwitchingSchedule(order=ids, dwell=dwell, horizon=duration)
+    return simulate(copies, sched, z0, attack=attack, dt=dt)
 
 
 def count_expm(monkeypatch) -> list:
@@ -283,32 +298,39 @@ class TestAssembly:
 
 
 class TestPropagateInterval:
+    """One dwell interval through ``simulate``: a one-topology schedule whose
+    dwell outlasts the horizon, or copies of one topology handing over."""
+
     def test_double_integrator_unit_drift(self):
-        A = assemble_A(np.zeros((1, 1)))
-        times, states, _ = propagate_interval(A, [0.0, 1.0], 0.0, 0.5, 1.0)
-        np.testing.assert_allclose(states[-1], [1.0, 1.0], atol=1e-14)
+        still = graphs.Topology(id=1, n=1, adjacency=np.zeros((1, 1)))
+        tr = run_interval(still, [0.0, 1.0], 0.5, 1.0)
+        assert tr.times.tolist() == [0.0, 0.5, 1.0]
+        np.testing.assert_allclose(tr.states[-1], [1.0, 1.0], atol=1e-14)
 
     def test_vanishing_duration_is_continuous(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
         z0 = np.arange(8.0)
-        _, states, _ = propagate_interval(A, z0, 0.0, 1.0, 1e-9)
-        np.testing.assert_allclose(states[-1], z0, atol=1e-12)
+        tr = run_interval(topo1, z0, 1.0, 1e-9)
+        assert tr.times.tolist() == [0.0]
+        np.testing.assert_allclose(tr.states[-1], z0, atol=1e-12)
 
     def test_dormant_attack_matches_no_attack(self, topo1):
         rng = np.random.default_rng(5)
-        A = assemble_A(graphs.laplacian(topo1))
         z0 = rng.normal(size=8)
         atk = make_attack(rng, 4)
-        _, plain, _ = propagate_interval(A, z0, 0.0, 0.1, 2.0)
-        _, dormant, _ = propagate_interval(A, z0, 0.0, 0.1, 2.0, attack=atk, attack_active=False)
-        np.testing.assert_allclose(plain, dormant, atol=0.0)
+        late = attacks.ZdaAttack(atk.eta, 5.0, atk.g0, atk.delta_z0, atk.attacked)
+        plain = run_interval(topo1, z0, 0.1, 2.0)
+        dormant = run_interval(topo1, z0, 0.1, 2.0, attack=late)
+        np.testing.assert_allclose(plain.states, dormant.states, atol=0.0)
+        assert not dormant.attack_values.any()
+        assert not any(seg.attack_active for seg in dormant.segments)
 
     def test_invalid_steps_rejected(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
-        with pytest.raises(ValueError):
-            propagate_interval(A, np.zeros(8), 0.0, 0.1, -1.0)
-        with pytest.raises(ValueError):
-            propagate_interval(A, np.zeros(8), 0.0, 0.0, 1.0)
+        with pytest.raises(scheduling.ScheduleError, match="horizon"):
+            run_interval(topo1, np.zeros(8), 0.1, -1.0)
+        with pytest.raises(scheduling.ScheduleError, match="horizon"):
+            run_interval(topo1, np.zeros(8), 0.1, 0.0)
+        with pytest.raises(ValueError, match="dt"):
+            run_interval(topo1, np.zeros(8), 0.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_rk4_oracle(self, seed):
@@ -320,9 +342,7 @@ class TestPropagateInterval:
         atk = make_attack(rng, n)
         B = attack_injection(atk.attacked, n)
         duration = float(rng.uniform(1.0, 4.0))
-        _, states, _ = propagate_interval(
-            A, z0, 0.0, duration, duration, attack=atk, attack_active=True
-        )
+        states = run_interval(topo, z0, duration, duration, attack=atk).states
 
         def f(t, z):
             return A @ z + B @ np.real(atk.g0 * np.exp(atk.eta * t))
@@ -338,7 +358,8 @@ class TestPropagateInterval:
         drift at every sample, without taking any exponential itself."""
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(2, 7))
-        A = assemble_A(graphs.laplacian(random_connected_topology(rng, n)))
+        topo = random_connected_topology(rng, n)
+        A = assemble_A(graphs.laplacian(topo))
         z0 = rng.normal(size=2 * n)
         eta = {
             "real": rng.uniform(-0.5, 0.5),
@@ -351,12 +372,10 @@ class TestPropagateInterval:
             atk = attacks.ZdaAttack(eta, 0.0, g0, atk.delta_z0, atk.attacked)
         calls = count_expm(monkeypatch)
         dt, duration = 0.37, float(rng.uniform(2.0, 6.0))
-        times, states, _ = propagate_interval(
-            A, z0, 0.0, dt, duration, attack=atk, attack_active=True
-        )
+        tr = run_interval(topo, z0, dt, duration, attack=atk)
         assert calls == []
-        oracle = augmented_oracle(A, atk, z0, times)
-        rel = np.linalg.norm(states - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+        oracle = augmented_oracle(A, atk, z0, tr.times)
+        rel = np.linalg.norm(tr.states - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
         assert rel.max() <= 1e-11
 
     def test_exact_resonance_takes_the_exponential(self, monkeypatch):
@@ -368,8 +387,7 @@ class TestPropagateInterval:
         B = attack_injection(atk.attacked, 4)
         z0 = np.concatenate([np.full(4, 0.3), np.full(4, -0.1)])  # in consensus
         calls = count_expm(monkeypatch)
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=60.0)
-        tr = simulate([star], sched, z0, attack=atk, dt=0.5)
+        tr = run_interval(star, z0, 0.5, 60.0, attack=atk)
         assert len(calls) == len(tr.times) - 1
 
         def f(t, z):
@@ -384,16 +402,6 @@ class TestPropagateInterval:
         dis = consensus_error(tr)["pos_disagreement"]
         assert dis[tr.times >= 50.0].max() > 4.0 * dis[tr.times <= 10.0].max()
 
-    def test_rejects_drift_not_of_consensus_form(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
-        damped = A.copy()
-        damped[4:, 4:] = -np.eye(4)
-        skew = A.copy()
-        skew[4, 1] += 0.5
-        for bad in (damped, skew, A[:6, :6]):
-            with pytest.raises(ValueError):
-                propagate_interval(bad, np.ones(bad.shape[0]), 0.0, 0.1, 1.0)
-
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -401,31 +409,34 @@ class TestPropagateInterval:
         complex_rate=st.booleans(),
     )
     def test_semigroup_carries_the_attack_mode(self, seed, split, complex_rate):
-        """Propagating to a split point and on from there, with the attack
-        mode handed across, equals one propagation over the whole interval."""
+        """Handing the interval over to an identical copy at a split point,
+        with the attack active across it, ends where one interval ends."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
-        A = assemble_A(graphs.laplacian(random_connected_topology(rng, n)))
+        topo = random_connected_topology(rng, n)
         z0 = rng.normal(size=2 * n)
         eta = complex(0.1, 1.3) if complex_rate else 0.2
         atk = make_attack(rng, n, eta=eta)
         T = float(rng.uniform(1.0, 5.0))
         s = split * T
-        _, direct, end_mode = propagate_interval(A, z0, 0.0, T, T, atk, True)
-        _, first, mode = propagate_interval(A, z0, 0.0, s, s, atk, True)
-        _, second, mode = propagate_interval(A, first[-1], s, T - s, T - s, atk, True, mode)
-        rel = np.linalg.norm(direct[-1] - second[-1]) / np.linalg.norm(direct[-1])
+        direct = run_interval(topo, z0, T, T, attack=atk)
+        halves = run_split(topo, z0, T, [s], T, attack=atk)
+        assert [seg.attack_active for seg in halves.segments] == [True, True]
+        mu = np.exp(atk.eta * s)
+        mode = [mu.real, -mu.imag][: 1 + complex_rate]
+        np.testing.assert_allclose(halves.segments[1].mode0, mode)
+        end, split_end = direct.states[-1], halves.states[-1]
+        rel = np.linalg.norm(end - split_end) / np.linalg.norm(end)
         assert rel < 1e-10
-        np.testing.assert_allclose(mode, end_mode, rtol=1e-12)
 
     def test_semigroup_property(self, topo2):
         rng = np.random.default_rng(8)
-        A = assemble_A(graphs.laplacian(topo2))
         z0 = rng.normal(size=8)
-        _, direct, _ = propagate_interval(A, z0, 0.0, 3.0, 3.0)
-        _, first, _ = propagate_interval(A, z0, 0.0, 1.2, 1.2)
-        _, second, _ = propagate_interval(A, first[-1], 1.2, 1.8, 1.8)
-        rel = np.linalg.norm(direct[-1] - second[-1]) / np.linalg.norm(direct[-1])
+        direct = run_interval(topo2, z0, 3.0, 3.0)
+        halves = run_split(topo2, z0, 3.0, [1.2], 3.0)
+        assert halves.topology_ids.tolist() == [1, 1, 2]
+        end, split_end = direct.states[-1], halves.states[-1]
+        rel = np.linalg.norm(end - split_end) / np.linalg.norm(end)
         assert rel < 1e-10
 
 
@@ -433,6 +444,35 @@ class TestSimulate:
     def make_schedule(self, horizon=10.0):
         tau = np.pi / 2 + 0.2
         return scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(1, 47), min_size=1, max_size=4, unique=True),
+        start=st.sampled_from(["dormant", "inside", "active"]),
+        complex_rate=st.booleans(),
+    )
+    def test_split_instants_match_unsplit_run(self, seed, cuts, start, complex_rate):
+        """Switching between identical topologies at random lattice instants
+        changes no sample time and moves no state by more than 1e-12 per
+        row, relative, whether the attack is dormant throughout, starts
+        inside the horizon or is active from t = 0."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        topo = random_connected_topology(rng, n)
+        z0 = rng.normal(size=2 * n)
+        dt, horizon = 0.125, 6.0  # dyadic, so every lattice instant is exact
+        atk = make_attack(rng, n, eta=complex(0.1, 1.3) if complex_rate else None)
+        rho = {"dormant": horizon + 1.0, "inside": rng.integers(1, 48) * dt, "active": 0.0}[start]
+        atk = attacks.ZdaAttack(atk.eta, rho, atk.g0, atk.delta_z0, atk.attacked)
+        whole = run_interval(topo, z0, dt, horizon, attack=atk)
+        split = run_split(topo, z0, dt, [k * dt for k in sorted(cuts)], horizon, attack=atk)
+        assert len(split.segments) == len(whole.segments) + len(set(cuts) - {rho / dt})
+        np.testing.assert_array_equal(split.times, whole.times)
+        np.testing.assert_array_equal(split.attack_values, whole.attack_values)
+        gap = np.linalg.norm(split.states - whole.states, axis=1)
+        rel = gap / np.linalg.norm(whole.states, axis=1)
+        assert rel.max() <= 1e-12
 
     def test_consensus_manifold_invariant(self, topo1, topo2):
         sched = self.make_schedule()
@@ -541,9 +581,6 @@ class TestLattice:
         sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e4}, horizon=420.0)
         with pytest.raises(ValueError, match="samples"):
             simulate([topo1], sched, np.ones(8), dt=1e-12)
-        A = assemble_A(graphs.laplacian(topo1))
-        with pytest.raises(ValueError, match="samples"):
-            propagate_interval(A, np.ones(8), 0.0, 1e-12, 420.0)
 
     def test_expm_calls_bounded_by_segments(self, monkeypatch):
         """The plant is evaluated in closed modal form, with no exponential;
