@@ -10,14 +10,13 @@ it is rank-deficient), which synthesis computes rather than searches for.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scheduling import SwitchingSchedule
-from .simulation import EXPM_BLOCK_VALUES, assemble_A, assemble_C, attack_injection, expm
+from .simulation import assemble_A, assemble_C, attack_injection, expm
 
 __all__ = [
     "SynthesisError",
@@ -130,10 +129,6 @@ def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: comple
     return np.vstack([top, bot])
 
 
-def _stacked_pencil(A_list, B_K, C, eta) -> np.ndarray:
-    return np.vstack([rosenbrock_pencil(A, B_K, C, eta) for A in A_list])
-
-
 def _kernel_pair(A_list, B_K, C, eta, w_subspace=None):
     """Kernel vector of the stacked pencil with a nonzero signal part, split
     as (w, g) with the sign convention (w, -g) in the kernel.  None if the
@@ -142,7 +137,7 @@ def _kernel_pair(A_list, B_K, C, eta, w_subspace=None):
     With ``w_subspace`` (orthonormal columns) the state part w is restricted
     to that subspace, which pins pre-start invisibility when the kernel has
     extra directions."""
-    Z = _nullspace(_stacked_pencil(A_list, B_K, C, eta))
+    Z = _nullspace(np.vstack([rosenbrock_pencil(A, B_K, C, eta) for A in A_list]))
     if Z.shape[1] == 0:
         return None
     n2 = A_list[0].shape[0]
@@ -171,41 +166,55 @@ def _kernel_pair(A_list, B_K, C, eta, w_subspace=None):
 
 def _candidate_rates(A, B_K, U, target):
     """The target rate, then the finite zeros of the reduced pencil
-    [eta U - A U, B_K], destabilizing ones first and nearest the target next.
-    With B_K projected out the pencil is eta E - F; a staircase deflates
-    ker E until E has full column rank.  A rank-deficient F ker E means a
-    kernel at every eta, for which the target suffices."""
-    yield complex(target)
-    Q = _nullspace(B_K.T)
-    E, F = Q.T @ U, Q.T @ A @ U
-    while True:
+    [eta U - A U, B_K], destabilizing ones first and nearest the target next;
+    nothing when it has none.  Without the injected rows the pencil is
+    eta E - F, which a staircase (Van Dooren 1979) reduces until E is square
+    and invertible: it solves for the columns of ker E, and the rows of E's
+    left kernel L, free of eta, restrict the kernel to ker L^T F.  A
+    rank-deficient F ker E means a kernel at every eta; the target suffices."""
+    # B_K selects columns of the identity: its zero rows are the complement
+    keep = ~B_K.any(axis=1)
+    E, F = U[keep], (A @ U)[keep]
+    while E.shape[1]:
         N = _nullspace(E)
-        if N.shape[1] == 0:
-            break
-        FN = F @ N
-        if _nullspace(FN).shape[1] > 0:
+        if N.shape[1]:
+            if _nullspace(F @ N).shape[1]:
+                yield complex(target)
+                return
+            P, Y = _nullspace((F @ N).T), _nullspace(N.T)
+        elif (L := _nullspace(E.T)).shape[1]:
+            P, Y = _nullspace(L.T), _nullspace(L.T @ F)
+        else:
+            yield complex(target)
+            zeros = (complex(z) for z in np.linalg.eigvals(np.linalg.solve(E, F)))
+            yield from sorted(zeros, key=lambda e: (e.real <= 1e-12, abs(e - target)))
             return
-        P, Y = _nullspace(FN.T), _nullspace(N.T)
         E, F = P.T @ E @ Y, P.T @ F @ Y
-    zeros = (complex(z) for z in np.linalg.eigvals(np.linalg.pinv(E) @ F))
-    yield from sorted(zeros, key=lambda e: (e.real <= 1e-12, abs(e - target)))
 
 
 def _prefix_propagator(sched: SwitchingSchedule, A_by_id: dict, rho: float) -> np.ndarray:
     """State-transition matrix of the unattacked plant from 0 to rho under the
-    schedule, from stacked exponentials over the intervals before rho (one
-    stack unless they exceed EXPM_BLOCK_VALUES entries).  Raises ValueError
-    when rho lies beyond the schedule's horizon."""
+    schedule: one whole cycle's propagator raised to the number of whole
+    cycles before rho by binary powering, then the dwells of the incomplete
+    last cycle, all from one stacked exponential of the dwells before rho.
+    Raises ValueError when rho lies beyond the schedule's horizon."""
     if rho > sched.horizon:
         raise ValueError(f"attack start {rho:.6g} lies beyond the horizon {sched.horizon:.6g}")
-    prefix = itertools.takewhile(lambda iv: iv[0] < rho - 1e-12, sched.intervals())
-    spans = [(tid, min(t1, rho) - t0) for t0, t1, tid in prefix]
-    n2 = next(iter(A_by_id.values())).shape[0]
-    size = max(1, EXPM_BLOCK_VALUES // n2**2)
-    Phi = np.eye(n2)
-    for k in range(0, len(spans), size):
-        for E in expm(np.array([A_by_id[tid] * d for tid, d in spans[k : k + size]])):
-            Phi = E @ Phi
+    cycles, rest = divmod(rho, sched.period)
+    whole = [(tid, sched.dwell[tid]) for tid in sched.order] if cycles else []
+    spans, t0 = [], 0.0
+    for tid in sched.order:
+        spans.append((tid, min(sched.dwell[tid], rest - t0)))
+        t0 += sched.dwell[tid]
+        if t0 >= rest:
+            break
+    exps = expm(np.array([A_by_id[tid] * d for tid, d in whole + spans]))
+    cycle = np.eye(exps.shape[-1])
+    for E in exps[: len(whole)]:
+        cycle = E @ cycle
+    Phi = np.linalg.matrix_power(cycle, int(cycles))
+    for E in exps[len(whole) :]:
+        Phi = E @ Phi
     return Phi
 
 

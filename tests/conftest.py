@@ -77,6 +77,33 @@ def random_connected_topology(rng, n, id=1, lo=0.2, hi=2.0):
     return graphs.Topology(id=id, n=n, adjacency=a)
 
 
+def random_topology_set(rng):
+    """Two or three connected topologies on 3 to 5 agents, each reweighting
+    or cutting random links of a random base graph, with a random observed
+    set and every agent attacked."""
+    n = int(rng.integers(3, 6))
+    base = random_connected_topology(rng, n, id=1)
+    topos = [base]
+    target = int(rng.integers(2, 4))
+    tid = 2
+    while len(topos) < target:
+        a = base.adjacency.copy()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    if a[i, j] > 0 and rng.random() < 0.3:
+                        a[i, j] = a[j, i] = 0.0
+                    else:
+                        a[i, j] = a[j, i] = rng.uniform(0.2, 2.0)
+        t = graphs.Topology(id=tid, n=n, adjacency=a)
+        if graphs.spectrum(graphs.laplacian(t)).connected:
+            topos.append(t)
+            tid += 1
+    m_size = int(rng.integers(1, n))
+    M = tuple(sorted(rng.choice(np.arange(1, n + 1), size=m_size, replace=False)))
+    return topos, M, tuple(range(1, n + 1))
+
+
 # The scan oracles' own zero candidates, kept apart from the synthesis code
 # they check.
 def _invariant_zero_candidates(A_list, B_K, C) -> list:

@@ -17,7 +17,12 @@ import scipy.linalg
 
 from zdalab import attacks, graphs, observer, scheduling, simulation
 
-from conftest import K4_WEIGHTS, _invariant_zero_candidates, random_connected_topology
+from conftest import (
+    K4_WEIGHTS,
+    _invariant_zero_candidates,
+    random_connected_topology,
+    random_topology_set,
+)
 
 
 def report(num, desc, ok, detail=""):
@@ -87,30 +92,6 @@ def test_criterion_1_hurwitz_equivalence():
     assert elapsed < 30.0
 
 
-def _random_topology_set(rng):
-    n = int(rng.integers(3, 6))
-    base = random_connected_topology(rng, n, id=1)
-    topos = [base]
-    target = int(rng.integers(2, 4))
-    tid = 2
-    while len(topos) < target:
-        a = base.adjacency.copy()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    if a[i, j] > 0 and rng.random() < 0.3:
-                        a[i, j] = a[j, i] = 0.0
-                    else:
-                        a[i, j] = a[j, i] = rng.uniform(0.2, 2.0)
-        t = graphs.Topology(id=tid, n=n, adjacency=a)
-        if graphs.spectrum(graphs.laplacian(t)).connected:
-            topos.append(t)
-            tid += 1
-    m_size = int(rng.integers(1, n))
-    M = tuple(sorted(rng.choice(np.arange(1, n + 1), size=m_size, replace=False)))
-    return topos, M, tuple(range(1, n + 1))
-
-
 def _eta_scan(topos, M, K):
     from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
@@ -126,7 +107,7 @@ def _eta_scan(topos, M, K):
 
 
 def test_criterion_2_synthesis_iff_undetectable():
-    """Attack synthesis succeeds exactly when the difference-graph coverage
+    """Attack synthesis succeeds exactly when the exact detectability rank
     test fails, in agreement with a brute-force rate scan, on 200 random
     instances."""
     rng = np.random.default_rng(7)
@@ -134,7 +115,7 @@ def test_criterion_2_synthesis_iff_undetectable():
     agree = 0
     total = 200
     for _ in range(total):
-        topos, M, K = _random_topology_set(rng)
+        topos, M, K = random_topology_set(rng)
         detect_ok = graphs.detectability(topos, M).ok
         synth = attacks.synthesize(topos, M, K, rho=0.0)
         oracle = _eta_scan(topos, M, K)
@@ -142,7 +123,7 @@ def test_criterion_2_synthesis_iff_undetectable():
             agree += 1
     elapsed = time.time() - start
     ok = agree == total and elapsed < 300.0
-    report(2, "synthesis succeeds iff coverage test fails (scan oracle concurs)",
+    report(2, "synthesis succeeds iff detectability rank test fails (scan oracle concurs)",
            ok, f"{agree}/{total} in {elapsed:.1f}s")
     assert agree == total
     assert elapsed < 300.0

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zdalab import attacks, graphs, scheduling, simulation
 from zdalab.attacks import (
@@ -18,7 +19,7 @@ from zdalab.attacks import (
 )
 from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
-from conftest import _invariant_zero_candidates, random_connected_topology
+from conftest import _invariant_zero_candidates, random_connected_topology, random_topology_set
 
 
 def pbh_unobservable_dim(A, C, tol=1e-8):
@@ -248,6 +249,96 @@ class TestSynthesize:
         oracle = eta_scan_oracle(topos, M, K)
         assert (synth is not None) == oracle
         assert (synth is not None) == (not detect_ok)
+
+
+class TestCandidateRates:
+    def test_tall_pencil_without_zeros_evaluates_no_pencil(self, monkeypatch):
+        # Shaped like the scale-n64 benchmark: a random connected pair on 64
+        # agents, agent 1 observed, agents 2 and 3 attacked.  The reduced
+        # pencil eta E - F is tall, and E^+ F has 62 eigenvalues, all 0, that
+        # the pencil does not have; deflating E's left kernel proves there is
+        # no zero before any pencil is formed.
+        rng = np.random.default_rng(64)
+        pair = [random_connected_topology(rng, 64, id=k) for k in (1, 2)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return rosenbrock_pencil(*args)
+
+        monkeypatch.setattr(attacks, "rosenbrock_pencil", counted)
+        assert synthesize(pair, (1,), (2, 3)) is None
+        assert calls == []
+
+    def test_every_rate_but_the_target_is_a_zero_of_the_stacked_pencil(self):
+        # Criterion 2's instances with as many attacked agents as observed
+        # ones, drawn at random, so that some pencils have isolated zeros
+        rng = np.random.default_rng(11)
+        zeros = no_rate = 0
+        for _ in range(100):
+            topos, M, _ = random_topology_set(rng)
+            n = topos[0].n
+            K = tuple(sorted(rng.choice(np.arange(1, n + 1), size=len(M), replace=False)))
+            A_list = [assemble_A(graphs.laplacian(t)) for t in topos]
+            C, B = assemble_C(M, n), attack_injection(K, n)
+            U = attacks._nullspace(np.vstack([C] + [A - A_list[0] for A in A_list[1:]]))
+            rates = list(attacks._candidate_rates(A_list[0], B, U, 0.05))
+            for eta in rates[1:]:
+                stacked = np.vstack([rosenbrock_pencil(A, B, C, eta) for A in A_list])
+                s = np.linalg.svd(stacked, compute_uv=False)
+                assert s[-1] / s[0] < 1e-8, (eta, s[-1] / s[0])
+                zeros += 1
+            if not rates:
+                # a pencil without zeros has no kernel at any scanned rate
+                assert not eta_scan_oracle(topos, M, K)
+                no_rate += 1
+        assert zeros >= 10 and no_rate >= 10
+
+
+def interval_product(sched, A_by_id, rho):
+    """Oracle: scipy's exponential of every schedule interval before rho,
+    multiplied one at a time."""
+    Phi = np.eye(8)
+    for t0, t1, tid in sched.intervals():
+        if t0 >= rho:
+            break
+        Phi = scipy.linalg.expm(A_by_id[tid] * (min(t1, rho) - t0)) @ Phi
+    return Phi
+
+
+class TestPrefixPropagator:
+    @pytest.fixture
+    def A_by_id(self, topo1, topo2, topo3):
+        return {t.id: assemble_A(graphs.laplacian(t)) for t in (topo1, topo2, topo3)}
+
+    TWO = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=1000.0)
+    THREE = scheduling.SwitchingSchedule(
+        order=(3, 1, 2), dwell={1: 1.1, 2: 0.6, 3: 0.9}, horizon=200.0
+    )
+    ENDLESS = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1e308}, horizon=60.0)
+
+    @pytest.mark.parametrize(
+        "sched, rho",
+        [
+            (TWO, 0.5),
+            (TWO, TWO.switch_times[5]),
+            (TWO, 4 * TWO.period),
+            # 493 cycles, over which the pair's flow grows to a norm of 5e112;
+            # the oracle's switch instants, rounded near t = 1000, move its
+            # product ~7e-12 away from the product of exact dwells
+            (TWO, 987.3),
+            (THREE, 37.45),
+            (THREE, THREE.switch_times[7]),
+            # the second dwell reaches past rho and is never taken whole
+            (ENDLESS, 50.0),
+        ],
+        ids=["first-dwell", "switch-instant", "whole-periods", "many-cycles", "three-topologies",
+             "three-switch-instant", "endless-dwell"],
+    )
+    def test_matches_interval_by_interval_product(self, A_by_id, sched, rho):
+        Phi = attacks._prefix_propagator(sched, A_by_id, rho)
+        oracle = interval_product(sched, A_by_id, rho)
+        assert np.linalg.norm(Phi - oracle) <= 1e-11 * np.linalg.norm(oracle)
 
 
 class TestSignalsAndPrediction:
