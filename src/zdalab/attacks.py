@@ -59,6 +59,9 @@ class ZdaAttack:
     def __post_init__(self):
         g0 = np.asarray(self.g0)
         dz = np.asarray(self.delta_z0, dtype=float)
+        if not (np.isfinite(self.eta) and np.isfinite(self.rho)
+                and np.isfinite(g0).all() and np.isfinite(dz).all()):
+            raise ValueError("attack eta, rho, g0 and delta_z0 must be finite")
         if self.rho < 0.0:
             raise ValueError("attack start time must be nonnegative")
         if not np.any(np.abs(g0) > 0.0):

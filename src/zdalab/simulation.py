@@ -8,7 +8,11 @@ from the interval's start, with no discretization error and no stepping.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -478,7 +482,9 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     """Write the trace as CSV with deterministic 17-significant-digit
     formatting.  Columns: t, topology, x*, v*, y*, r*, attack*.  Rows are
     formatted by one format string per block of about CSV_BLOCK_VALUES
-    values."""
+    values.  A trace of two or more blocks, in a process that may run on two
+    CPUs, is split at a block boundary near its middle: a forked child writes
+    the second half to a temporary file that the parent appends to its own."""
     cols = ["t", "topology"] + [f"{c}{i}" for c in "xv" for i in range(1, tr.n + 1)]
     cols += [f"y{i}" for i in tr.observed]
     parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.outputs]
@@ -489,9 +495,35 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     parts.append(tr.attack_values)
     row = "%.17g,%d" + ",%.17g" * (len(cols) - 2) + "\n"
     rows = max(1, CSV_BLOCK_VALUES // len(cols))
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(0, len(tr.times), rows):
+
+    def write(fh, start, stop):
+        for k in range(start, stop, rows):
             block = np.hstack([p[k : k + rows] for p in parts]).ravel().tolist()
             block[1 :: len(cols)] = tr.topology_ids[k : k + rows].tolist()  # exact ints
             fh.write(row * (len(block) // len(cols)) % tuple(block))
+
+    total = len(tr.times)
+    half = -(-total // (2 * rows)) * rows  # the first block boundary at or past the middle
+    with open(path, "w") as fh, contextlib.ExitStack() as stack:
+        fh.write(",".join(cols) + "\n")
+        pid = None
+        if half < total and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            with contextlib.suppress(OSError):  # no fork: the parent writes every row
+                tail = stack.enter_context(tempfile.TemporaryFile("w+"))
+                pid = os.fork()
+        if pid == 0:  # the child writes the second half and never returns
+            try:
+                write(tail, half, total)
+                tail.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            write(fh, 0, half if pid else total)
+        finally:
+            status = pid and os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError(f"trace writer child exited with code {os.waitstatus_to_exitcode(status)}")
+        if pid:
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the 4-agent topology family used across tests.
+"""Shared fixtures: the 4-agent topology family used across tests, and a
+check after every test that it left no child process.
 
 Topologies 1 and 2 disagree only on links among agents {1, 3, 4}, leaving
 agent 2's links untouched, so with agent 1 observed the pair is undetectable.
@@ -6,11 +7,25 @@ Topology 3 changes the (2, 3) link, making the union difference graph
 connected; the set {1, 2, 3} is still undetectable, because the direction
 e2 + e3 - e4 cancels every Laplacian difference.
 """
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from zdalab import graphs
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Every test reaps the processes it starts, the trace writer's forked
+    child included, whether the writer returns or raises."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
 
 
 @pytest.fixture(scope="session")

@@ -257,6 +257,7 @@ def _observer(**keys):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestExitCodes:
@@ -321,6 +322,43 @@ class TestExitCodes:
         doc["attack"] = {"synthesize": True}
         return doc
 
+    @pytest.fixture(scope="class")
+    def attack_object(self):
+        """The stealth scenario's synthesized attack, as an attack file holds it."""
+        return json.loads(attacks.attack_to_json(*scenario.synthesize_for(load_scenario(stealth_doc()))))
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [(None, None), (("eta", "re"), NAN), (("eta", "im"), INF), (("rho",), INF),
+         (("rho",), NAN), (("g0", "re", 0), -INF), (("g0", "im", 1), NAN),
+         (("delta_z0", 0), INF), (("delta_z0", 7), NAN)],
+        ids=["unchanged", "eta-re-nan", "eta-im-inf", "rho-inf", "rho-nan", "g0-re-inf",
+             "g0-im-nan", "delta-z0-inf", "delta-z0-nan"],
+    )
+    def test_non_finite_attack_object_exits_two(self, tmp_path, capsys, attack_object,
+                                                source, path, value):
+        """json.loads accepts NaN and Infinity, so the attack itself rejects
+        them; the unchanged attack runs."""
+        atk = copy.deepcopy(attack_object)
+        if path is not None:
+            box = atk
+            for key in path[:-1]:
+                box = box[key]
+            box[path[-1]] = value
+        if source == "file":
+            (tmp_path / "attack.json").write_text(json.dumps(atk))
+            atk = "attack.json"
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(stealth_doc(attack=atk)))
+        code = cli.main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if path is None:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert err.startswith("scenario error: ") and "finite" in err
+
     @pytest.mark.parametrize("case, code", [("no-dwell", 2), ("no-attack", 3), ("overflow", 4)])
     def test_sweep_exits_as_run_when_every_m_fails(self, tmp_path, monkeypatch, case, code):
         doc = stealth_doc(dwell=None) if case == "no-dwell" else self.undetected_k4_doc()
@@ -384,6 +422,21 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-c", code] + argv,
             capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_cli_import_loads_no_process_pool(self):
+        """The trace writer forks with os alone: a fresh interpreter's
+        `import zdalab.cli` loads neither multiprocessing nor
+        concurrent.futures, each of which costs milliseconds to import."""
+        code = (
+            "import sys, zdalab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,8 @@
+import contextlib
 import math
+import os
+import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -624,6 +628,60 @@ class TestLattice:
             np.testing.assert_allclose(seg.Eta, [[0.05, 0.7], [-0.7, 0.05]])
 
 
+def counting_fork(calls, fork=os.fork):
+    """An os.fork that records each call in ``calls``."""
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    return counted
+
+
+@contextlib.contextmanager
+def closes_its_files():
+    """Fails when the block leaves a descriptor open, or leaves a file
+    object for the garbage collector to close."""
+
+    def lowest_free_fd() -> int:
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    fd = lowest_free_fd()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert lowest_free_fd() == fd
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """The trace writer's os.fork calls, in a process that may run on two
+    CPUs and keeps its temporary files in tmp_path / "tmp"."""
+    calls = []
+    monkeypatch.setattr(os, "fork", counting_fork(calls))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def stealth_trace():
+    """A 3,001-row run of the stealth scenario, with residuals a billionth
+    of its outputs."""
+    from test_scenario_cli import stealth_doc
+
+    sc = scenario.load_scenario(stealth_doc())
+    atk, _ = scenario.synthesize_for(sc)
+    z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+    sched = scenario.build_schedule(sc)
+    tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02, observed=sc.observed)
+    return tr, tr.outputs * 1e-9
+
+
 class TestTraceExports:
     def test_consensus_error_examples(self):
         tr = simulation.Trace(
@@ -652,28 +710,93 @@ class TestTraceExports:
         assert header == "t,topology,x1,x2,x3,x4,v1,v2,v3,v4,y1"
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_writer_matches_row_writer_on_simulated_trace(self, tmp_path):
-        """A stealth run of 3,001 rows spans more than two default blocks."""
-        from test_scenario_cli import stealth_doc
-
-        sc = scenario.load_scenario(stealth_doc())
-        atk, _ = scenario.synthesize_for(sc)
-        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
-        sched = scenario.build_schedule(sc)
-        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02, observed=sc.observed)
+    def test_writer_matches_row_writer_on_simulated_trace(self, tmp_path, stealth_trace, forks):
+        """A stealth run of 3,001 rows spans more than two default blocks,
+        so the writer forks once; no temporary file or descriptor is left."""
+        tr, res = stealth_trace
         cols = 2 + tr.states.shape[1] + 2 * len(tr.observed) + len(tr.attacked)
         assert len(tr.times) > 2 * (simulation.CSV_BLOCK_VALUES // cols)
-        res = tr.outputs * 1e-9
-        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        with closes_its_files():
+            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        assert len(forks) == 1
+        assert not any((tmp_path / "tmp").iterdir())
         trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_one_cpu_writes_serially(self, tmp_path, stealth_trace, forks, monkeypatch):
+        """With one CPU to run on, the parent writes every row itself."""
+        tr, res = stealth_trace
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        assert forks == []
+        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failed_fork_writes_serially(self, tmp_path, stealth_trace, forks, monkeypatch):
+        """A fork refused for want of processes falls back to the serial write."""
+        tr, res = stealth_trace
+
+        def fork():
+            forks.append(None)
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        assert len(forks) == 1
+        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failing_child_raises_after_it_is_reaped(self, tmp_path, stealth_trace, forks,
+                                                      monkeypatch):
+        """A child that dies before writing its half is an OSError, raised
+        after the temporary file is closed (and, as conftest checks after
+        every test, the child reaped)."""
+        tr, res = stealth_trace
+        counted = os.fork
+
+        def fork():
+            pid = counted()
+            if pid == 0:
+                os._exit(3)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with closes_its_files(), pytest.raises(OSError, match="exited with code 3"):
+            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        assert len(forks) == 1
+        assert not any((tmp_path / "tmp").iterdir())
+
+    def test_error_in_parent_half_reaps_the_child(self, tmp_path, stealth_trace, forks,
+                                                  monkeypatch):
+        """An exception in the parent's half propagates after the temporary
+        file is closed (and, as conftest checks, the child reaped)."""
+        tr, res = stealth_trace
+        counted, hstack, children = os.fork, np.hstack, []
+
+        def fork():
+            pid = counted()
+            children.append(pid)
+            return pid
+
+        def parent_hstack(*args, **kwargs):
+            # the child's copy of `children` holds only its own 0
+            if any(children):
+                raise RuntimeError("parent half failed")
+            return hstack(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(simulation.np, "hstack", parent_hstack)
+        with closes_its_files(), pytest.raises(RuntimeError, match="parent half failed"):
+            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+        assert len(forks) == 1
+        assert not any((tmp_path / "tmp").iterdir())
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_writer_matches_row_writer(self, tmp_path_factory, data):
         """Byte-identical to the row-at-a-time writer on edge values, output
         and attack widths, with and without residuals, and on one to many
-        blocks of rows."""
+        blocks of rows, so on both sides of the writer's fork."""
         edge = st.sampled_from(
             [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
              1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e16, 0.1, 1 / 3]
@@ -702,7 +825,13 @@ class TestTraceExports:
         block = data.draw(st.integers(1, 64))
         out = tmp_path_factory.getbasetemp() / "csv"
         out.mkdir(exist_ok=True)
-        with mock.patch.object(simulation, "CSV_BLOCK_VALUES", block):
+        forks = []
+        with mock.patch.object(simulation, "CSV_BLOCK_VALUES", block), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+                mock.patch.object(os, "fork", counting_fork(forks)):
             simulation.trace_to_csv(tr, out / "new.csv", residuals=residuals)
+        # one block is written serially, two or more split across a fork
+        cols = 2 + 2 * n + width * (1 + (residuals is not None)) + len(attacked)
+        assert len(forks) == (rows > max(1, block // cols))
         trace_to_csv_oracle(tr, out / "old.csv", residuals=residuals)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
