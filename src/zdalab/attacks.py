@@ -6,7 +6,8 @@ discrepancy starts in the common unobservable subspace and, from the start
 time on, the pair (discrepancy, -g0) sits in the kernel of the system pencil
 [[eta I - A, B], [-C, 0]] for every topology the attacker expects to face.
 Such attacks exist only at that stacked pencil's zeros (at every rate when
-it is rank-deficient), which synthesis computes rather than searches for.
+it is rank-deficient).  Synthesis finds the zeros and the kernel in one
+reduced pencil; only the certificate evaluates each topology's full pencil.
 """
 from __future__ import annotations
 
@@ -104,15 +105,24 @@ def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _nullspace(M: np.ndarray, rtol: float = _SVD_RTOL) -> np.ndarray:
+def _rank(s: np.ndarray) -> int:
+    """Number of singular values above _SVD_RTOL relative to max(s_max, 1)."""
+    return int(np.sum(s > _SVD_RTOL * np.max(s, initial=1.0)))
+
+
+def _nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis by singular-value thresholding."""
-    if M.size == 0:
-        return np.eye(M.shape[1])
     # a tall M needs only the thin V^H; a fat one needs all of V^H for its kernel
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
-    return Vh[rank:].conj().T
+    return Vh[_rank(s):].conj().T
+
+
+def _spaces(M: np.ndarray):
+    """Orthonormal bases of the range, left kernel, row space and kernel of a
+    real M, all from one full SVD."""
+    Q, s, Vh = np.linalg.svd(M)
+    r = _rank(s)
+    return Q[:, :r], Q[:, r:], Vh[:r].T, Vh[r:].T
 
 
 def unobservable_subspace(A_list, C: np.ndarray) -> np.ndarray:
@@ -132,39 +142,21 @@ def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: comple
     return np.vstack([top, bot])
 
 
-def _kernel_pair(A_list, B_K, C, eta, w_subspace=None):
-    """Kernel vector of the stacked pencil with a nonzero signal part, split
-    as (w, g) with the sign convention (w, -g) in the kernel.  None if the
-    kernel carries no usable signal component.
-
-    With ``w_subspace`` (orthonormal columns) the state part w is restricted
-    to that subspace, which pins pre-start invisibility when the kernel has
-    extra directions."""
-    Z = _nullspace(np.vstack([rosenbrock_pencil(A, B_K, C, eta) for A in A_list]))
-    if Z.shape[1] == 0:
-        return None
-    n2 = A_list[0].shape[0]
-    if w_subspace is not None:
-        U = w_subspace
-        off = Z[:n2, :] - U @ (U.conj().T @ Z[:n2, :])
-        Cb = _nullspace(off, 1e-8)
-        if Cb.shape[1] == 0:
-            return None
-        Z = Z @ Cb
-    G = Z[n2:, :]
-    _, s, Vh = np.linalg.svd(G, full_matrices=False)
+def _kernel_pair(A1, B_K, U, eta):
+    """Kernel vector (w, -g) of the stacked pencil with the largest signal
+    part, split as (w, g).  Its state part is w = U a for a kernel vector
+    (a, -g) of the reduced pencil [eta U - A1 U, B_K], so a real eta gives a
+    real pair.  None when the kernel carries no signal, or when its state
+    part vanishes, which happens only for |eta| far above the norm of A1."""
+    Z = _nullspace(np.hstack([eta * U - A1 @ U, B_K]))
+    d = U.shape[1]
+    _, s, Vh = np.linalg.svd(Z[d:], full_matrices=False)
     if len(s) == 0 or s[0] <= 1e-8:
         return None
     v = Z @ Vh[0].conj()
-    if np.linalg.norm(v[:n2]) <= 1e-10 * np.linalg.norm(v):
-        # the max-signal combination has no state discrepancy; mix in a
-        # kernel direction that does carry one
-        W = Z[:n2, :]
-        _, sw, Vwh = np.linalg.svd(W, full_matrices=False)
-        if len(sw) == 0 or sw[0] <= 1e-10:
-            return None
-        v = v + Z @ Vwh[0].conj()
-    return v[:n2], -v[n2:]
+    if np.linalg.norm(v[:d]) <= 1e-10:
+        return None
+    return U @ v[:d], -v[d:]
 
 
 def _candidate_rates(A, B_K, U, target):
@@ -179,14 +171,14 @@ def _candidate_rates(A, B_K, U, target):
     keep = ~B_K.any(axis=1)
     E, F = U[keep], (A @ U)[keep]
     while E.shape[1]:
-        N = _nullspace(E)
+        R, L, Y, N = _spaces(E)
         if N.shape[1]:
-            if _nullspace(F @ N).shape[1]:
+            _, P, _, ker_FN = _spaces(F @ N)
+            if ker_FN.shape[1]:
                 yield complex(target)
                 return
-            P, Y = _nullspace((F @ N).T), _nullspace(N.T)
-        elif (L := _nullspace(E.T)).shape[1]:
-            P, Y = _nullspace(L.T), _nullspace(L.T @ F)
+        elif L.shape[1]:
+            P, Y = R, _nullspace(L.T @ F)
         else:
             yield complex(target)
             zeros = (complex(z) for z in np.linalg.eigvals(np.linalg.solve(E, F)))
@@ -234,9 +226,11 @@ def synthesize(
     The state part w of every kernel vector (w, -g) lies in the subspace U
     where C w = 0 and (A_r - A_1) w = 0 for all r (inside the back-propagated
     unobservable subspace when ``rho > 0``); an empty U admits no attack.
-    Otherwise the rates of ``_candidate_rates`` are certified in turn: the
-    target ``eta_target`` (0.05 when None), then the reduced pencil's zeros,
-    which may be complex.  For ``rho > 0`` a ``schedule_prefix`` must be
+    Otherwise the rates of ``_candidate_rates`` are tried in turn: the target
+    ``eta_target`` (0.05 when None), then the reduced pencil's zeros, which
+    may be complex.  Each rate's kernel comes from the reduced pencil
+    [eta U - A_1 U, B_K], and its certificate from every topology's full
+    pencil.  For ``rho > 0`` a ``schedule_prefix`` must be
     supplied, the rate must be real, and the discrepancy back-propagated to
     time zero must land in the common unobservable subspace.
 
@@ -257,7 +251,7 @@ def synthesize(
     C = assemble_C(M, n)
     B_K = attack_injection(K, n)
 
-    w_subspace = None
+    W = np.eye(2 * n)
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
@@ -267,9 +261,8 @@ def synthesize(
                 "no stealthy prefix possible: common unobservable subspace is trivial"
             )
         Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
-        w_subspace, _ = np.linalg.qr(Phi @ V)
+        W, _ = np.linalg.qr(Phi @ V)
 
-    W = np.eye(2 * n) if w_subspace is None else w_subspace
     U = W @ _nullspace(np.vstack([C] + [A - A_list[0] for A in A_list[1:]]) @ W)
     if U.shape[1] == 0:
         return None
@@ -280,39 +273,29 @@ def synthesize(
         if any(abs(eta - p) < 1e-9 for p in seen):
             continue
         seen.append(eta)
-        if rho > 0.0 and abs(eta.imag) > 1e-12:
+        if abs(eta.imag) < 1e-12:
+            eta = eta.real
+        elif rho > 0.0:
             continue
-        pair = _kernel_pair(A_list, B_K, C, eta, w_subspace=w_subspace)
+        pair = _kernel_pair(A_list[0], B_K, U, eta)
         if pair is None:
             continue
         w, g = pair
-        if abs(eta.imag) < 1e-12:
-            # rotate a (numerically) real kernel vector onto the real axis
-            phase = np.exp(-1j * np.angle(w[np.argmax(np.abs(w))]))
-            w = (w * phase).real.astype(float)
-            g = (g * phase).real
-            if np.max(np.abs(g)) <= 1e-10:
-                continue
-            eta = complex(eta.real, 0.0)
 
         if rho > 0.0:
             delta_z0 = np.linalg.solve(Phi, w)
             proj = V @ (V.conj().T @ delta_z0)
             obs_res = float(np.linalg.norm(delta_z0 - proj) / np.linalg.norm(delta_z0))
-            if obs_res > CERT_TOL:
-                continue
         else:
-            delta_z0 = w.real if np.iscomplexobj(w) else w
+            delta_z0 = w.real
             if np.max(np.abs(delta_z0)) <= 1e-10:
                 continue
             obs_res = 0.0
 
         scale = 1e-2 / np.max(np.abs(g))
         g0 = g * scale
-        delta_z0 = np.asarray(delta_z0, dtype=float) * scale
-        w_s = w * scale
-
-        vec = np.concatenate([w_s, -g0])
+        delta_z0 = delta_z0 * scale
+        vec = np.concatenate([w * scale, -g0])
         residuals = tuple(
             float(
                 np.linalg.norm(rosenbrock_pencil(A, B_K, C, eta) @ vec)

@@ -1,7 +1,7 @@
 """Command-line harness: validate, run, synthesize, and sweep scenarios.
 
-Exit codes: 0 success, 2 scenario invalid or unparseable, 3 no stealthy
-attack exists, 4 numeric failure.
+Exit codes: 0 success, 2 scenario invalid or unparseable or an output that
+cannot be written (OSError), 3 no stealthy attack exists, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ def _fail(exc: Exception) -> int:
         label, code = "synthesis failed", EXIT_NO_ATTACK
     elif isinstance(exc, simulation.SimulationError):
         label, code = "numeric failure", EXIT_NUMERIC
+    elif isinstance(exc, OSError):
+        label, code = "output error", EXIT_INVALID
     else:  # ScheduleError, GraphError, the work caps
         label, code = "scenario error", EXIT_INVALID
     print(f"{label}: {exc}", file=sys.stderr)
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (simulation.SimulationError, ValueError) as exc:
+    except (simulation.SimulationError, ValueError, OSError) as exc:
         return _fail(exc)
 
 

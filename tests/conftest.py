@@ -119,8 +119,20 @@ def random_topology_set(rng):
     return topos, M, tuple(range(1, n + 1))
 
 
-# The scan oracles' own zero candidates, kept apart from the synthesis code
-# they check.
+# The scan oracles' own kernel test and zero candidates, kept apart from the
+# synthesis code they check.
+def stacked_pencil_has_attack(A_list, B_K, C, eta) -> bool:
+    """Whether the kernel of the stacked pencil [[eta I - A_r, B_K], [-C, 0]]
+    over every A_r in the list holds a vector with a nonzero signal part."""
+    n2 = A_list[0].shape[0]
+    rows = []
+    for A in A_list:
+        rows.append(np.hstack([eta * np.eye(n2) - A, B_K]))
+        rows.append(np.hstack([-C, np.zeros((C.shape[0], B_K.shape[1]))]))
+    Z = scipy.linalg.null_space(np.vstack(rows))
+    return Z.shape[1] > 0 and np.linalg.norm(Z[n2:], 2) > 1e-8
+
+
 def _invariant_zero_candidates(A_list, B_K, C) -> list:
     """Finite generalized eigenvalues of each square single-topology pencil.
 

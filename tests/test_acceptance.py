@@ -22,6 +22,7 @@ from conftest import (
     _invariant_zero_candidates,
     random_connected_topology,
     random_topology_set,
+    stacked_pencil_has_attack,
 )
 
 
@@ -101,9 +102,7 @@ def _eta_scan(topos, M, K):
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, 100))
     candidates += _invariant_zero_candidates(A_list, B, C)
-    return any(
-        attacks._kernel_pair(A_list, B, C, complex(e)) is not None for e in candidates
-    )
+    return any(stacked_pencil_has_attack(A_list, B, C, e) for e in candidates)
 
 
 def test_criterion_2_synthesis_iff_undetectable():

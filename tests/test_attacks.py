@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from zdalab.attacks import (
 )
 from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
-from conftest import _invariant_zero_candidates, random_connected_topology, random_topology_set
+from conftest import (
+    _invariant_zero_candidates,
+    random_connected_topology,
+    random_topology_set,
+    stacked_pencil_has_attack,
+)
 
 
 def pbh_unobservable_dim(A, C, tol=1e-8):
@@ -48,7 +54,7 @@ def eta_scan_oracle(topos, M, K, grid_points=100):
     candidates = list(np.linspace(0.01, 2.0, grid_points))
     candidates += _invariant_zero_candidates(A_list, B, C)
     for eta in candidates:
-        if attacks._kernel_pair(A_list, B, C, complex(eta)) is not None:
+        if stacked_pencil_has_attack(A_list, B, C, eta):
             return True
     return False
 
@@ -129,6 +135,20 @@ class TestSynthesize:
         atk, cert = synthesize([topo1, topo2], (1,), (1, 2, 3, 4), eta_target=0.137)
         assert cert.valid
         assert atk.eta == 0.137
+
+    @pytest.mark.parametrize("rho", [0.0, 20.0])
+    @pytest.mark.parametrize("eta", [1e8, -1e8, 1e12, 1e200, 1e308, -1e308])
+    def test_extreme_target_rate(self, topo1, topo2, rho, eta):
+        """A finite target far above the norm of A gives no attack or a valid
+        one, without a floating-point warning on the way: the kernel's state
+        part shrinks like 1/|eta| and vanishes in double precision."""
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=60.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=rho,
+                                schedule_prefix=sched, eta_target=eta)
+        assert result is None or result[1].valid
 
     def test_attack_at_imaginary_zeros_only(self):
         # The two stars differ only in edge 2-3.  With agent 1 observed and

@@ -379,6 +379,18 @@ class TestExitCodes:
         assert set(table) == {"1", "2"}
         assert all("error" in entry for entry in table.values())
 
+    @pytest.mark.parametrize("verb", ["run", "synthesize"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, verb):
+        """An --out below a regular file cannot be made: os.makedirs raises
+        NotADirectoryError, an OSError, which exits 2 on one line."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc()))
+        (tmp_path / "file").write_text("")
+        argv = [verb, "--scenario", str(path), "--out", str(tmp_path / "file" / "sub")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_synthesized_attack_file_is_strict_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(stealth_doc()))
