@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import RANK_RTOL, detection_matrix, laplacian
 from .scheduling import SwitchingSchedule
 from .simulation import assemble_A, assemble_C, attack_injection, expm
 
@@ -32,7 +33,6 @@ __all__ = [
     "attack_from_json",
 ]
 
-_SVD_RTOL = 1e-10
 # largest relative pencil and observability residual a certified attack has
 CERT_TOL = 1e-8
 
@@ -106,8 +106,8 @@ def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _rank(s: np.ndarray) -> int:
-    """Number of singular values above _SVD_RTOL relative to max(s_max, 1)."""
-    return int(np.sum(s > _SVD_RTOL * np.max(s, initial=1.0)))
+    """Number of singular values above RANK_RTOL relative to max(s_max, 1)."""
+    return int(np.sum(s > RANK_RTOL * np.max(s, initial=1.0)))
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
@@ -223,23 +223,24 @@ def synthesize(
 ):
     """Synthesize a stealthy attack against every topology in ``S_stealth``.
 
-    The state part w of every kernel vector (w, -g) lies in the subspace U
-    where C w = 0 and (A_r - A_1) w = 0 for all r (inside the back-propagated
-    unobservable subspace when ``rho > 0``); an empty U admits no attack.
-    Otherwise the rates of ``_candidate_rates`` are tried in turn: the target
-    ``eta_target`` (0.05 when None), then the reduced pencil's zeros, which
-    may be complex.  Each rate's kernel comes from the reduced pencil
-    [eta U - A_1 U, B_K], and its certificate from every topology's full
-    pencil.  For ``rho > 0`` a ``schedule_prefix`` must be
-    supplied, the rate must be real, and the discrepancy back-propagated to
-    time zero must land in the common unobservable subspace.
+    The state part w = (x, v) of every kernel vector (w, -g) lies in a
+    subspace U: C w = 0 and (A_r - A_1) w = 0 put its positions x in the
+    kernel of N = ``detection_matrix(S_stealth, M)``, and the pencil's
+    position rows fix v = eta x.  At ``rho = 0``, U = blkdiag(ker N, I), and
+    an empty ker N admits no attack, since x = 0 forces w = 0.  For
+    ``rho > 0`` a ``schedule_prefix`` must be supplied, the rate must be
+    real, and w must also lie in the common unobservable subspace propagated
+    to ``rho``; with W its orthonormal basis, U = W ker(N W_x), W_x being
+    W's position rows, and an empty U admits no attack.  Otherwise the rates
+    of ``_candidate_rates`` are tried in turn: the target ``eta_target``
+    (0.05 when None), then the reduced pencil's zeros, which may be complex.
+    Each rate's kernel comes from the reduced pencil [eta U - A_1 U, B_K],
+    and its certificate from every topology's full pencil.
 
     Returns (ZdaAttack, StealthCertificate) for the first certified rate, or
     None when there is none (the detectability condition of the topology
     set blocks every attack).
     """
-    from .graphs import laplacian
-
     S_stealth = list(S_stealth)
     if not S_stealth:
         raise ValueError("stealth topology set must be nonempty")
@@ -251,7 +252,7 @@ def synthesize(
     C = assemble_C(M, n)
     B_K = attack_injection(K, n)
 
-    W = np.eye(2 * n)
+    N = detection_matrix(S_stealth, M)
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
@@ -262,8 +263,12 @@ def synthesize(
             )
         Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
         W, _ = np.linalg.qr(Phi @ V)
-
-    U = W @ _nullspace(np.vstack([C] + [A - A_list[0] for A in A_list[1:]]) @ W)
+        U = W @ _nullspace(N @ W[:n])
+    else:
+        X = _nullspace(N)
+        if X.shape[1] == 0:
+            return None
+        U = np.block([[X, np.zeros((n, n))], [np.zeros((n, X.shape[1])), np.eye(n)]])
     if U.shape[1] == 0:
         return None
     target = 0.05 if eta_target is None else eta_target

@@ -1,5 +1,5 @@
-"""Weighted undirected topologies, Laplacian spectra, and difference-graph
-machinery for switched multi-agent networks.
+"""Weighted undirected topologies, Laplacian spectra, and the detectability
+test for switched multi-agent networks.
 
 Agent ids are 1-based everywhere in the public interface; adjacency matrices
 are indexed 0-based internally.
@@ -15,21 +15,19 @@ import numpy as np
 __all__ = [
     "Topology",
     "LaplacianSpectrum",
-    "DiffGraph",
-    "ComponentPartition",
     "DetectabilityReport",
     "RatioCertificate",
     "laplacian",
     "spectrum",
-    "difference_graph",
-    "union_difference_graph",
-    "components",
+    "detection_matrix",
     "detectability",
     "has_distinct_eigenvalues",
     "rational_ratio_certificate",
 ]
 
 
+# a matrix's rank counts its singular values above RANK_RTOL * max(1, sigma_max)
+RANK_RTOL = 1e-10
 # a Laplacian is connected when lambda_2 exceeds CONNECTED_RTOL * max(1, ||L||_2)
 CONNECTED_RTOL = 1e-9
 # two topologies differ on a link whose weights differ by more than WEIGHT_TOL
@@ -91,30 +89,10 @@ class LaplacianSpectrum:
 
 
 @dataclass(frozen=True)
-class DiffGraph:
-    """Unweighted graph marking where two (or more) topologies disagree."""
-
-    n: int
-    vertices: frozenset
-    edges: frozenset  # of (i, j) pairs, i < j, 1-based
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Maximal connected subgraphs; isolated vertices are trivial components."""
-
-    components: tuple  # of frozensets of 1-based agent ids
-
-    @property
-    def d(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
 class DetectabilityReport:
     ok: bool
-    uncovered: tuple  # components (frozensets) with no observed agent
-    margin: float  # smallest singular value of the stacked kernel matrix N
+    uncovered: tuple  # difference-graph components (frozensets) with no observed agent
+    margin: float  # smallest singular value of N = detection_matrix(S, M)
 
 
 @dataclass(frozen=True)
@@ -150,76 +128,46 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs, connected=connected)
 
 
-def difference_graph(r: Topology, s: Topology) -> DiffGraph:
-    """Edges where the two topologies' weights differ by more than WEIGHT_TOL."""
-    if r.n != s.n:
-        raise GraphError(f"topology sizes differ: {r.n} vs {s.n}")
-    d = np.abs(r.adjacency - s.adjacency)
-    edges = set()
-    for i in range(r.n):
-        for j in range(i + 1, r.n):
-            if d[i, j] > WEIGHT_TOL:
-                edges.add((i + 1, j + 1))
-    return DiffGraph(n=r.n, vertices=frozenset(range(1, r.n + 1)), edges=frozenset(edges))
-
-
-def union_difference_graph(S) -> DiffGraph:
-    """Edge union of the pairwise difference graphs over all pairs in S."""
-    S = list(S)
-    if len(S) < 2:
-        raise GraphError("need at least two topologies for a union difference graph")
+def detection_matrix(S, M) -> np.ndarray:
+    """N = [E_M^T; L_2 - L_1; ...] for the topologies S and observed agents M:
+    the positions of every stealthy attack on S lie in its kernel."""
+    S, M = list(S), sorted(M)
     n = S[0].n
-    edges = set()
-    for a in range(len(S)):
-        for b in range(a + 1, len(S)):
-            edges |= difference_graph(S[a], S[b]).edges
-    return DiffGraph(n=n, vertices=frozenset(range(1, n + 1)), edges=frozenset(edges))
-
-
-def components(g: DiffGraph) -> ComponentPartition:
-    """Connected components of a difference graph, singletons included."""
-    adj = {v: set() for v in g.vertices}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = set()
-    comps = []
-    for v in sorted(g.vertices):
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return ComponentPartition(components=tuple(comps))
+    if any(t.n != n for t in S):
+        raise GraphError(f"topology sizes differ: {sorted({t.n for t in S})}")
+    if any(not (1 <= m <= n) for m in M):
+        raise GraphError(f"observed set {M} not within 1..{n}")
+    L1 = laplacian(S[0])
+    return np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
 
 
 def detectability(S, M) -> DetectabilityReport:
     """Exact detectability of the switching set S from the observed agents M
     when every agent may be attacked: a stealthy attack exists exactly when
-    N = [E_M^T; L_2 - L_1; ...] has a nontrivial kernel, so ``ok`` needs the
-    smallest singular value of N (``margin``) above 1e-10 * max(sigma_max, 1).
+    ``detection_matrix(S, M)`` has a nontrivial kernel, so ``ok`` needs its
+    smallest singular value (``margin``) above RANK_RTOL * max(sigma_max, 1).
 
-    ``uncovered`` lists the union difference graph's components without an
-    observed agent.  Their indicators lie in the kernel of N, so each one
-    makes ``ok`` false; sign-cancelling weight changes can defeat a covered
-    set too."""
-    M = sorted(M)
-    n = S[0].n if S else 0
-    if any(not (1 <= m <= n) for m in M):
-        raise GraphError(f"observed set {M} not within 1..{n}")
-    part = components(union_difference_graph(S))
-    uncovered = tuple(comp for comp in part.components if not comp & set(M))
-    L1 = laplacian(S[0])
-    N = np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
+    ``uncovered`` lists, by smallest agent, the components without an
+    observed agent of the difference graph, whose links are those whose
+    weight differs by more than WEIGHT_TOL between some two topologies.
+    Their indicators lie in the kernel of N, so each one makes ``ok`` false;
+    sign-cancelling weight changes can defeat a covered set too."""
+    S = list(S)
+    if len(S) < 2:
+        raise GraphError("detectability needs at least two topologies")
+    N = detection_matrix(S, M)
+    n = N.shape[1]
+    # boolean closure by squaring: reach[i, j] once a path joins i and j
+    reach = (np.ptp([t.adjacency for t in S], axis=0) > WEIGHT_TOL) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    # a component's first agent leads it; E_M's rows mark the observed agents
+    lead = (reach.argmax(axis=1) == np.arange(n)) & ~(reach @ N[: len(M)].any(axis=0))
+    uncovered = tuple(
+        frozenset((np.flatnonzero(reach[i]) + 1).tolist()) for i in np.flatnonzero(lead)
+    )
     s = np.linalg.svd(N, compute_uv=False)
-    ok = bool(s[-1] > 1e-10 * max(s[0], 1.0))
+    ok = bool(s[-1] > RANK_RTOL * max(s[0], 1.0))
     return DetectabilityReport(ok=ok, uncovered=uncovered, margin=float(s[-1]))
 
 

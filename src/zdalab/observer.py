@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import laplacian
-from .scheduling import ScheduleError, SwitchingSchedule, hurwitz, switching_signal
+from .scheduling import ScheduleError, SwitchingSchedule, switching_signal
 from .simulation import Trace, expm, expm_action, taylor_plan
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ObserverRun",
     "assemble_observer_A",
     "gain_matrices",
-    "hurwitz",
     "run_observer",
     "detect",
 ]

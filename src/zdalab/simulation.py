@@ -364,7 +364,6 @@ def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample times in (a, b] and the step reaching each: the lattice points
     k*dt more than _TIME_EPS inside the interval, then b.  Every step between
     two lattice points is exactly dt."""
-    check_sample_count(b - a, dt)
     lo, hi = math.floor(a / dt), math.ceil(b / dt)
     while lo <= hi and lo * dt - a <= _TIME_EPS:
         lo += 1

@@ -84,7 +84,7 @@ def test_criterion_1_hurwitz_equivalence():
             # observed set and gains when the margin lands inside it
             if abs(margin) > 1e-6:
                 break
-        agreements += int(observer.hurwitz(A, tol=1e-7) == distinct)
+        agreements += int(scheduling.hurwitz(A, tol=1e-7) == distinct)
     elapsed = time.time() - start
     ok = agreements == total and elapsed < 30.0
     report(1, "observer stability matches distinct-eigenvalue test",

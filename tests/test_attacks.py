@@ -272,23 +272,35 @@ class TestSynthesize:
 
 
 class TestCandidateRates:
-    def test_tall_pencil_without_zeros_evaluates_no_pencil(self, monkeypatch):
+    def test_detectable_pair_skips_the_staircase(self, monkeypatch):
         # Shaped like the scale-n64 benchmark: a random connected pair on 64
-        # agents, agent 1 observed, agents 2 and 3 attacked.  The reduced
-        # pencil eta E - F is tall, and E^+ F has 62 eigenvalues, all 0, that
-        # the pencil does not have; deflating E's left kernel proves there is
-        # no zero before any pencil is formed.
+        # agents, agent 1 observed, agents 2 and 3 attacked.  N has full
+        # column rank, so no position can hide and synthesis returns None
+        # before it looks for a rate.
         rng = np.random.default_rng(64)
         pair = [random_connected_topology(rng, 64, id=k) for k in (1, 2)]
-        calls = []
+        rates, calls = attacks._candidate_rates, []
 
         def counted(*args):
-            calls.append(args[3])
-            return rosenbrock_pencil(*args)
+            calls.append(args)
+            return rates(*args)
 
-        monkeypatch.setattr(attacks, "rosenbrock_pencil", counted)
+        monkeypatch.setattr(attacks, "_candidate_rates", counted)
+        assert graphs.detectability(pair, (1,)).ok
         assert synthesize(pair, (1,), (2, 3)) is None
         assert calls == []
+
+    def test_tall_pencil_without_zeros_evaluates_no_pencil(self):
+        # The same pair's first topology on the velocity subspace, which a
+        # zero ker N leaves.  The reduced pencil eta E - F is tall, and
+        # E^+ F has 62 eigenvalues, all 0, that the pencil does not have;
+        # deflating E's left kernel proves there is no zero, not even the
+        # target, so no pencil is formed.
+        rng = np.random.default_rng(64)
+        topo = random_connected_topology(rng, 64, id=1)
+        A = assemble_A(graphs.laplacian(topo))
+        U = np.eye(128)[:, 64:]
+        assert list(attacks._candidate_rates(A, attack_injection((2, 3), 64), U, 0.05)) == []
 
     def test_every_rate_but_the_target_is_a_zero_of_the_stacked_pencil(self):
         # Criterion 2's instances with as many attacked agents as observed

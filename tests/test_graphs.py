@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from zdalab import graphs
 from zdalab.attacks import synthesize
@@ -65,34 +67,108 @@ class TestLaplacian:
         assert spec.connected
 
 
+def pairwise_uncovered(S, M):
+    """Oracle: the union of the pairwise difference graphs, its components
+    by scipy, and those without an observed agent, by smallest agent."""
+    n = S[0].n
+    linked = np.zeros((n, n), dtype=bool)
+    for a in range(len(S)):
+        for b in range(a + 1, len(S)):
+            linked |= np.abs(S[a].adjacency - S[b].adjacency) > graphs.WEIGHT_TOL
+    _, labels = connected_components(csr_matrix(linked), directed=False)
+    comps = {}
+    for v, label in enumerate(labels, start=1):
+        comps.setdefault(label, set()).add(v)
+    return tuple(
+        frozenset(c) for c in sorted(comps.values(), key=min) if not c & set(M)
+    )
+
+
 class TestDifferenceGraphs:
+    """The difference graph links agents whose link weight differs between
+    some two topologies; ``detectability`` reports its components without an
+    observed agent."""
+
     def test_pairwise_edges(self, topo1, topo2):
-        d = graphs.difference_graph(topo1, topo2)
-        assert d.edges == frozenset({(1, 3), (1, 4), (3, 4)})
+        # topo1 and topo2 differ on the links (1, 3), (1, 4) and (3, 4)
+        assert graphs.detectability([topo1, topo2], []).uncovered == (
+            frozenset({1, 3, 4}),
+            frozenset({2}),
+        )
+        assert graphs.detectability([topo1, topo2], [3]).uncovered == (frozenset({2}),)
 
     def test_identical_topologies_give_empty_graph(self, topo1):
         same = graphs.Topology(id=9, n=4, adjacency=topo1.adjacency)
-        assert graphs.difference_graph(topo1, same).edges == frozenset()
+        rep = graphs.detectability([topo1, same], [1, 2, 3])
+        assert rep.uncovered == (frozenset({4}),)
+        assert not rep.ok
 
     def test_size_mismatch_rejected(self, topo1):
         small = graphs.Topology.from_edges(5, 3, [(1, 2, 1.0)])
         with pytest.raises(GraphError):
-            graphs.difference_graph(topo1, small)
+            graphs.detectability([topo1, small], [1])
+        with pytest.raises(GraphError):
+            graphs.detectability([topo1], [1])
 
     def test_union_includes_third_topology(self, topo1, topo2, topo3):
-        u = graphs.union_difference_graph([topo1, topo2, topo3])
-        assert (2, 3) in u.edges
-        assert u.edges >= frozenset({(1, 3), (1, 4), (3, 4)})
+        # topo3's (2, 3) link joins agent 2 to the component {1, 3, 4}
+        assert graphs.detectability([topo1, topo2], [1]).uncovered == (frozenset({2}),)
+        assert graphs.detectability([topo1, topo2, topo3], [1]).uncovered == ()
+        assert graphs.detectability([topo1, topo2, topo3], []).uncovered == (
+            frozenset({1, 2, 3, 4}),
+        )
 
     def test_components_of_undetectable_pair(self, topo1, topo2):
-        part = graphs.components(graphs.difference_graph(topo1, topo2))
-        assert set(part.components) == {frozenset({1, 3, 4}), frozenset({2})}
-        assert part.d == 2
+        rep = graphs.detectability([topo1, topo2], [1])
+        assert rep.uncovered == (frozenset({2}),)
+        assert not rep.ok
 
     def test_components_edgeless_graph_all_singletons(self):
-        g = graphs.DiffGraph(n=3, vertices=frozenset({1, 2, 3}), edges=frozenset())
-        part = graphs.components(g)
-        assert part.d == 3
+        t = graphs.Topology.from_edges(1, 3, [(1, 2, 1.0), (2, 3, 1.0)])
+        twin = graphs.Topology(id=2, n=3, adjacency=t.adjacency)
+        rep = graphs.detectability([t, twin], [])
+        assert rep.uncovered == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+    def test_uncovered_matches_pairwise_components(self):
+        """Random, integer-weighted and relabelled topology sets, and sets
+        reweighted near WEIGHT_TOL: ``uncovered`` equals the components scipy
+        finds in the union of the pairwise difference graphs."""
+        rng = np.random.default_rng(2024)
+        tol = graphs.WEIGHT_TOL
+        kinds, boundary = set(), 0
+        for k in range(300):
+            n = int(rng.integers(2, 10))
+            base = random_connected_topology(rng, n)
+            kind = k % 4
+            if kind == 1:
+                base = graphs.Topology(id=1, n=n, adjacency=np.ceil(base.adjacency))
+            S = [base]
+            for tid in range(2, int(rng.integers(2, 5)) + 1):
+                a = base.adjacency
+                if kind == 2:
+                    perm = rng.permutation(n)
+                    a = a[np.ix_(perm, perm)]
+                else:
+                    if kind == 0:
+                        d = rng.uniform(-1.0, 1.0, (n, n))
+                    elif kind == 1:
+                        d = rng.integers(-1, 2, (n, n)).astype(float)
+                    else:
+                        d = rng.choice([-0.6 * tol, 0.6 * tol, 2.0 * tol], (n, n))
+                    d = np.triu(d * (rng.random((n, n)) < 0.3), 1)
+                    a = np.maximum(a + d + d.T, 0.0)
+                S.append(graphs.Topology(id=tid, n=n, adjacency=a))
+            M = rng.choice(np.arange(1, n + 1), int(rng.integers(0, n + 1)), replace=False)
+            M = sorted(int(m) for m in M)
+            got = graphs.detectability(S, M).uncovered
+            assert got == pairwise_uncovered(S, M), (k, got)
+            kinds.add((kind, len(got) > 0))
+            adj = np.array([t.adjacency for t in S])
+            near_first = np.abs(adj - adj[0]).max(axis=0) <= tol
+            boundary += bool(np.any((np.ptp(adj, axis=0) > tol) & near_first))
+        assert kinds == {(kind, has) for kind in range(4) for has in (False, True)}
+        # links that only a pair of later topologies tells apart
+        assert boundary >= 10
 
 
 class TestDetectability:

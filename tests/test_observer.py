@@ -8,10 +8,9 @@ from zdalab.observer import (
     assemble_observer_A,
     detect,
     gain_matrices,
-    hurwitz,
     run_observer,
 )
-from zdalab.scheduling import ScheduleError
+from zdalab.scheduling import ScheduleError, hurwitz
 
 from conftest import random_connected_topology
 from test_scenario_cli import stealth_doc

@@ -288,8 +288,3 @@ class TestHurwitz:
         np.testing.assert_array_equal(
             scheduling.lyapunov_weight([blind, slow]), scheduling.lyapunov_weight([slow])
         )
-
-    def test_observer_uses_the_same_predicate(self):
-        from zdalab import observer
-
-        assert observer.hurwitz is scheduling.hurwitz
