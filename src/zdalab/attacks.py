@@ -24,7 +24,6 @@ __all__ = [
     "SynthesisError",
     "ZdaAttack",
     "StealthCertificate",
-    "observability_matrix",
     "unobservable_subspace",
     "rosenbrock_pencil",
     "synthesize",
@@ -93,25 +92,16 @@ class StealthCertificate:
     max_output_gap: float | None = None
 
 
-def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Stacked powers [C; CA; ...; CA^(d-1)] with d equal to the state size."""
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    blocks = []
-    row = C
-    for _ in range(A.shape[0]):
-        blocks.append(row)
-        row = row @ A
-    return np.vstack(blocks)
-
-
 def _rank(s: np.ndarray) -> int:
     """Number of singular values above RANK_RTOL relative to max(s_max, 1)."""
-    return int(np.sum(s > RANK_RTOL * np.max(s, initial=1.0)))
+    return int(np.count_nonzero(s > RANK_RTOL * s.max(initial=1.0)))
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis by singular-value thresholding."""
+    """Orthonormal kernel basis by singular-value thresholding; entries at
+    most RANK_RTOL / sqrt(M.size) keep every singular value within RANK_RTOL."""
+    if np.abs(M).max(initial=0.0) <= RANK_RTOL / np.sqrt(max(M.size, 1)):
+        return np.eye(M.shape[1])
     # a tall M needs only the thin V^H; a fat one needs all of V^H for its kernel
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Vh[_rank(s):].conj().T
@@ -125,12 +115,24 @@ def _spaces(M: np.ndarray):
     return Q[:, :r], Q[:, r:], Vh[:r].T, Vh[r:].T
 
 
-def unobservable_subspace(A_list, C: np.ndarray) -> np.ndarray:
+def unobservable_subspace(L_list, M) -> np.ndarray:
     """Orthonormal basis of the intersection of the unobservable subspaces of
-    (A_r, C) over the list.  An empty basis (zero columns) means every
-    nonzero initial discrepancy is eventually visible."""
-    stacked = np.vstack([observability_matrix(A, C) for A in A_list])
-    return _nullspace(stacked)
+    (A_r, C), A_r = [[0, I], [-L_r, 0]], C reading the positions of agents M:
+    blkdiag(X, X) for X the intersection of the largest L_r-invariant
+    subspaces X_r of ker E_M, each reached from ker E_M by
+    X <- X ker((I - X X^T) L_r X).  No columns: every discrepancy shows."""
+    n = len(L_list[0])
+    for r, L in enumerate(L_list):
+        Xr = np.eye(n)[:, [i for i in range(n) if i + 1 not in M]]  # ker E_M
+        while Xr.shape[1]:
+            K = _nullspace(L @ Xr - Xr @ (Xr.T @ (L @ Xr)))
+            if K.shape[1] == Xr.shape[1]:
+                break
+            Xr = Xr @ K
+        X = Xr if r == 0 else X @ _nullspace(X - Xr @ (Xr.T @ X))
+    V = np.zeros((2 * n, 2 * X.shape[1]))
+    V[:n, : X.shape[1]] = V[n:, X.shape[1] :] = X
+    return V
 
 
 def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: complex) -> np.ndarray:
@@ -256,7 +258,7 @@ def synthesize(
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
-        V = unobservable_subspace(A_list, C)
+        V = unobservable_subspace([laplacian(t) for t in S_stealth], M)
         if V.shape[1] == 0:
             raise SynthesisError(
                 "no stealthy prefix possible: common unobservable subspace is trivial"

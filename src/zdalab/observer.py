@@ -8,8 +8,8 @@ the exogenous mode the plant's segment carries (the attack input, unknown to
 the observer); the plant state itself never enters.  The alarm fires when
 the residual stays above threshold for a full window of samples.
 
-This module never sees which agents are attacked or when the attack starts;
-it consumes only the trace's samples and exact per-segment drifts and steps.
+This module never sees the attacked agents or the attack start; it consumes
+only the trace's samples and exact per-segment Laplacians, drifts and steps.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import laplacian
-from .scheduling import ScheduleError, SwitchingSchedule, switching_signal
 from .simulation import Trace, expm, expm_action, taylor_plan
 
 __all__ = [
@@ -101,41 +99,30 @@ def assemble_observer_A(L: np.ndarray, Phi: np.ndarray, Theta: np.ndarray) -> np
 
 def run_observer(
     tr: Trace,
-    topologies,
-    sched: SwitchingSchedule,
     cfg: ObserverConfig,
     xhat0: np.ndarray | None = None,
     vhat0: np.ndarray | None = None,
 ) -> ObserverRun:
     """Integrate the observer along the plant trace.
 
-    Per dwell segment, the estimation error e = zhat - z and the segment's
-    exogenous mode are propagated jointly and exactly, so the correction
-    terms see the continuous plant output rather than a sampled
-    approximation: exp(J tau) acts on the joint state for the partial first
-    and last steps, by a truncated Taylor series when its matrix-vector
-    products cost at most one d x d product and by a stacked exponential
-    otherwise, and the samples between them, exactly ``dt`` apart, are
-    filled by doubling with the powers P, P^2, P^4, ... of the steady
-    propagator.  Working in e keeps the small estimation error away from
-    the rounding floor of the O(1) plant state over long dwell intervals;
-    the estimate is the trace's plant state plus e, and the residual is e
-    on the observed positions.  The observer starts from the supplied
-    (possibly falsified) initial state, defaulting to the trace's own
-    initial sample.
+    Per dwell segment, under the segment's Laplacian, the estimation error
+    e = zhat - z and the segment's exogenous mode are propagated jointly and
+    exactly, so the correction terms see the continuous plant output rather
+    than a sampled approximation: exp(J tau) acts on the joint state for the
+    partial first and last steps, by a truncated Taylor series when its
+    matrix-vector products cost at most one d x d product and by a stacked
+    exponential otherwise, and the samples between them, exactly ``dt``
+    apart, are filled by doubling with the powers P, P^2, P^4, ... of the
+    steady propagator.  Working in e keeps the small estimation error away
+    from the rounding floor of the O(1) plant state over long dwell
+    intervals; the estimate is the trace's plant state plus e, and the
+    residual is e on the observed positions.  The observer starts from the
+    supplied (possibly falsified) initial state, defaulting to the trace's
+    own initial sample.
     """
     n = tr.n
     if not tr.segments:
         raise ValueError("trace carries no propagation segments")
-    L_by_id = {t.id: laplacian(t) for t in topologies}
-    for seg in tr.segments:
-        if seg.topology_id not in L_by_id:
-            raise ScheduleError(f"trace references unknown topology {seg.topology_id}")
-        if switching_signal(sched, seg.t0 + 1e-9) != seg.topology_id:
-            raise ScheduleError(
-                f"schedule mismatch at t={seg.t0:.6g}: trace ran topology "
-                f"{seg.topology_id}"
-            )
     if sum(len(seg.steps) for seg in tr.segments) != len(tr.times) - 1:
         raise ValueError("trace segments do not step through every sample")
     Phi, Theta = gain_matrices(cfg, n)
@@ -165,7 +152,7 @@ def run_observer(
         if key not in drifts:
             # the segment's mode m enters the plant as G m, so the joint
             # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
-            A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
+            A_obs = assemble_observer_A(seg.L, Phi, Theta)
             zero = np.zeros((seg.Eta.shape[0], 2 * n))
             J = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
             drifts[key] = J, len(J), float(np.abs(J).sum(axis=0).max()), []

@@ -340,7 +340,6 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     dt = sc.dt if dt is None else dt
     simulation.check_sample_count(sc.horizon, dt)
     os.makedirs(out_dir, exist_ok=True)
-    sched = sc.schedule
     report = validate(sc)
 
     atk = sc.attack
@@ -354,7 +353,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     blowup = None
     try:
         tr = simulation.simulate(
-            sc.topologies, sched, z0, attack=atk, dt=dt, observed=sc.observed
+            sc.topologies, sc.schedule, z0, attack=atk, dt=dt, observed=sc.observed
         )
     except simulation.SimulationError as exc:
         if not hasattr(exc, "trace"):
@@ -368,8 +367,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
         rx = sc.reported_x if sc.reported_x is not None else sc.initial_x
         rv = sc.reported_v if sc.reported_v is not None else sc.initial_v
         obs_run = observer.run_observer(
-            tr, sc.topologies, sched, sc.observer_cfg,
-            xhat0=np.array(rx), vhat0=np.array(rv),
+            tr, sc.observer_cfg, xhat0=np.array(rx), vhat0=np.array(rv)
         )
         residuals = obs_run.residuals
         alarm_time = observer.detect(obs_run.times, residuals, sc.observer_cfg)

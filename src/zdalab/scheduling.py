@@ -7,7 +7,6 @@ average contraction of the switched observer-error dynamics.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ __all__ = [
     "hurwitz",
     "lyapunov_weight",
     "measure_condition",
-    "switching_signal",
 ]
 
 
@@ -119,10 +117,7 @@ class SwitchingSchedule:
 
 def xi(spectra) -> float:
     """Largest distance of any Laplacian eigenvalue from 1, over all topologies."""
-    worst = 0.0
-    for spec in spectra:
-        worst = max(worst, float(np.abs(spec.eigenvalues - 1.0).max()))
-    return worst
+    return max((float(np.abs(s.eigenvalues - 1.0).max()) for s in spectra), default=0.0)
 
 
 def base_period(cert: RatioCertificate, lambda2: float) -> float:
@@ -133,21 +128,35 @@ def base_period(cert: RatioCertificate, lambda2: float) -> float:
     p2 = 2.0 * math.pi / math.sqrt(lambda2)
     # P_i / P_2 = q_i / p_i in lowest terms, where cert ratio i is p_i / q_i.
     mult = math.lcm(*(f.denominator for f in cert.ratios))
-    return p2 * mult
+    T = p2 * mult if mult.bit_length() < 1024 else math.inf  # no float holds 2**1024
+    if not math.isfinite(T):
+        raise ScheduleError(f"common modal period overflows: {mult.bit_length()}-bit multiple")
+    return T
 
 
 def dwell_time(p: DwellParams, T_r: float, xi_value: float) -> float:
-    """Smallest admissible dwell time tau_hat_max + m * T_r / 2 with m >= p.m."""
+    """Smallest admissible dwell time tau_hat_max + m * T_r / 2 with m >= p.m,
+    m being the least integer above (threshold - tau_hat_max) / (T_r / 2)."""
     if xi_value >= p.alpha:
         raise ScheduleError(
             f"spectrum too far from 1 (xi={xi_value:.6g} >= alpha={p.alpha:.6g}); "
             "dwell-time construction inapplicable"
         )
-    threshold = (p.beta ** (-1.0 / p.kappa) - 1.0) * p.kappa / (p.alpha - xi_value)
-    m = max(1, p.m)
-    while p.tau_hat_max + m * T_r / 2.0 <= threshold:
+    half = T_r / 2.0
+    try:
+        threshold = (p.beta ** (-1.0 / p.kappa) - 1.0) * p.kappa / (p.alpha - xi_value)
+        # the least m above the quotient, then one step for its rounding
+        m = max(p.m, math.floor((threshold - p.tau_hat_max) / half) + 1)
+    except (OverflowError, ValueError, ZeroDivisionError):  # no finite quotient
+        raise ScheduleError(f"dwell threshold over half-period {half:.6g} is not finite") from None
+    if p.tau_hat_max + m * half <= threshold:
         m += 1
-    return p.tau_hat_max + m * T_r / 2.0
+    elif m > p.m and p.tau_hat_max + (m - 1) * half > threshold:
+        m -= 1
+    tau = p.tau_hat_max + m * half
+    if not math.isfinite(tau):
+        raise ScheduleError(f"dwell time {tau:.6g} is not finite")
+    return tau
 
 
 def hurwitz(A: np.ndarray, tol: float | None = None) -> bool:
@@ -243,12 +252,3 @@ def measure_condition(A_list, tau_list, P: np.ndarray) -> MeasureReport:
     value = float(sum(n * m for n, m in zip(nu, measures)))
     return MeasureReport(ok=value < 0.0, value=value, nu=nu, measures=measures)
 
-
-def switching_signal(sched: SwitchingSchedule, t: float) -> int:
-    """Topology id active at time t; right-continuous at switch instants."""
-    if t < 0.0:
-        raise ScheduleError(f"time {t} is negative")
-    if t > sched.horizon + 1e-12:
-        raise ScheduleError(f"time {t} exceeds schedule horizon {sched.horizon}")
-    k = bisect.bisect_right(sched.switch_times, t)
-    return sched.order[k % len(sched.order)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import laplacian
-from .scheduling import SwitchingSchedule, switching_signal
+from .scheduling import SwitchingSchedule
 
 __all__ = [
     "SimulationError",
@@ -231,17 +231,18 @@ def attack_injection(K, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segment:
-    """One constant-dynamics stretch of a simulation over [t0, t1].  While the
-    attack is active, its real exponential mode m obeys dm/dt = Eta m, enters
-    the plant as dz/dt = A z + G m and is ``mode0`` at t0; while it is
-    dormant all three are empty.  ``steps`` holds the step reaching each
-    of the segment's samples; every step between two lattice points is
-    exactly the trace's ``dt``."""
+    """One stretch of a simulation over [t0, t1] under the Laplacian ``L`` of
+    ``topology_id``, one array per topology.  While the attack is active, its
+    real exponential mode m obeys dm/dt = Eta m, enters the plant as
+    dz/dt = A z + G m and is ``mode0`` at t0; while it is dormant all three
+    are empty.  ``steps`` holds the step reaching each of the segment's
+    samples; every step between lattice points is exactly the trace's dt."""
 
     t0: float
     t1: float
     topology_id: int
     attack_active: bool
+    L: np.ndarray
     Eta: np.ndarray
     G: np.ndarray
     mode0: np.ndarray
@@ -254,10 +255,10 @@ class Trace:
 
     ``states`` holds the plant state per sample; ``attack_values`` the injected
     signal per channel (zero while the attack is dormant).  ``segments``
-    carries the exact per-interval drifts and steps, one step per sample after
-    the first, so downstream consumers (the observer) can integrate against
-    the continuous-time plant rather than interpolating samples.  ``dt`` is
-    the lattice spacing of the samples.
+    carries the exact per-interval Laplacians, drifts and steps, one step per
+    sample after the first, so the observer integrates against the
+    continuous-time plant under the schedule it ran, with no other input.
+    ``dt`` is the lattice spacing of the samples.
     """
 
     times: np.ndarray
@@ -395,44 +396,41 @@ def simulate(
     sharp.  Raises SimulationError carrying the blow-up time if the state
     overflows; the partial trace is attached to the exception as ``.trace``.
     """
-    topo_by_id = {t.id: t for t in topologies}
+    L_by_id = {t.id: laplacian(t) for t in topologies}
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
     C = assemble_C(observed, n)
     attacked = tuple(sorted(attack.attacked)) if attack is not None else ()
-    if attack is not None and attack.rho < 0.0:
-        raise ValueError("attack start time must be nonnegative")
+    rho = attack.rho if attack is not None else math.inf
     check_sample_count(sched.horizon, dt)
 
-    breakpoints = set(sched.switch_times)
-    if attack is not None and 0.0 < attack.rho < sched.horizon:
-        breakpoints.add(float(attack.rho))
-    bounds = [0.0] + sorted(breakpoints) + [sched.horizon]
+    # the schedule's intervals, the one holding the attack start cut there
+    spans = []
+    for a, b, tid in sched.intervals():
+        cuts = (a, rho, b) if a < rho < b else (a, b)
+        spans += [(s, e, tid) for s, e in zip(cuts, cuts[1:]) if e - s > _TIME_EPS]
     # sample 0 carries the topology active just after t = 0; every later
     # sample carries the topology of the segment it closes
     times_all = [np.zeros(1)]
     states_all = [z0[None, :]]
-    topo_all = [np.array([switching_signal(sched, _TIME_EPS)])]
+    topo_all = [np.array([spans[0][2] if spans else sched.order[0]])]
     segments = []
     # one (Eta, G, sampler) per (topology, attack active)
     drifts: dict[tuple, tuple] = {}
     state, blowup = z0, None
 
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a <= _TIME_EPS:
-            continue
-        tid = switching_signal(sched, a + _TIME_EPS)
-        active = attack is not None and a >= attack.rho - _TIME_EPS
+    for a, b, tid in spans:
+        active = a >= rho - _TIME_EPS
         key = (tid, active)
         if key not in drifts:
             Eta, G = _attack_mode(attack if active else None, n)
-            drifts[key] = (Eta, G, _propagator(laplacian(topo_by_id[tid]), Eta, G))
+            drifts[key] = (Eta, G, _propagator(L_by_id[tid], Eta, G))
         Eta, G, sample = drifts[key]
-        mu0 = np.exp(complex(attack.eta) * (a - attack.rho)) if active else 0.0
+        mu0 = np.exp(complex(attack.eta) * (a - rho)) if active else 0.0
         mode0 = np.array([mu0.real, -mu0.imag][: Eta.shape[0]])
         seg_times, steps = _lattice(a, b, dt)
         seg_states, done = _evaluate(sample, state, mode0, seg_times - a)
-        segments.append(Segment(a, b, tid, active, Eta=Eta, G=G, mode0=mode0, steps=steps[:done]))
+        segments.append(Segment(a, b, tid, active, L_by_id[tid], Eta, G, mode0, steps[:done]))
         times_all.append(seg_times[:done])
         states_all.append(seg_states[:done])
         topo_all.append(np.full(done, tid))
@@ -444,8 +442,8 @@ def simulate(
     times, states = np.concatenate(times_all), np.concatenate(states_all)
     vals = np.zeros((len(times), len(attacked)))
     if attack is not None and attacked:
-        post = times >= attack.rho - _TIME_EPS
-        e = np.exp(complex(attack.eta) * (times[post] - attack.rho))
+        post = times >= rho - _TIME_EPS
+        e = np.exp(complex(attack.eta) * (times[post] - rho))
         vals[post] = np.real(np.outer(e, np.asarray(attack.g0)))
     tr = Trace(
         times=times,

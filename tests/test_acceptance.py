@@ -165,9 +165,7 @@ def test_criterion_3_stealthiness():
     pre = err["vel_disagreement"][attacked.times <= rho].max()
     ratio = float(err["vel_disagreement"].max() / pre)
     cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
-    run = observer.run_observer(
-        attacked, [t1, t2], sched, cfg, xhat0=z0[:4], vhat0=z0[4:]
-    )
+    run = observer.run_observer(attacked, cfg, xhat0=z0[:4], vhat0=z0[4:])
     max_residual = float(np.max(np.abs(run.residuals)))
 
     ok = max_residual < 1e-6 and ratio > 10.0 and output_gap < 1e-8
@@ -198,7 +196,7 @@ def test_criterion_4_detection_with_third_topology():
     cfg = observer.ObserverConfig(
         observed=(1,), psi=(1e-6,), theta=(1e-6,), alarm_threshold=1e-6, alarm_window=5
     )
-    run = observer.run_observer(tr, [t1, t2, t3], sched, cfg, xhat0=z0[:4], vhat0=z0[4:])
+    run = observer.run_observer(tr, cfg, xhat0=z0[:4], vhat0=z0[4:])
     alarm = observer.detect(run.times, run.residuals, cfg)
     deadline = rho + 2.0 * sched.period
 
@@ -312,8 +310,7 @@ def test_criterion_6_observer_tracking_small_gains():
     z0 = np.array([1, 2, 3, 4, 1, 2, -1, -2], float)
     tr = simulation.simulate([ga, gb], sched, z0, dt=1e6, observed=(1,))
     run = observer.run_observer(
-        tr, [ga, gb], sched, cfg,
-        xhat0=np.array([1, 1, 3, 5.0]), vhat0=np.array([1, 1, 0, -1.0]),
+        tr, cfg, xhat0=np.array([1, 1, 3, 5.0]), vhat0=np.array([1, 1, 0, -1.0])
     )
     err = np.linalg.norm(np.hstack([run.xhat, run.vhat]) - tr.states, axis=1)
     ratio = float(err[-1] / err[0])

@@ -12,7 +12,6 @@ from zdalab.attacks import (
     ZdaAttack,
     attack_from_json,
     attack_to_json,
-    observability_matrix,
     predicted_state,
     rosenbrock_pencil,
     synthesize,
@@ -60,28 +59,17 @@ def eta_scan_oracle(topos, M, K, grid_points=100):
 
 
 class TestObservability:
-    def test_full_output_full_rank(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
-        O = observability_matrix(A, np.eye(8))
-        assert np.linalg.matrix_rank(O) == 8
-
     def test_double_integrator_observable(self):
-        A = assemble_A(np.zeros((1, 1)))
-        O = observability_matrix(A, np.array([[1.0, 0.0]]))
-        assert np.linalg.matrix_rank(O) == 2
+        assert unobservable_subspace([np.zeros((1, 1))], [1]).shape[1] == 0
 
     def test_rank_matches_pbh_oracle(self):
         t = graphs.Topology.from_edges(1, 3, [(1, 2, 1.0), (2, 3, 1.0)])
-        A = assemble_A(graphs.laplacian(t))
-        C = assemble_C([1], 3)
-        O = observability_matrix(A, C)
-        rank = np.linalg.matrix_rank(O, tol=1e-10)
-        assert rank == 6 - pbh_unobservable_dim(A, C)
+        L = graphs.laplacian(t)
+        V = unobservable_subspace([L], [1])
+        assert V.shape[1] == pbh_unobservable_dim(assemble_A(L), assemble_C([1], 3))
 
     def test_intersection_kernel_of_undetectable_pair(self, topo1, topo2):
-        A_list = [assemble_A(graphs.laplacian(t)) for t in (topo1, topo2)]
-        C = assemble_C([1], 4)
-        V = unobservable_subspace(A_list, C)
+        V = unobservable_subspace([graphs.laplacian(t) for t in (topo1, topo2)], [1])
         # the hidden direction is agent 3 against agent 4, in position and
         # velocity
         assert V.shape == (8, 2)
@@ -91,17 +79,27 @@ class TestObservability:
         np.testing.assert_allclose(proj, probe, atol=1e-9)
 
     def test_full_output_kills_kernel(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
-        assert unobservable_subspace([A], np.eye(8)).shape[1] == 0
+        assert unobservable_subspace([graphs.laplacian(topo1)], [1, 2, 3, 4]).shape[1] == 0
 
     def test_intersection_dimension_monotone(self, topo1, topo2, topo3):
-        C = assemble_C([1], 4)
-        A1 = assemble_A(graphs.laplacian(topo1))
-        A2 = assemble_A(graphs.laplacian(topo2))
-        A3 = assemble_A(graphs.laplacian(topo3))
-        d12 = unobservable_subspace([A1, A2], C).shape[1]
-        d123 = unobservable_subspace([A1, A2, A3], C).shape[1]
+        L1, L2, L3 = (graphs.laplacian(t) for t in (topo1, topo2, topo3))
+        d12 = unobservable_subspace([L1, L2], [1]).shape[1]
+        d123 = unobservable_subspace([L1, L2, L3], [1]).shape[1]
         assert d123 <= d12
+
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
+    def test_star_pair_hides_every_zero_sum_leaf_pattern(self, n):
+        """A star centred on the observed agent 1, and the same star with
+        link 2-3: x_1 = 0 and sum(x) = 0 is invariant under both Laplacians,
+        so the common subspace is exactly that, in position and velocity."""
+        star = [(1, j, 1.0) for j in range(2, n + 1)]
+        pair = [graphs.Topology.from_edges(1, n, star),
+                graphs.Topology.from_edges(2, n, star + [(2, 3, 1.0)])]
+        V = unobservable_subspace([graphs.laplacian(t) for t in pair], [1])
+        assert V.shape == (2 * n, 2 * (n - 2))
+        X = scipy.linalg.null_space(np.vstack([np.eye(n)[:1], np.ones((1, n))]))
+        exact = scipy.linalg.block_diag(X, X)
+        assert np.abs(V - exact @ (exact.T @ V)).max() < 1e-12
 
 
 class TestPencil:
@@ -227,8 +225,7 @@ class TestSynthesize:
             [topo1, topo2], (1,), (1, 2, 3, 4), rho=50.0, schedule_prefix=sched
         )
         assert cert.observability_residual < 1e-8
-        A_list = [assemble_A(graphs.laplacian(t)) for t in (topo1, topo2)]
-        V = unobservable_subspace(A_list, assemble_C([1], 4))
+        V = unobservable_subspace([graphs.laplacian(t) for t in (topo1, topo2)], [1])
         proj = V @ (V.T @ atk.delta_z0)
         np.testing.assert_allclose(proj, atk.delta_z0, atol=1e-10)
 

@@ -10,11 +10,11 @@ from zdalab.observer import (
     gain_matrices,
     run_observer,
 )
-from zdalab.scheduling import ScheduleError, hurwitz
+from zdalab.scheduling import hurwitz
 
 from conftest import random_connected_topology
 from test_scenario_cli import stealth_doc
-from test_simulation import rk4
+from test_simulation import rk4, topology_before
 
 
 class TestConfig:
@@ -88,7 +88,7 @@ class TestRunObserver:
     def test_perfect_initialization_keeps_residual_zero(self, topo1, topo2):
         sched, z0, tr = self.setup_run(topo1, topo2)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
-        run = run_observer(tr, [topo1, topo2], sched, cfg)
+        run = run_observer(tr, cfg)
         assert np.max(np.abs(run.residuals)) < 1e-10
 
     def test_matches_exact_error_dynamics_on_fixed_topology(self, topo1):
@@ -97,7 +97,7 @@ class TestRunObserver:
         tr = simulation.simulate([topo1], sched, z0, dt=1.0, observed=(1,))
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
-        run = run_observer(tr, [topo1], sched, cfg, xhat0=xhat0, vhat0=vhat0)
+        run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
         Phi, Theta = gain_matrices(cfg, 4)
         A_err = assemble_observer_A(graphs.laplacian(topo1), Phi, Theta)
         e0 = np.concatenate([xhat0, vhat0]) - z0
@@ -106,19 +106,10 @@ class TestRunObserver:
             e_exact = scipy.linalg.expm(A_err * t) @ e0
             assert np.linalg.norm(e_sim - e_exact) < 1e-10
 
-    def test_schedule_mismatch_rejected(self, topo1, topo2):
-        sched, z0, tr = self.setup_run(topo1, topo2)
-        other = scheduling.SwitchingSchedule(
-            order=(2, 1), dwell={1: np.pi / 2 + 0.2, 2: np.pi / 2 + 0.2}, horizon=20.0
-        )
-        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
-        with pytest.raises(ScheduleError):
-            run_observer(tr, [topo1, topo2], other, cfg)
-
     def test_no_attack_never_alarms(self, topo1, topo2):
         sched, z0, tr = self.setup_run(topo1, topo2, horizon=40.0)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,), alarm_threshold=1e-6)
-        run = run_observer(tr, [topo1, topo2], sched, cfg)
+        run = run_observer(tr, cfg)
         assert detect(run.times, run.residuals, cfg) is None
 
     def test_wrong_initialization_with_large_gains_converges(self, k4_149):
@@ -128,9 +119,7 @@ class TestRunObserver:
         z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
         tr = simulation.simulate([k4_149], sched, z0, dt=0.5, observed=(1,))
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
-        run = run_observer(
-            tr, [k4_149], sched, cfg, xhat0=np.array([0, 0, 0, 0.0]), vhat0=np.zeros(4)
-        )
+        run = run_observer(tr, cfg, xhat0=np.array([0, 0, 0, 0.0]), vhat0=np.zeros(4))
         err = np.linalg.norm(np.hstack([run.xhat, run.vhat]) - tr.states, axis=1)
         assert err[-1] < 1e-2 * err[0]
 
@@ -148,7 +137,7 @@ class TestRunObserver:
         tr = simulation.simulate([topo1, topo2], sched, np.ones(8), dt=1e6, observed=(1,))
         assert 5e5 in {float(seg.steps[0]) for seg in tr.segments}
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
-        run = run_observer(tr, [topo1, topo2], sched, cfg)
+        run = run_observer(tr, cfg)
         assert np.max(np.abs(run.residuals)) < 1e-10
 
     def test_taylor_action_costs_at_most_one_matrix_product(self, monkeypatch):
@@ -173,7 +162,7 @@ class TestRunObserver:
         tr = simulation.simulate(
             sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
         )
-        run_observer(tr, sc.topologies, sc.schedule, sc.observer_cfg)
+        run_observer(tr, sc.observer_cfg)
         assert taken and stacked
         assert all(cost <= d for d, cost in taken)
 
@@ -202,7 +191,7 @@ class TestObserverUnderAttack:
         tr = simulation.simulate([topo1, topo2], sched, z0, attack=atk, dt=0.25)
         cfg = ObserverConfig(observed=(1, 3), psi=(0.8, 0.4), theta=(0.6, 0.9))
         xhat0, vhat0 = np.array([0.5, 2, 3.5, 4]), np.array([0, 0, -0.5, 0.5])
-        run = run_observer(tr, [topo1, topo2], sched, cfg, xhat0=xhat0, vhat0=vhat0)
+        run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
 
         phi = np.array([0.8, 0, 0.4, 0])
         theta = np.array([0.6, 0, 0.9, 0])
@@ -210,7 +199,7 @@ class TestObserverUnderAttack:
         w = np.concatenate([z0, xhat0, vhat0])
         oracle = [w[8:]]
         for a, b in zip(tr.times[:-1], tr.times[1:]):
-            L = L_by_id[scheduling.switching_signal(sched, 0.5 * (a + b))]
+            L = L_by_id[topology_before(sched, 0.5 * (a + b))]
             active = 0.5 * (a + b) > rho
 
             def f(t, w, L=L, active=active):
@@ -282,7 +271,7 @@ class TestLargeNetwork:
             return expm(M)
 
         monkeypatch.setattr(observer, "expm", counted)
-        run = run_observer(tr, topologies, sched, cfg)
+        run = run_observer(tr, cfg)
         drifts = {(seg.topology_id, seg.attack_active) for seg in tr.segments}
         assert len(calls) == len(drifts) == 4
         oracle = sequential_errors(tr, topologies, cfg, np.zeros(2 * n))[:, [0]]
@@ -308,7 +297,7 @@ class TestStealthErrorClosedForm:
         tr = simulation.simulate(
             sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
         )
-        run = run_observer(tr, sc.topologies, sc.schedule, sc.observer_cfg,
+        run = run_observer(tr, sc.observer_cfg,
                            xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
         e = np.hstack([run.xhat, run.vhat]) - tr.states
         response = simulation.simulate(
@@ -333,7 +322,7 @@ class TestPartialTrace:
         steps = sum(len(seg.steps) for seg in partial.segments)
         assert steps == len(partial.times) - 1
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
-        run = run_observer(partial, [topo1, topo2], sched, cfg)
+        run = run_observer(partial, cfg)
         assert run.residuals.shape == (len(partial.times), 1)
 
 

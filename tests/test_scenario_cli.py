@@ -492,6 +492,50 @@ class TestNeverATraceback:
                 assert cli.main(argv) in (0, 2, 3), (verb, path, value)
         capsys.readouterr()
 
+    def test_dwell_at_the_spectrum_margin_ends(self, tmp_path, capsys):
+        """alpha just above xi = 1 puts the dwell threshold near 1e9, about
+        4.5e8 half-periods of the pair's modal period."""
+        doc = stealth_doc(
+            topologies=[{"id": tid, "n": 2, "edges": [[1, 2, 1.0]]} for tid in (1, 2)],
+            dwell=None,
+            dwell_params={"alpha": 1.0 + 1e-9},
+            horizon=10.0,
+            initial={"x": [0.0, 1.0], "v": [0.0, 0.0]},
+            attacked=[2],
+            attack=None,
+            observer=None,
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        assert "PASS  dwell-time construction" in capsys.readouterr().out
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_overflowing_modal_period(self, tmp_path, capsys):
+        """Two 128-agent weighted paths: the lcm of the ratio certificate's
+        denominators has more digits than any float holds."""
+        rng = np.random.default_rng(0)
+        n = 128
+        doc = stealth_doc(
+            topologies=[
+                {"id": tid, "n": n,
+                 "edges": [[i, i + 1, w] for i, w in zip(range(1, n), rng.uniform(0.2, 0.5, n - 1))]}
+                for tid in (1, 2)
+            ],
+            dwell=None,
+            dwell_params={},
+            initial={"x": [0.0] * n, "v": [0.0] * n},
+            attacked=[2],
+            attack=None,
+            observer=None,
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        assert "FAIL  dwell-time construction" in capsys.readouterr().out
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "modal period overflows" in capsys.readouterr().err
+
 
 def _symmetric_k4(s):
     """A weighting of K4 that swapping agents 2 and 3 leaves unchanged, with

@@ -43,20 +43,6 @@ class TestSwitchingSchedule:
         assert spans[-1][1] == s.horizon
         assert s.period == 3.0
 
-    def test_right_continuity_at_switch_instant(self):
-        s = SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=4.0)
-        assert scheduling.switching_signal(s, 0.0) == 1
-        assert scheduling.switching_signal(s, 1.0) == 2
-        assert scheduling.switching_signal(s, 1.0 - 1e-9) == 1
-        assert scheduling.switching_signal(s, 2.5) == 1
-
-    def test_time_outside_horizon_rejected(self):
-        s = SwitchingSchedule(order=(1,), dwell={1: 1.0}, horizon=2.0)
-        with pytest.raises(ScheduleError):
-            scheduling.switching_signal(s, -0.5)
-        with pytest.raises(ScheduleError):
-            scheduling.switching_signal(s, 3.0)
-
     def test_missing_dwell_rejected(self):
         with pytest.raises(ScheduleError):
             SwitchingSchedule(order=(1, 2), dwell={1: 1.0}, horizon=5.0)
@@ -94,20 +80,19 @@ class TestSwitchingSchedule:
         cycles=st.floats(0.5, 20.0),
     )
     def test_signal_right_continuous_at_every_switch(self, dwells, cycles):
-        """At each switch instant the signal already holds the incoming
-        topology, which stays on until the next switch; just before the
-        instant it holds the outgoing one."""
+        """The intervals tile [0, horizon]: at each switch instant the
+        incoming topology's interval starts, and it lasts until the next
+        switch; the interval ending at the instant holds the outgoing one."""
         order = tuple(range(1, len(dwells) + 1))
         s = SwitchingSchedule(
             order=order, dwell=dict(zip(order, dwells)), horizon=cycles * sum(dwells)
         )
-        bounds = s.switch_times + (s.horizon,)
+        spans = list(s.intervals())
+        bounds = (0.0,) + s.switch_times + (s.horizon,)
+        assert [(a, b) for a, b, _ in spans] == list(zip(bounds[:-1], bounds[1:]))
         for k, t in enumerate(s.switch_times):
-            incoming = order[(k + 1) % len(order)]
-            assert scheduling.switching_signal(s, t) == incoming
-            assert scheduling.switching_signal(s, 0.5 * (t + bounds[k + 1])) == incoming
-            before = scheduling.switching_signal(s, math.nextafter(t, -math.inf))
-            assert before == order[k % len(order)]
+            assert spans[k][2] == order[k % len(order)]
+            assert spans[k + 1][2] == order[(k + 1) % len(order)]
 
 
 def _spec(vals):
@@ -163,6 +148,59 @@ class TestDwellConstruction:
         p = DwellParams()
         with pytest.raises(ScheduleError):
             scheduling.dwell_time(p, T_r=1.0, xi_value=3.0)
+
+    @pytest.mark.parametrize(
+        "params, T_r, xi_value",
+        [
+            (DwellParams(beta=0.5, alpha=1.0, kappa=1, tau_hat_max=0.2), 2.0 * math.pi, 0.0),
+            (DwellParams(beta=0.5, alpha=1.0, kappa=1, tau_hat_max=0.2), 0.1, 0.9),
+            (DwellParams(tau_hat_max=0.2, m=5), 2.0 * math.pi, 0.0),
+            (DwellParams(beta=0.1, alpha=3.0, kappa=4), 0.37, 2.5),
+            (DwellParams(beta=0.9, alpha=1.5, kappa=2, m=3), 1e-3, 1.2),
+        ],
+        ids=["m-one", "m-raised", "m-requested", "kappa-four", "short-period"],
+    )
+    def test_closed_form_matches_stepping_m(self, params, T_r, xi_value):
+        """The smallest m found by raising m one step at a time."""
+        threshold = (params.beta ** (-1.0 / params.kappa) - 1.0) * params.kappa / (
+            params.alpha - xi_value
+        )
+        m = params.m
+        while params.tau_hat_max + m * T_r / 2.0 <= threshold:
+            m += 1
+        expected = params.tau_hat_max + m * T_r / 2.0
+        assert scheduling.dwell_time(params, T_r, xi_value) == expected
+
+    def test_spectrum_at_the_margin_needs_no_stepping(self):
+        # alpha - xi = 1e-9 puts the threshold near 1e9: about 4.5e8 half-periods
+        p = DwellParams(alpha=1.0 + 1e-9, tau_hat_max=0.2)
+        T_r = 4.442882938158366
+        tau = scheduling.dwell_time(p, T_r, xi_value=1.0)
+        threshold = (1.0 / p.beta - 1.0) / (p.alpha - 1.0)
+        assert tau > threshold >= tau - T_r / 2.0
+        assert round((tau - 0.2) / (T_r / 2.0)) > 4e8
+
+    @pytest.mark.parametrize(
+        "params, T_r",
+        [
+            (DwellParams(beta=1e-320, alpha=1.0, tau_hat_max=1.0), 1.0),
+            (DwellParams(), math.inf),
+            (DwellParams(), math.nan),
+            (DwellParams(), 0.0),
+            (DwellParams(alpha=1e-300, tau_hat_max=1.0), 1e-300),
+        ],
+        ids=["threshold-overflows", "infinite-period", "nan-period", "zero-period", "m-overflows"],
+    )
+    def test_non_finite_dwell_rejected(self, params, T_r):
+        with pytest.raises(ScheduleError):
+            scheduling.dwell_time(params, T_r, xi_value=0.0)
+
+    def test_base_period_overflow_rejected(self):
+        # the lcm of the certificate's denominators exceeds every float
+        primes = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        cert = graphs.RatioCertificate(ok=True, ratios=tuple(Fraction(1, p) for p in primes))
+        with pytest.raises(ScheduleError, match="overflows"):
+            scheduling.base_period(cert, 1.0)
 
 
 class TestMeasureCondition:

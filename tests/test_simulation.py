@@ -25,6 +25,11 @@ from zdalab.simulation import (
 from conftest import random_connected_topology, trace_to_csv_oracle
 
 
+def topology_before(sched, t):
+    """The topology the schedule runs just before time t > 0."""
+    return next(tid for t0, t1, tid in sched.intervals() if t0 < t <= t1)
+
+
 def rk4(f, z0, t0, t1, steps):
     """Classic fixed-step integrator, the independent oracle for the
     closed-form propagation."""
@@ -510,7 +515,7 @@ class TestSimulate:
         # a sample taken exactly at a switch instant closes the segment that
         # produced it, so it carries the outgoing topology's id
         for t, tid in zip(tr.times[1:], tr.topology_ids[1:]):
-            assert tid == scheduling.switching_signal(sched, t - 1e-9)
+            assert tid == topology_before(sched, t)
 
     def test_average_velocity_invariant_without_attack(self, topo1, topo2):
         sched = self.make_schedule(horizon=30.0)
@@ -552,7 +557,7 @@ class TestSimulate:
         assert len(partial.topology_ids) == len(partial.times)
         assert partial.topology_ids[0] == 1
         for t, tid in zip(partial.times[1:], partial.topology_ids[1:]):
-            assert tid == scheduling.switching_signal(sched, t - 1e-9)
+            assert tid == topology_before(sched, t)
 
 
 class TestLattice:
@@ -605,7 +610,7 @@ class TestLattice:
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
         tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt, observed=sc.observed)
-        observer.run_observer(tr, sc.topologies, sched, sc.observer_cfg)
+        observer.run_observer(tr, sc.observer_cfg)
         bound = 2 * len(tr.segments) + 4
         assert calls.get("zdalab.simulation", 0) == 0
         assert 0 < calls["zdalab.observer"] <= bound
