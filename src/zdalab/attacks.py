@@ -27,7 +27,6 @@ __all__ = [
     "unobservable_subspace",
     "rosenbrock_pencil",
     "synthesize",
-    "predicted_state",
     "attack_to_json",
     "attack_from_json",
 ]
@@ -98,10 +97,7 @@ def _rank(s: np.ndarray) -> int:
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis by singular-value thresholding; entries at
-    most RANK_RTOL / sqrt(M.size) keep every singular value within RANK_RTOL."""
-    if np.abs(M).max(initial=0.0) <= RANK_RTOL / np.sqrt(max(M.size, 1)):
-        return np.eye(M.shape[1])
+    """Orthonormal kernel basis by singular-value thresholding."""
     # a tall M needs only the thin V^H; a fat one needs all of V^H for its kernel
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Vh[_rank(s):].conj().T
@@ -116,23 +112,21 @@ def _spaces(M: np.ndarray):
 
 
 def unobservable_subspace(L_list, M) -> np.ndarray:
-    """Orthonormal basis of the intersection of the unobservable subspaces of
-    (A_r, C), A_r = [[0, I], [-L_r, 0]], C reading the positions of agents M:
-    blkdiag(X, X) for X the intersection of the largest L_r-invariant
-    subspaces X_r of ker E_M, each reached from ker E_M by
-    X <- X ker((I - X X^T) L_r X).  No columns: every discrepancy shows."""
-    n = len(L_list[0])
-    for r, L in enumerate(L_list):
-        Xr = np.eye(n)[:, [i for i in range(n) if i + 1 not in M]]  # ker E_M
-        while Xr.shape[1]:
-            K = _nullspace(L @ Xr - Xr @ (Xr.T @ (L @ Xr)))
-            if K.shape[1] == Xr.shape[1]:
-                break
-            Xr = Xr @ K
-        X = Xr if r == 0 else X @ _nullspace(X - Xr @ (Xr.T @ X))
-    V = np.zeros((2 * n, 2 * X.shape[1]))
-    V[:n, : X.shape[1]] = V[n:, X.shape[1] :] = X
-    return V
+    """Orthonormal basis blkdiag(X, X) of the largest subspace of ker C that
+    every A_r = [[0, I], [-L_r, 0]] maps into itself, C reading the positions
+    of agents M; no columns when every discrepancy shows.  X is the complement
+    of the smallest subspace holding range E_M^T that every L_r maps into
+    itself (Sun, Ge & Lee, Automatica 38(5), 2002), from one Krylov closure."""
+    L_list = [L / (np.linalg.norm(L) or 1.0) for L in L_list]  # scale-free ranks
+    Q = new = np.eye(len(L_list[0]))[:, [i - 1 for i in sorted(M)]]
+    while new.shape[1]:
+        Z = np.hstack([L @ new for L in L_list])
+        Z -= Q @ (Q.T @ Z)
+        Z -= Q @ (Q.T @ Z)
+        new = _spaces(Z)[0]
+        Q = np.hstack([Q, new])
+    X = _nullspace(Q.T)
+    return np.block([[X, np.zeros_like(X)], [np.zeros_like(X), X]])
 
 
 def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: complex) -> np.ndarray:
@@ -225,16 +219,14 @@ def synthesize(
 ):
     """Synthesize a stealthy attack against every topology in ``S_stealth``.
 
-    The state part w = (x, v) of every kernel vector (w, -g) lies in a
-    subspace U: C w = 0 and (A_r - A_1) w = 0 put its positions x in the
-    kernel of N = ``detection_matrix(S_stealth, M)``, and the pencil's
-    position rows fix v = eta x.  At ``rho = 0``, U = blkdiag(ker N, I), and
-    an empty ker N admits no attack, since x = 0 forces w = 0.  For
-    ``rho > 0`` a ``schedule_prefix`` must be supplied, the rate must be
-    real, and w must also lie in the common unobservable subspace propagated
-    to ``rho``; with W its orthonormal basis, U = W ker(N W_x), W_x being
-    W's position rows, and an empty U admits no attack.  Otherwise the rates
-    of ``_candidate_rates`` are tried in turn: the target ``eta_target``
+    The state part w = (x, v) of every kernel vector (w, -g) lies in
+    U = blkdiag(X ker(N X), X): C w = 0 and (A_r - A_1) w = 0 put x in the
+    kernel of N = ``detection_matrix(S_stealth, M)``, the pencil fixes
+    v = eta x, and X = I at ``rho = 0``.  For ``rho > 0``, a real rate and a
+    ``schedule_prefix`` running only ``S_stealth`` topologies, X spans the
+    position half of ``unobservable_subspace``, which every dwell maps onto
+    itself.  An empty ker(N X) admits no attack.  Otherwise the rates of
+    ``_candidate_rates`` are tried in turn: the target ``eta_target``
     (0.05 when None), then the reduced pencil's zeros, which may be complex.
     Each rate's kernel comes from the reduced pencil [eta U - A_1 U, B_K],
     and its certificate from every topology's full pencil.
@@ -255,24 +247,24 @@ def synthesize(
     B_K = attack_injection(K, n)
 
     N = detection_matrix(S_stealth, M)
+    X = np.eye(n)
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
+        unhidden = sorted(set(schedule_prefix.order) - set(A_by_id))
+        if unhidden:
+            raise ValueError(f"rho > 0: scheduled topologies {unhidden} are not in the stealth set")
         V = unobservable_subspace([laplacian(t) for t in S_stealth], M)
         if V.shape[1] == 0:
-            raise SynthesisError(
-                "no stealthy prefix possible: common unobservable subspace is trivial"
-            )
-        Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
-        W, _ = np.linalg.qr(Phi @ V)
-        U = W @ _nullspace(N @ W[:n])
-    else:
-        X = _nullspace(N)
-        if X.shape[1] == 0:
-            return None
-        U = np.block([[X, np.zeros((n, n))], [np.zeros((n, X.shape[1])), np.eye(n)]])
-    if U.shape[1] == 0:
+            raise SynthesisError("no stealthy prefix possible: "
+                                 "common unobservable subspace is trivial")
+        X = V[:n, : V.shape[1] // 2]
+    XH = X @ _nullspace(N @ X)
+    if XH.shape[1] == 0:
         return None
+    U = np.block([[XH, np.zeros_like(X)], [np.zeros_like(XH), X]])
+    if rho > 0.0:
+        Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
     target = 0.05 if eta_target is None else eta_target
     seen: list[complex] = []
 
@@ -320,17 +312,6 @@ def synthesize(
         atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=tuple(sorted(K)))
         return atk, cert
     return None
-
-
-def predicted_state(atk: ZdaAttack, clean_state_at_t, discrepancy_at_rho, t: float) -> np.ndarray:
-    """Closed-form attacked state: clean state plus the start-time discrepancy
-    amplified by e^{eta (t - rho)}."""
-    if t < atk.rho:
-        raise ValueError("prediction only applies at or after the attack start")
-    disc = np.asarray(discrepancy_at_rho)
-    return np.asarray(clean_state_at_t, dtype=float) + np.real(
-        disc * np.exp(atk.eta * (t - atk.rho))
-    )
 
 
 def attack_to_json(atk: ZdaAttack, cert: StealthCertificate | None = None) -> str:

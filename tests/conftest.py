@@ -158,6 +158,17 @@ def _invariant_zero_candidates(A_list, B_K, C) -> list:
     return out
 
 
+def predicted_state(atk, clean_state_at_t, discrepancy_at_rho, t: float) -> np.ndarray:
+    """Closed-form attacked state, the oracle of the attacked trajectory:
+    clean state plus the start-time discrepancy amplified by e^{eta (t - rho)}."""
+    if t < atk.rho:
+        raise ValueError("prediction only applies at or after the attack start")
+    disc = np.asarray(discrepancy_at_rho)
+    return np.asarray(clean_state_at_t, dtype=float) + np.real(
+        disc * np.exp(atk.eta * (t - atk.rho))
+    )
+
+
 # The row-at-a-time trace writer the block writer replaced, kept as the
 # oracle for its bytes.
 def trace_to_csv_oracle(tr, path, residuals=None) -> None:

@@ -20,6 +20,7 @@ from zdalab import attacks, graphs, observer, scheduling, simulation
 from conftest import (
     K4_WEIGHTS,
     _invariant_zero_candidates,
+    predicted_state,
     random_connected_topology,
     random_topology_set,
     stacked_pencil_has_attack,
@@ -384,7 +385,7 @@ def test_criterion_8_closed_form_predictor():
     disc = attacked.states[i0] - clean.states[i0]
     worst = 0.0
     for i in range(i0 + 1, len(clean.times)):
-        pred = attacks.predicted_state(atk, clean.states[i], disc, clean.times[i])
+        pred = predicted_state(atk, clean.states[i], disc, clean.times[i])
         worst = max(
             worst,
             np.linalg.norm(attacked.states[i] - pred) / np.linalg.norm(attacked.states[i]),

@@ -12,7 +12,6 @@ from zdalab.attacks import (
     ZdaAttack,
     attack_from_json,
     attack_to_json,
-    predicted_state,
     rosenbrock_pencil,
     synthesize,
     unobservable_subspace,
@@ -21,6 +20,7 @@ from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
 from conftest import (
     _invariant_zero_candidates,
+    predicted_state,
     random_connected_topology,
     random_topology_set,
     stacked_pencil_has_attack,
@@ -41,6 +41,46 @@ def pbh_unobservable_dim(A, C, tol=1e-8):
         s = np.linalg.svd(M, compute_uv=False)
         lost += int(np.sum(s < tol * s[0]))
     return lost
+
+
+def symmetric_topology(rng, n, tid, swaps):
+    """Random connected topology on n agents, averaged with its image under
+    the permutation that swaps each agent pair in ``swaps``, so that the
+    permutation commutes with its Laplacian."""
+    a = random_connected_topology(rng, n).adjacency
+    p = np.arange(n)
+    for i, j in swaps:
+        p[[i - 1, j - 1]] = p[[j - 1, i - 1]]
+    return graphs.Topology(id=tid, n=n, adjacency=(a + a[np.ix_(p, p)]) / 2)
+
+
+def _kernel(A, tol=1e-10):
+    _, s, Vh = np.linalg.svd(A)
+    return Vh[int(np.sum(s > tol)):].T
+
+
+def intersection_of_invariant_subspaces(L_list, M):
+    """Oracle for the per-topology answer: the intersection over r of the
+    largest L_r-invariant subspace X_r of ker E_M, each reached by
+    X_r <- X_r ker((I - X_r X_r^T) L_r X_r).  Switching may map it out of
+    itself."""
+    n = len(L_list[0])
+    X = np.eye(n)[:, [i for i in range(n) if i + 1 not in M]]
+    for L in L_list:
+        Xr = np.eye(n)[:, [i for i in range(n) if i + 1 not in M]]
+        while Xr.shape[1]:
+            K = _kernel(L @ Xr - Xr @ (Xr.T @ (L @ Xr)))
+            if K.shape[1] == Xr.shape[1]:
+                break
+            Xr = Xr @ K
+        if X.shape[1]:
+            X = X @ _kernel(X - Xr @ (Xr.T @ X))
+    return X
+
+
+def leaves(X, L):
+    """How far L maps the orthonormal columns of X out of their span."""
+    return np.linalg.norm(L @ X - X @ (X.T @ (L @ X)))
 
 
 def eta_scan_oracle(topos, M, K, grid_points=100):
@@ -78,6 +118,16 @@ class TestObservability:
         proj = V @ (V.T @ probe)
         np.testing.assert_allclose(proj, probe, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e6, 1e8, 1e12])
+    def test_hidden_direction_does_not_depend_on_link_scale(self, topo1, topo2, scale):
+        """Scaling every link weight leaves every invariant subspace as it
+        is; an absolute rank threshold would count the rounding of a large
+        L_r as a direction, or a small L_r's directions as rounding."""
+        V = unobservable_subspace([scale * graphs.laplacian(t) for t in (topo1, topo2)], [1])
+        assert V.shape == (8, 2)
+        probe = (np.eye(8)[2] - np.eye(8)[3]) / np.sqrt(2)
+        assert np.linalg.norm(probe - V @ (V.T @ probe)) < 1e-12
+
     def test_full_output_kills_kernel(self, topo1):
         assert unobservable_subspace([graphs.laplacian(topo1)], [1, 2, 3, 4]).shape[1] == 0
 
@@ -100,6 +150,60 @@ class TestObservability:
         X = scipy.linalg.null_space(np.vstack([np.eye(n)[:1], np.ones((1, n))]))
         exact = scipy.linalg.block_diag(X, X)
         assert np.abs(V - exact @ (exact.T @ V)).max() < 1e-12
+
+    @staticmethod
+    def swap_pair():
+        """n = 5, agent 1 observed; topology 1 commutes with the swap
+        (2 3)(4 5), topology 2 with (2 3).  Each X_r holds e2 - e3, and here
+        their intersection is just span{e2 - e3}; topology 1 maps e2 - e3
+        into span{e2 - e3, e4 - e5}, out of that intersection."""
+        rng = np.random.default_rng(0)
+        return [symmetric_topology(rng, 5, 1, [(2, 3), (4, 5)]),
+                symmetric_topology(rng, 5, 2, [(2, 3)])]
+
+    def test_closure_is_invariant_where_the_intersection_is_not(self):
+        Ls = [graphs.laplacian(t) for t in self.swap_pair()]
+        meet = intersection_of_invariant_subspaces(Ls, (1,))
+        assert meet.shape[1] == 1 and leaves(meet, Ls[0]) > 0.1
+        V = unobservable_subspace(Ls, (1,))
+        X = V[:5, : V.shape[1] // 2]
+        assert V.shape == (10, 0)
+        for L in Ls:
+            assert leaves(X, L) <= 1e-12
+
+    def test_delayed_synthesis_on_the_swap_pair_has_no_hidden_prefix(self):
+        pair = self.swap_pair()
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        with pytest.raises(SynthesisError):
+            synthesize(pair, (1,), (2, 3, 4, 5), rho=7.0, schedule_prefix=sched)
+
+    def test_closure_is_invariant_and_meets_an_invariant_intersection(self):
+        """Random connected pairs: a third plain, a third sharing an agent
+        swap, which hides the swapped agents' difference from agent 1, and a
+        third built like ``swap_pair``.  The closure lies in the
+        intersection, is invariant under both Laplacians, and equals the
+        intersection wherever that is invariant."""
+        rng = np.random.default_rng(16)
+        nontrivial = equal = moved = 0
+        for k in range(300):
+            n = int(rng.integers(5 if k % 3 == 2 else 3, 9))
+            i, j = rng.choice(np.arange(2, n + 1), size=2, replace=False)
+            swaps = ([[], []], [[(i, j)], [(i, j)]], [[(2, 3), (4, 5)], [(2, 3)]])[k % 3]
+            pair = [symmetric_topology(rng, n, tid, sw) for tid, sw in zip((1, 2), swaps)]
+            Ls = [graphs.laplacian(t) for t in pair]
+            V = unobservable_subspace(Ls, (1,))
+            X = V[:n, : V.shape[1] // 2]
+            meet = intersection_of_invariant_subspaces(Ls, (1,))
+            for L in Ls:
+                assert leaves(X, L) <= 1e-12 * np.linalg.norm(L)
+            assert np.linalg.norm(X - meet @ (meet.T @ X)) <= 1e-9
+            if all(leaves(meet, L) <= 1e-9 * np.linalg.norm(L) for L in Ls):
+                assert np.linalg.norm(X @ X.T - meet @ meet.T) <= 1e-9
+                equal += 1
+            else:
+                moved += 1
+            nontrivial += X.shape[1] > 0
+        assert nontrivial >= 80 and equal >= 180 and moved >= 80
 
 
 class TestPencil:
@@ -217,6 +321,28 @@ class TestSynthesize:
         sched = scheduling.SwitchingSchedule(order=(1, 3), dwell={1: 1.0, 3: 1.0}, horizon=20.0)
         with pytest.raises(SynthesisError):
             synthesize([topo1, topo3], (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched)
+
+    def test_positive_rho_with_empty_hidden_kernel_skips_the_propagator(self, monkeypatch):
+        # Both stars commute with the swap (2 3), so e2 - e3 is hidden before
+        # the start time; but it is an eigenvector of L_1 at 2 and of L_2 at
+        # 4, so no position in it survives (L_2 - L_1) x = 0.
+        base = [(1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
+        pair = [graphs.Topology.from_edges(1, 4, base),
+                graphs.Topology.from_edges(2, 4, base + [(2, 3, 1.0)])]
+        assert unobservable_subspace([graphs.laplacian(t) for t in pair], (1,)).shape[1] == 2
+
+        def refuse(*args):
+            raise AssertionError("the prefix propagator ran")
+
+        monkeypatch.setattr(attacks, "_prefix_propagator", refuse)
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        assert synthesize(pair, (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched) is None
+
+    def test_positive_rho_needs_every_scheduled_topology_in_the_stealth_set(self, topo1, topo2):
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        with pytest.raises(ValueError, match=r"\[2\]") as info:
+            synthesize([topo1], (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched)
+        assert not isinstance(info.value, SynthesisError)
 
     def test_delayed_attack_discrepancy_stays_hidden(self, topo1, topo2):
         tau = np.pi / 2 + 0.2

@@ -536,6 +536,17 @@ class TestNeverATraceback:
         assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "modal period overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "synthesize"])
+    def test_delayed_directive_leaving_out_a_scheduled_topology(self, tmp_path, capsys, verb):
+        """Before rho the discrepancy must hide from every topology that runs,
+        so a stealth set without topology 2 is an input error."""
+        doc = stealth_doc(attack={"synthesize": True, "rho": 20.0, "stealth_set": [1]})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "[2]" in err
+
 
 def _symmetric_k4(s):
     """A weighting of K4 that swapping agents 2 and 3 leaves unchanged, with
