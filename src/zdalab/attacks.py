@@ -117,7 +117,10 @@ def unobservable_subspace(L_list, M) -> np.ndarray:
     of agents M; no columns when every discrepancy shows.  X is the complement
     of the smallest subspace holding range E_M^T that every L_r maps into
     itself (Sun, Ge & Lee, Automatica 38(5), 2002), from one Krylov closure."""
-    L_list = [L / (np.linalg.norm(L) or 1.0) for L in L_list]  # scale-free ranks
+    # scale-free ranks: L / ||L||_F, after a power-of-two prescale that is
+    # exact and keeps the norm of weights near the float limit finite
+    L_list = [np.ldexp(L, -np.frexp(np.abs(L).max())[1]) for L in L_list]
+    L_list = [L / (np.linalg.norm(L) or 1.0) for L in L_list]
     Q = new = np.eye(len(L_list[0]))[:, [i - 1 for i in sorted(M)]]
     while new.shape[1]:
         Z = np.hstack([L @ new for L in L_list])

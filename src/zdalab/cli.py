@@ -6,7 +6,6 @@ cannot be written (OSError), 3 no stealthy attack exists, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -66,8 +65,7 @@ def cmd_synthesize(args) -> int:
     if not sc.attacked:
         print("scenario error: no attack channels", file=sys.stderr)
         return EXIT_INVALID
-    directive = sc.synthesize_directive or {}
-    atk, cert = scenario.synthesize_for(dataclasses.replace(sc, synthesize_directive=directive))
+    atk, cert = scenario.synthesize_for(sc)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_attack.json")
     with open(path, "w") as fh:

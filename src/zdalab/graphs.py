@@ -49,7 +49,7 @@ class Topology:
     """Weighted undirected communication graph.
 
     Invariants: symmetric adjacency, zero diagonal (no self-loops),
-    nonnegative weights.
+    finite nonnegative weights.
     """
 
     id: int
@@ -60,6 +60,8 @@ class Topology:
         a = np.asarray(self.adjacency, dtype=float)
         if a.shape != (self.n, self.n):
             raise GraphError(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise GraphError("edge weights must be finite")
         if not np.allclose(a, a.T, atol=0.0):
             raise GraphError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):

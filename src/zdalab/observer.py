@@ -159,7 +159,9 @@ def run_observer(
         J, d, norm, pw = drifts[key]
         first, last, count = steps[0], steps[-1], len(steps)
         # one stacked exponential over the partial steps the Taylor action
-        # does not take, with P on the drift's first steady step
+        # does not take, with P on the drift's first steady step.  P waits
+        # for a whole dt step: a run whose segments each hold one partial
+        # step never needs it, and at a huge dt (1e308) exp(J dt) overflows
         plans = {tau: taylor_plan(norm * tau, d) for tau in {first, last} - {dt}}
         fresh = [tau for tau, plan in plans.items() if plan is None]
         if not pw and (count > 2 or dt in (first, last)):

@@ -54,8 +54,8 @@ class Scenario:
     dwell_override: dict | None = None
     attacked: tuple = ()
     attack: attacks.ZdaAttack | None = None
-    synthesize_directive: dict | None = None
-    reported_x: tuple | None = None
+    synthesize_directive: dict | None = None  # as _directive parses it; None without one
+    reported_x: tuple | None = None  # the loader fills both, from initial by default
     reported_v: tuple | None = None
     observer_cfg: observer.ObserverConfig | None = None
     id: str = "scenario"
@@ -103,30 +103,33 @@ def _state(part, n: int, what: str) -> tuple:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a JSON file path, JSON text, or a dict.  A string
-    that does not start with ``{`` is a path, and so is a string attack.
-    An attack path in a scenario file is relative to that file's folder.
-    Every malformed or inconsistent document raises ScenarioError."""
+    """Parse a scenario from a JSON file path or a dict; a string attack is a
+    path relative to the scenario file's folder.  Every malformed or
+    inconsistent document raises ScenarioError."""
     base = ""
     if isinstance(source, dict):
         d = source
     else:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            text = source
-        else:
-            _require(os.path.isfile(source), f"no such file: {source}")
-            base = os.path.dirname(source)
-            with open(source) as fh:
-                text = fh.read()
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        _require(os.path.isfile(source), f"no such file: {source}")
+        base = os.path.dirname(source)
+        with open(source) as fh:
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ScenarioError(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
         return _parse(d, base)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ScenarioError(f"malformed scenario: {what}") from exc
+
+
+def _directive(order, rho=0.0, stealth_set=None, eta_target=None) -> dict:
+    """A synthesize directive as a run reads it; the stealth set defaults to
+    the running topology ids in first-appearance order."""
+    stealth = dict.fromkeys(order) if stealth_set is None else stealth_set
+    return {"rho": float(rho), "stealth_set": tuple(map(int, stealth)),
+            "eta_target": None if eta_target is None else float(eta_target)}
 
 
 def _parse(d: dict, base: str) -> Scenario:
@@ -170,15 +173,13 @@ def _parse(d: dict, base: str) -> Scenario:
     synth = None
     a = d.get("attack")
     if isinstance(a, dict) and a.get("synthesize"):
-        synth = a
         _require(bool(attacked), "synthesize directive requires a nonempty attacked set")
-        rho = float(a.get("rho", 0.0))
+        synth = _directive(order, **{k: a[k] for k in ("rho", "stealth_set", "eta_target") if k in a})
+        rho, eta = synth["rho"], synth["eta_target"]
         _require(0.0 <= rho < math.inf, "directive rho must be finite and nonnegative")
         _require(rho <= horizon, "directive rho must not exceed the horizon")
-        eta = a.get("eta_target")
         _require(eta is None or math.isfinite(eta), "directive eta_target must be null or finite")
-        stealth = [int(tid) for tid in a.get("stealth_set", order)]
-        _require(stealth and all(tid in ids for tid in stealth),
+        _require(synth["stealth_set"] and all(tid in ids for tid in synth["stealth_set"]),
                  "directive stealth_set must name known topology ids")
     elif isinstance(a, dict):
         attack = attacks.attack_from_json(json.dumps(a))
@@ -191,7 +192,7 @@ def _parse(d: dict, base: str) -> Scenario:
         _require(a is None, "attack must be a directive, an attack object or a file path")
 
     reported = d.get("reported_initial")
-    rx, rv = _state(reported, n, "reported initial condition") if reported else (None, None)
+    rx, rv = _state(reported, n, "reported initial condition") if reported else (x0, v0)
 
     oc = d.get("observer")
     cfg = None
@@ -265,8 +266,8 @@ def validate(sc: Scenario) -> ValidationReport:
         rational_ok = False
     checks["rational modal-period ratios (all topologies)"] = bool(rational_ok)
 
-    distinct = any(graphs.has_distinct_eigenvalues(s) for s in sc.spectra.values())
-    checks["some topology has distinct eigenvalues"] = bool(distinct)
+    checks["some topology has distinct eigenvalues"] = any(
+        graphs.has_distinct_eigenvalues(s) for s in sc.spectra.values())
 
     sched = None
     try:
@@ -276,7 +277,7 @@ def validate(sc: Scenario) -> ValidationReport:
         checks["dwell-time construction"] = False
 
     measure_ok = False
-    if sched is not None and sc.observer_cfg is not None and distinct:
+    if sched is not None and sc.observer_cfg is not None:
         try:
             Phi, Theta = observer.gain_matrices(sc.observer_cfg, sc.n)
             A_list = [
@@ -291,23 +292,18 @@ def validate(sc: Scenario) -> ValidationReport:
     checks["averaged contraction of observer error"] = bool(measure_ok)
 
     running = [topo_by_id[tid] for tid in dict.fromkeys(sc.order)]
-    if len(running) >= 2:
-        det = graphs.detectability(running, sc.observed)
-        checks["detectability of running topology set"] = det.ok
-    else:
-        checks["detectability of running topology set"] = False
+    checks["detectability of running topology set"] = (
+        len(running) >= 2 and graphs.detectability(running, sc.observed).ok)
     return ValidationReport(checks=checks)
 
 
 def synthesize_for(sc: Scenario) -> tuple:
-    """Execute the scenario's synthesize directive against its stealth set."""
-    if sc.synthesize_directive is None:
-        raise ScenarioError("scenario has no synthesize directive")
-    directive = sc.synthesize_directive
+    """Execute the scenario's synthesize directive, or the default one when it
+    has none, against its stealth set."""
+    directive = sc.synthesize_directive or _directive(sc.order)
     topo_by_id = {t.id: t for t in sc.topologies}
-    stealth_ids = directive.get("stealth_set", list(dict.fromkeys(sc.order)))
-    stealth = [topo_by_id[int(tid)] for tid in stealth_ids]
-    rho = float(directive.get("rho", 0.0))
+    stealth = [topo_by_id[tid] for tid in directive["stealth_set"]]
+    rho = directive["rho"]
     sched = sc.schedule if rho > 0.0 else None
     result = attacks.synthesize(
         stealth,
@@ -315,7 +311,7 @@ def synthesize_for(sc: Scenario) -> tuple:
         sc.attacked,
         rho=rho,
         schedule_prefix=sched,
-        eta_target=directive.get("eta_target"),
+        eta_target=directive["eta_target"],
     )
     if result is None:
         raise attacks.SynthesisError(
@@ -364,10 +360,8 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     residuals = None
     alarm_time = None
     if sc.observer_cfg is not None:
-        rx = sc.reported_x if sc.reported_x is not None else sc.initial_x
-        rv = sc.reported_v if sc.reported_v is not None else sc.initial_v
         obs_run = observer.run_observer(
-            tr, sc.observer_cfg, xhat0=np.array(rx), vhat0=np.array(rv)
+            tr, sc.observer_cfg, xhat0=np.array(sc.reported_x), vhat0=np.array(sc.reported_v)
         )
         residuals = obs_run.residuals
         alarm_time = observer.detect(obs_run.times, residuals, sc.observer_cfg)

@@ -175,8 +175,9 @@ def hurwitz(A: np.ndarray, tol: float | None = None) -> bool:
 
 def lyapunov_weight(A_list) -> np.ndarray:
     """Positive-definite P with P A + A^T P = -I for the first Hurwitz A in
-    the list.  Such a mode exists only when some active Laplacian has distinct
-    eigenvalues; otherwise the observer-error dynamics have no decaying mode."""
+    the list.  With one observed agent a mode is Hurwitz only when its
+    Laplacian has distinct eigenvalues; with several, a repeated spectrum
+    can still give one."""
     for A in A_list:
         A = np.asarray(A, dtype=float)
         if hurwitz(A):
@@ -184,10 +185,7 @@ def lyapunov_weight(A_list) -> np.ndarray:
             if np.min(np.linalg.eigvalsh(P)) <= 0.0:
                 raise ScheduleError("Lyapunov solve produced a non-definite weight")
             return P
-    raise ScheduleError(
-        "no Hurwitz mode in list; the observer dynamics are Hurwitz only when "
-        "the active Laplacian has distinct eigenvalues"
-    )
+    raise ScheduleError("no Hurwitz mode in list: no mode's observer error decays in every direction")
 
 
 def _lyapunov(A: np.ndarray) -> np.ndarray:

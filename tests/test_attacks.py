@@ -118,11 +118,12 @@ class TestObservability:
         proj = V @ (V.T @ probe)
         np.testing.assert_allclose(proj, probe, atol=1e-9)
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e6, 1e8, 1e12])
+    @pytest.mark.parametrize("scale", [1e-12, 1e6, 1e8, 1e12, 1e300])
     def test_hidden_direction_does_not_depend_on_link_scale(self, topo1, topo2, scale):
         """Scaling every link weight leaves every invariant subspace as it
         is; an absolute rank threshold would count the rounding of a large
-        L_r as a direction, or a small L_r's directions as rounding."""
+        L_r as a direction, or a small L_r's directions as rounding.  At
+        1e300 the Frobenius norm of L_r itself would overflow."""
         V = unobservable_subspace([scale * graphs.laplacian(t) for t in (topo1, topo2)], [1])
         assert V.shape == (8, 2)
         probe = (np.eye(8)[2] - np.eye(8)[3]) / np.sqrt(2)

@@ -56,8 +56,20 @@ class TestLoadScenario:
         assert sc.n == 4
         assert sc.order == (1, 2)
         assert sc.attacked == (1, 2, 3, 4)
-        assert sc.synthesize_directive is not None
+        assert sc.synthesize_directive == {"rho": 20.0, "stealth_set": (1, 2), "eta_target": 0.05}
+        assert (sc.reported_x, sc.reported_v) == (sc.initial_x, sc.initial_v)
         assert sc.observer_cfg.alarm_window == 5
+
+    def test_explicit_stealth_set_kept_as_given(self):
+        sc = load_scenario(stealth_doc(attack={"synthesize": True, "stealth_set": [2, 1]}))
+        assert sc.synthesize_directive == {"rho": 0.0, "stealth_set": (2, 1), "eta_target": None}
+
+    def test_relative_path_starting_with_a_brace(self, tmp_path, monkeypatch, capsys):
+        """A scenario argument is a path, whatever its first character."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{run-1}.json").write_text(json.dumps(stealth_doc()))
+        assert cli.main(["validate", "--scenario", "{run-1}.json"]) == 0
+        assert "PASS  dwell-time construction" in capsys.readouterr().out
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ScenarioError):
@@ -109,6 +121,24 @@ class TestValidate:
         assert rep.checks["some topology has distinct eigenvalues"]
         assert rep.checks["dwell-time construction"]
         assert not rep.checks["detectability of running topology set"]
+
+    def test_repeated_spectrum_pair_contracts_when_two_agents_are_observed(self, tmp_path, capsys):
+        """The unit 4-cycle has spectrum {0, 2, 2, 4}, yet observed at agents
+        1 and 2 with unit gains its observer matrix is Hurwitz (max Re
+        lambda = -0.12): the contraction line rests on that alone."""
+        cycle = [[1, 2, 1], [2, 3, 1], [3, 4, 1], [4, 1, 1]]
+        doc = stealth_doc(
+            topologies=[{"id": tid, "n": 4, "edges": cycle} for tid in (1, 2)],
+            dwell={"1": 3.0, "2": 3.0},
+            observed=[1, 2],
+            observer=_observer(psi=[1, 1], theta=[1, 1]),
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "PASS  averaged contraction of observer error" in out
+        assert "FAIL  some topology has distinct eigenvalues" in out
 
     def test_report_lines_are_pass_fail(self):
         rep = scenario.validate(load_scenario(stealth_doc()))
@@ -391,6 +421,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
 
+    def test_synthesize_without_attack_key_uses_the_default_directive(self, tmp_path):
+        """With no attack key, `synthesize` runs the directive's defaults."""
+        written = []
+        for name, attack in (("absent", None), ("bare", {"synthesize": True})):
+            doc = stealth_doc(attack=attack)
+            if attack is None:
+                doc.pop("attack")
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / name
+            assert cli.main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+            written.append((out / "stealth_attack.json").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "synthesize"])
+    def test_non_finite_edge_weight_exits_two(self, tmp_path, capsys, verb):
+        """JSON reads 1e400 as inf; the topology rejects it before any stage."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc()).replace("[1, 2, 1]", "[1, 2, 1e400]", 1))
+        assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "edge weights must be finite" in err
+
     def test_synthesized_attack_file_is_strict_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(stealth_doc()))
@@ -454,15 +507,18 @@ class TestExitCodes:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+_FIRST_WEIGHT = ("topologies", 0, "edges", 0, 2)
+
+
 def _field_paths(doc):
-    """Every top-level key, the keys of each nested object, and the keys of
-    the first topology."""
+    """Every top-level key, the keys of each nested object, the keys of
+    the first topology, and the weight of its first edge."""
     paths = []
     for key, value in doc.items():
         paths.append((key,))
         if isinstance(value, dict):
             paths += [(key, sub) for sub in value]
-    return paths + [("topologies", 0, sub) for sub in doc["topologies"][0]]
+    return paths + [("topologies", 0, sub) for sub in doc["topologies"][0]] + [_FIRST_WEIGHT]
 
 
 _DELETE = object()
@@ -477,7 +533,7 @@ class TestNeverATraceback:
         """Deleting one field or giving it one odd value ends in a documented
         exit code, never in an exception."""
         scenario_path = tmp_path / "scenario.json"
-        for value in _ODD_VALUES:
+        for value in _ODD_VALUES + [INF] * (path == _FIRST_WEIGHT):
             doc = copy.deepcopy(stealth_doc())
             box = doc
             for key in path[:-1]:
