@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RANK_RTOL, detection_matrix, laplacian
+from .graphs import RANK_RTOL, agent_set, detection_matrix, laplacian
 from .scheduling import SwitchingSchedule
 from .simulation import assemble_A, assemble_C, attack_injection, expm
 
@@ -44,9 +44,9 @@ class ZdaAttack:
     """Exponential stealthy attack.
 
     ``delta_z0`` is the falsification of the initial state reported to the
-    defender; ``g0`` is the injected signal at the start time ``rho``, routed
-    into the velocity channels of the ``attacked`` agents.  ``eta`` may be
-    complex; the physically injected signal is Re(g0 * e^{eta (t - rho)}).
+    defender; ``g0`` is the injected signal at the start time ``rho``, one
+    entry per ``attacked`` agent for its velocity channel, sorted along with
+    it.  ``eta`` may be complex; the injected signal is Re(g0 e^{eta (t - rho)}).
     """
 
     eta: complex
@@ -69,10 +69,11 @@ class ZdaAttack:
             raise ValueError("initial-state discrepancy must be nonzero")
         if len(g0) != len(self.attacked):
             raise ValueError("g0 length must match the attacked set size")
+        order = sorted(range(len(g0)), key=lambda k: self.attacked[k])
         object.__setattr__(self, "eta", complex(self.eta))
-        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g0", g0[order])
         object.__setattr__(self, "delta_z0", dz)
-        object.__setattr__(self, "attacked", tuple(sorted(self.attacked)))
+        object.__setattr__(self, "attacked", tuple(self.attacked[k] for k in order))
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ def unobservable_subspace(L_list, M) -> np.ndarray:
     # exact and keeps the norm of weights near the float limit finite
     L_list = [np.ldexp(L, -np.frexp(np.abs(L).max())[1]) for L in L_list]
     L_list = [L / (np.linalg.norm(L) or 1.0) for L in L_list]
-    Q = new = np.eye(len(L_list[0]))[:, [i - 1 for i in sorted(M)]]
+    n = len(L_list[0])
+    Q = new = np.eye(n)[:, [i - 1 for i in agent_set(M, n, "observed")]]
     while new.shape[1]:
         Z = np.hstack([L @ new for L in L_list])
         Z -= Q @ (Q.T @ Z)
@@ -312,7 +314,7 @@ def synthesize(
         )
         if not cert.valid:
             continue
-        atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=tuple(sorted(K)))
+        atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=agent_set(K, n, "attacked"))
         return atk, cert
     return None
 

@@ -17,6 +17,7 @@ __all__ = [
     "LaplacianSpectrum",
     "DetectabilityReport",
     "RatioCertificate",
+    "agent_set",
     "laplacian",
     "spectrum",
     "detection_matrix",
@@ -106,6 +107,19 @@ class RatioCertificate:
     ratios: tuple  # of Fraction, one per eigenvalue index 2..n
 
 
+def agent_set(S, n: int, what: str) -> tuple:
+    """The agent ids S (1-based) in ascending order; GraphError naming the
+    set unless it is nonempty and its ids are distinct and within 1..n."""
+    ids = tuple(sorted(S))
+    if not ids:
+        raise GraphError(f"{what} set must be nonempty")
+    if not 1 <= ids[0] <= ids[-1] <= n:
+        raise GraphError(f"{what} set {list(ids)} not within 1..{n}")
+    if len(set(ids)) < len(ids):
+        raise GraphError(f"{what} set repeats agent {max(ids, key=ids.count)}")
+    return ids
+
+
 def laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: l_ii = sum_j a_ij, l_ij = -a_ij for i != j."""
     a = t.adjacency
@@ -131,14 +145,13 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
 
 
 def detection_matrix(S, M) -> np.ndarray:
-    """N = [E_M^T; L_2 - L_1; ...] for the topologies S and observed agents M:
-    the positions of every stealthy attack on S lie in its kernel."""
-    S, M = list(S), sorted(M)
+    """N = [E_M^T; L_2 - L_1; ...] for the topologies S and observed agents M
+    (possibly none): every stealthy attack on S has its positions in ker N."""
+    S = list(S)
     n = S[0].n
     if any(t.n != n for t in S):
         raise GraphError(f"topology sizes differ: {sorted({t.n for t in S})}")
-    if any(not (1 <= m <= n) for m in M):
-        raise GraphError(f"observed set {M} not within 1..{n}")
+    M = agent_set(M, n, "observed") if len(M) else ()
     L1 = laplacian(S[0])
     return np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulation import Trace, expm, expm_action, taylor_plan
+from .graphs import agent_set
+from .simulation import SimulationError, Trace, expm, expm_action, taylor_plan
 
 __all__ = [
     "ObserverConfig",
@@ -34,9 +35,9 @@ class ObserverConfig:
     """Observed channels, per-channel gains, and alarm policy.
 
     ``psi`` and ``theta`` are the position and velocity correction gains,
-    one per observed agent; each vector must be nonnegative and finite with
-    at least one strictly positive entry.  The alarm threshold must be
-    positive and finite.
+    one per observed agent in the order given and sorted along with it; each
+    vector must be nonnegative and finite with at least one strictly positive
+    entry.  The alarm threshold must be positive and finite.
     """
 
     observed: tuple
@@ -46,12 +47,9 @@ class ObserverConfig:
     alarm_window: int = 5
 
     def __post_init__(self):
-        obs = tuple(sorted(self.observed))
         psi = tuple(float(v) for v in self.psi)
         theta = tuple(float(v) for v in self.theta)
-        if not obs:
-            raise ValueError("observed set must be nonempty")
-        if len(psi) != len(obs) or len(theta) != len(obs):
+        if len(psi) != len(self.observed) or len(theta) != len(self.observed):
             raise ValueError("need one psi and one theta per observed agent")
         if not all(0.0 <= v < np.inf for v in psi + theta):
             raise ValueError("gains must be nonnegative and finite")
@@ -61,6 +59,7 @@ class ObserverConfig:
             raise ValueError("alarm threshold must be positive and finite")
         if self.alarm_window < 1:
             raise ValueError("alarm window must be a positive integer")
+        obs, psi, theta = zip(*sorted(zip(self.observed, psi, theta)))
         object.__setattr__(self, "observed", obs)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "theta", theta)
@@ -78,13 +77,9 @@ class ObserverRun:
 
 def gain_matrices(cfg: ObserverConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal gain matrices with entries on the observed channels."""
-    Phi = np.zeros((n, n))
-    Theta = np.zeros((n, n))
-    for k, i in enumerate(cfg.observed):
-        if not (1 <= i <= n):
-            raise ValueError(f"observed agent {i} not within 1..{n}")
-        Phi[i - 1, i - 1] = cfg.psi[k]
-        Theta[i - 1, i - 1] = cfg.theta[k]
+    idx = np.array(agent_set(cfg.observed, n, "observed")) - 1
+    Phi, Theta = np.zeros((2, n, n))
+    Phi[idx, idx], Theta[idx, idx] = cfg.psi, cfg.theta
     return Phi, Theta
 
 
@@ -97,6 +92,7 @@ def assemble_observer_A(L: np.ndarray, Phi: np.ndarray, Theta: np.ndarray) -> np
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_observer(
     tr: Trace,
     cfg: ObserverConfig,
@@ -118,7 +114,8 @@ def run_observer(
     intervals; the estimate is the trace's plant state plus e, and the
     residual is e on the observed positions.  The observer starts from the
     supplied (possibly falsified) initial state, defaulting to the trace's
-    own initial sample.
+    own initial sample.  Raises SimulationError naming the first sample
+    whose estimation error is not finite.
     """
     n = tr.n
     if not tr.segments:
@@ -190,6 +187,9 @@ def run_observer(
             S[-1] = step(last, S[-2])
         k += count
 
+    finite = np.isfinite(err).all(axis=1)
+    if not finite.all():
+        raise SimulationError(f"observer overflow at t={times[np.argmin(finite)]:.6g}")
     zhat = tr.states + err
     idx = [i - 1 for i in cfg.observed]
     return ObserverRun(

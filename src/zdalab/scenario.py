@@ -119,6 +119,10 @@ def load_scenario(source) -> Scenario:
                 raise ScenarioError(f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
         return _parse(d, base)
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # a bad number, or a constructor's GraphError or ScheduleError
+        raise ScenarioError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ScenarioError(f"malformed scenario: {what}") from exc
@@ -151,10 +155,9 @@ def _parse(d: dict, base: str) -> Scenario:
     dt = float(d.get("dt", 0.01))
     _require(0.0 < dt < float("inf"), "dt must be positive and finite")
     x0, v0 = _state(d["initial"], n, "initial condition")
-    observed = tuple(sorted(int(i) for i in d["observed"]))
-    _require(all(1 <= i <= n for i in observed), "observed agents out of range")
-    attacked = tuple(sorted(int(i) for i in d.get("attacked", [])))
-    _require(all(1 <= i <= n for i in attacked), "attacked agents out of range")
+    observed = graphs.agent_set(map(int, d["observed"]), n, "observed")
+    attacked = tuple(map(int, d.get("attacked", [])))
+    attacked = graphs.agent_set(attacked, n, "attacked") if attacked else ()
 
     dp = d.get("dwell_params", {})
     allowed = {"beta", "alpha", "kappa", "tau_hat_max", "m"}
@@ -198,7 +201,7 @@ def _parse(d: dict, base: str) -> Scenario:
     cfg = None
     if oc is not None:
         cfg = observer.ObserverConfig(
-            observed=observed,
+            observed=tuple(map(int, d["observed"])),  # in the order of psi and theta
             psi=tuple(map(float, oc["psi"])),
             theta=tuple(map(float, oc["theta"])),
             alarm_threshold=float(oc.get("threshold", 1e-6)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import laplacian
+from .graphs import agent_set, laplacian
 from .scheduling import SwitchingSchedule
 
 __all__ = [
@@ -206,27 +206,16 @@ def assemble_A(L: np.ndarray) -> np.ndarray:
     return np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
 
 
-def _agents(S, n: int, what: str) -> list:
-    """The 0-based indices of the agents S (1-based), ascending; ValueError
-    unless S is a nonempty subset of 1..n."""
-    S = sorted(S)
-    if not S:
-        raise ValueError(f"{what} set must be nonempty")
-    if any(not (1 <= i <= n) for i in S):
-        raise ValueError(f"{what} set {S} not within 1..{n}")
-    return [i - 1 for i in S]
-
-
 def assemble_C(M, n: int) -> np.ndarray:
     """Output matrix selecting the positions of the observed agents (1-based,
     ascending)."""
-    return np.eye(2 * n)[_agents(M, n, "observed")]
+    return np.eye(2 * n)[[i - 1 for i in agent_set(M, n, "observed")]]
 
 
 def attack_injection(K, n: int) -> np.ndarray:
     """Injection matrix routing attack channels into the velocity rows of the
     misbehaving agents (1-based, ascending)."""
-    return np.eye(2 * n)[:, [n + i for i in _agents(K, n, "attacked")]]
+    return np.eye(2 * n)[:, [n + i - 1 for i in agent_set(K, n, "attacked")]]
 
 
 @dataclass(frozen=True)
@@ -400,7 +389,7 @@ def simulate(
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
     C = assemble_C(observed, n)
-    attacked = tuple(sorted(attack.attacked)) if attack is not None else ()
+    attacked = attack.attacked if attack is not None else ()
     rho = attack.rho if attack is not None else math.inf
     check_sample_count(sched.horizon, dt)
 
@@ -451,7 +440,7 @@ def simulate(
         outputs=states @ C.T,
         attack_values=vals,
         topology_ids=np.concatenate(topo_all),
-        observed=tuple(sorted(observed)),
+        observed=agent_set(observed, n, "observed"),
         attacked=attacked,
         segments=tuple(segments),
         dt=dt,

@@ -129,6 +129,10 @@ class TestObservability:
         probe = (np.eye(8)[2] - np.eye(8)[3]) / np.sqrt(2)
         assert np.linalg.norm(probe - V @ (V.T @ probe)) < 1e-12
 
+    def test_agent_zero_is_not_read_as_agent_n(self, topo1):
+        with pytest.raises(graphs.GraphError, match="observed set"):
+            unobservable_subspace([graphs.laplacian(topo1)], (0,))
+
     def test_full_output_kills_kernel(self, topo1):
         assert unobservable_subspace([graphs.laplacian(topo1)], [1, 2, 3, 4]).shape[1] == 0
 
@@ -582,3 +586,11 @@ class TestSignalsAndPrediction:
         np.testing.assert_allclose(back.g0, atk.g0)
         np.testing.assert_allclose(back.delta_z0, atk.delta_z0)
         assert back.attacked == atk.attacked
+
+    def test_json_keeps_each_signal_entry_with_its_agent(self):
+        text = json.dumps({"eta": {"re": 0.05, "im": 0.0}, "rho": 0.0,
+                           "g0": {"re": [1.0, -0.5], "im": [0.0, 0.0]},
+                           "delta_z0": [1.0, 0.0], "attacked": [3, 2]})
+        atk = attack_from_json(text)
+        assert atk.attacked == (2, 3)
+        np.testing.assert_array_equal(atk.g0, [-0.5, 1.0])

@@ -237,6 +237,24 @@ class TestDetectability:
     def test_observed_set_validated(self, topo1, topo2):
         with pytest.raises(GraphError):
             graphs.detectability([topo1, topo2], [9])
+        with pytest.raises(GraphError, match="repeats agent 1"):
+            graphs.detectability([topo1, topo2], [1, 1])
+
+
+class TestAgentSet:
+    def test_ids_come_back_ascending(self):
+        assert graphs.agent_set([3, 1, 4], 4, "observed") == (1, 3, 4)
+
+    @pytest.mark.parametrize("ids, match", [
+        ((), "attacked set must be nonempty"),
+        ((0,), r"attacked set \[0\] not within 1..4"),
+        ((5,), r"attacked set \[5\] not within 1..4"),
+        ((1, 1), "attacked set repeats agent 1"),
+        ((4, 2, 4, 1), "attacked set repeats agent 4"),
+    ], ids=["empty", "zero", "above-n", "repeated", "repeated-unsorted"])
+    def test_rejects(self, ids, match):
+        with pytest.raises(GraphError, match=match):
+            graphs.agent_set(ids, 4, "attacked")
 
 
 class TestSpectralPredicates:

@@ -21,6 +21,7 @@ class TestConfig:
     def test_valid_config_normalized(self):
         cfg = ObserverConfig(observed=(3, 1), psi=(0.0, 1.0), theta=(1.0, 0.0))
         assert cfg.observed == (1, 3)
+        assert cfg.psi == (1.0, 0.0) and cfg.theta == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",

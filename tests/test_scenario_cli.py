@@ -1,8 +1,11 @@
 import ast
+import contextlib
 import copy
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 
@@ -59,6 +62,29 @@ class TestLoadScenario:
         assert sc.synthesize_directive == {"rho": 20.0, "stealth_set": (1, 2), "eta_target": 0.05}
         assert (sc.reported_x, sc.reported_v) == (sc.initial_x, sc.initial_v)
         assert sc.observer_cfg.alarm_window == 5
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [(("horizon",), "x", "'x'"), (("dt",), "x", "'x'"), (("attack", "rho"), "x", "'x'"),
+         (("attack", "eta_target"), "x", "'x'"), (("attack", "stealth_set"), [1, "x"], "'x'"),
+         (("topologies", 0, "edges", 0, 2), "x", "'x'"), (("observed",), ["x"], "'x'"),
+         (("topologies", 0, "edges", 0, 2), float("inf"), "edge weights must be finite"),
+         (("observed",), [1, 1], "observed set repeats agent 1"),
+         (("dwell_params",), {"beta": 2}, "beta must be in (0,1), got 2")],
+        ids=["horizon", "dt", "rho", "eta-target", "stealth-set-entry", "edge-weight",
+             "observed-entry", "weight-inf", "observed-repeated", "beta"],
+    )
+    def test_every_bad_value_raises_scenario_error(self, path, value, message):
+        """A string where a number belongs, and the checks of the topology,
+        agent-set and dwell-parameter constructors, all end in ScenarioError
+        with the message they raised."""
+        doc = stealth_doc()
+        box = doc
+        for key in path[:-1]:
+            box = box[key]
+        box[path[-1]] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(doc)
 
     def test_explicit_stealth_set_kept_as_given(self):
         sc = load_scenario(stealth_doc(attack={"synthesize": True, "stealth_set": [2, 1]}))
@@ -444,6 +470,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and "edge weights must be finite" in err
 
+    @pytest.mark.parametrize("case", ["gain", "weight"])
+    def test_observer_overflow_exits_four(self, tmp_path, capsys, case):
+        """A huge gain, or a huge weight without an attack, overflows the
+        observer's propagators; the run reports it and writes no trace."""
+        doc = stealth_doc(observer=_observer(psi=[1e308], theta=[1.0]))
+        if case == "weight":
+            doc = stealth_doc(attack=None)
+            doc["topologies"][0]["edges"][0][2] = 1e200
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: observer overflow at t=") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "stealth_trace.csv").exists()
+
     def test_synthesized_attack_file_is_strict_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(stealth_doc()))
@@ -522,7 +563,26 @@ def _field_paths(doc):
 
 
 _DELETE = object()
-_ODD_VALUES = [_DELETE, None, 0, -1, "x", [], {}, [1], True, NAN, 1e308]
+_ODD_VALUES = [_DELETE, None, 0, -1, "x", [], {}, [1], [1, 1], [0], True, NAN, 1e308]
+
+
+@contextlib.contextmanager
+def _wall_bound(seconds):
+    """Fail the test when its body runs longer than ``seconds`` of wall time,
+    so a run that never ends cannot stall the suite.  pytest.fail raises an
+    exception that cli.main does not catch; a TimeoutError is an OSError,
+    which cli.main would report as exit 2."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestNeverATraceback:
@@ -543,9 +603,10 @@ class TestNeverATraceback:
             else:
                 box[path[-1]] = value
             scenario_path.write_text(json.dumps(doc))
-            for verb in ("validate", "run"):
-                argv = [verb, "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
-                assert cli.main(argv) in (0, 2, 3), (verb, path, value)
+            with _wall_bound(30):
+                for verb in ("validate", "run"):
+                    argv = [verb, "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
+                    assert cli.main(argv) in (0, 2, 3), (verb, path, value)
         capsys.readouterr()
 
     def test_dwell_at_the_spectrum_margin_ends(self, tmp_path, capsys):
@@ -602,6 +663,54 @@ class TestNeverATraceback:
         assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and "[2]" in err
+
+
+class TestAgentSets:
+    """Each gain pair and each attack signal entry stays with its agent, and
+    a repeated agent is an input error."""
+
+    @staticmethod
+    def outputs(tmp_path, name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        return [(out / f"stealth_{f}").read_bytes() for f in ("trace.csv", "alarm.json", "report.txt")]
+
+    def test_observed_order_keeps_each_gain_pair(self, tmp_path):
+        """A falsified reported state makes every gain show in the residuals."""
+        reported = {"x": [1.5, 2, 3, 4], "v": [1, 2, 3.5, 4]}
+        written = stealth_doc(observed=[2, 1], observer=_observer(psi=[3, 1], theta=[0.5, 2]),
+                              reported_initial=reported)
+        ascending = stealth_doc(observed=[1, 2], observer=_observer(psi=[1, 3], theta=[2, 0.5]),
+                                reported_initial=reported)
+        assert self.outputs(tmp_path, "written", written) == self.outputs(tmp_path, "ascending", ascending)
+
+    def test_attacked_order_keeps_each_signal_entry(self, tmp_path):
+        def doc(attacked, g0):
+            return stealth_doc(attack={"eta": {"re": 0.05, "im": 0.0}, "rho": 5.1,
+                                       "g0": {"re": g0, "im": [0.0, 0.0]},
+                                       "delta_z0": [0.1] + [0.0] * 7, "attacked": attacked})
+
+        written = self.outputs(tmp_path, "written", doc([3, 2], [1.0, -0.5]))
+        assert written == self.outputs(tmp_path, "ascending", doc([2, 3], [-0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"attacked": [3, 3, 4]}, "attacked set repeats agent 3"),
+         ({"observed": [1, 1], "observer": _observer(psi=[1e-6] * 2, theta=[1e-6] * 2)},
+          "observed set repeats agent 1")],
+        ids=["attacked", "observed"],
+    )
+    def test_repeated_agent_exits_two(self, tmp_path, capsys, overrides, message):
+        """A repeated agent is an input error before synthesis runs; a
+        repeated attacked agent must not read as "no stealthy attack", and a
+        repeated observed agent must not start a closure that never ends."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(**overrides)))
+        with _wall_bound(5):
+            code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2, f"scenario error: {message}\n")
 
 
 def _symmetric_k4(s):
