@@ -76,7 +76,7 @@ class Topology:
         """Build from an iterable of (i, j, weight) with 1-based ids."""
         a = np.zeros((n, n))
         for i, j, w in edges:
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            if not (_is_id(i) and _is_id(j) and 1 <= i <= n and 1 <= j <= n) or i == j:
                 raise GraphError(f"bad edge ({i}, {j}) for n={n}")
             a[i - 1, j - 1] = a[j - 1, i - 1] = float(w)
         return cls(id=id, n=n, adjacency=a)
@@ -107,10 +107,20 @@ class RatioCertificate:
     ratios: tuple  # of Fraction, one per eigenvalue index 2..n
 
 
+def _is_id(i) -> bool:
+    """Whether i has an agent id's type: an integer, not a bool."""
+    return hasattr(i, "__index__") and not isinstance(i, bool)
+
+
 def agent_set(S, n: int, what: str) -> tuple:
     """The agent ids S (1-based) in ascending order; GraphError naming the
-    set unless it is nonempty and its ids are distinct and within 1..n."""
-    ids = tuple(sorted(S))
+    set unless it is nonempty and its ids are distinct integers within 1..n
+    (1.7, 2.0 and true are not ids)."""
+    ids = tuple(S)
+    for i in ids:
+        if not _is_id(i):
+            raise GraphError(f"{what} set holds {i!r}, which is not an integer agent id")
+    ids = tuple(sorted(ids))
     if not ids:
         raise GraphError(f"{what} set must be nonempty")
     if not 1 <= ids[0] <= ids[-1] <= n:

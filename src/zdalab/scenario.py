@@ -81,12 +81,28 @@ class Scenario:
         """The switching schedule ``build_schedule`` derives."""
         return build_schedule(self)
 
+    @functools.cached_property
+    def observer_weight(self) -> tuple:
+        """The observer matrices in switching order and their Lyapunov weight
+        P, None when no mode has one; needs an observer configuration."""
+        by_id = {t.id: t for t in self.topologies}
+        Phi, Theta = observer.gain_matrices(self.observer_cfg, self.n)
+        A_list = tuple(observer.assemble_observer_A(graphs.laplacian(by_id[tid]), Phi, Theta)
+                       for tid in self.order)
+        try:
+            return A_list, scheduling.lyapunov_weight(A_list)
+        except scheduling.ScheduleError:
+            return A_list, None
+
     def at_multiplier(self, m: int) -> Scenario:
         """This plan at multiplier m with derived dwell times, as ``<id>_m<m>``;
-        it keeps the spectra and certificates, which do not depend on m."""
+        it keeps the spectra, certificates and observer weight, which do not
+        depend on m."""
         sub = replace(self, id=f"{self.id}_m{m}", dwell_override=None,
                       dwell_params=replace(self.dwell_params, m=m))
         sub.__dict__.update(spectra=self.spectra, certificates=self.certificates)
+        if self.observer_cfg is not None:
+            sub.__dict__["observer_weight"] = self.observer_weight
         return sub
 
 
@@ -155,8 +171,8 @@ def _parse(d: dict, base: str) -> Scenario:
     dt = float(d.get("dt", 0.01))
     _require(0.0 < dt < float("inf"), "dt must be positive and finite")
     x0, v0 = _state(d["initial"], n, "initial condition")
-    observed = graphs.agent_set(map(int, d["observed"]), n, "observed")
-    attacked = tuple(map(int, d.get("attacked", [])))
+    observed = graphs.agent_set(d["observed"], n, "observed")
+    attacked = tuple(d.get("attacked", []))
     attacked = graphs.agent_set(attacked, n, "attacked") if attacked else ()
 
     dp = d.get("dwell_params", {})
@@ -193,6 +209,8 @@ def _parse(d: dict, base: str) -> Scenario:
             attack = attacks.attack_from_json(fh.read())
     else:
         _require(a is None, "attack must be a directive, an attack object or a file path")
+    if attack is not None:
+        graphs.agent_set(attack.attacked, n, "attacked")
 
     reported = d.get("reported_initial")
     rx, rv = _state(reported, n, "reported initial condition") if reported else (x0, v0)
@@ -201,7 +219,7 @@ def _parse(d: dict, base: str) -> Scenario:
     cfg = None
     if oc is not None:
         cfg = observer.ObserverConfig(
-            observed=tuple(map(int, d["observed"])),  # in the order of psi and theta
+            observed=tuple(d["observed"]),  # in the order of psi and theta
             psi=tuple(map(float, oc["psi"])),
             theta=tuple(map(float, oc["theta"])),
             alarm_threshold=float(oc.get("threshold", 1e-6)),
@@ -281,17 +299,10 @@ def validate(sc: Scenario) -> ValidationReport:
 
     measure_ok = False
     if sched is not None and sc.observer_cfg is not None:
-        try:
-            Phi, Theta = observer.gain_matrices(sc.observer_cfg, sc.n)
-            A_list = [
-                observer.assemble_observer_A(graphs.laplacian(topo_by_id[tid]), Phi, Theta)
-                for tid in sc.order
-            ]
-            P = scheduling.lyapunov_weight(A_list)
+        A_list, P = sc.observer_weight
+        if P is not None:
             tau_list = [sched.dwell[tid] for tid in sc.order]
             measure_ok = scheduling.measure_condition(A_list, tau_list, P).ok
-        except scheduling.ScheduleError:
-            measure_ok = False
     checks["averaged contraction of observer error"] = bool(measure_ok)
 
     running = [topo_by_id[tid] for tid in dict.fromkeys(sc.order)]

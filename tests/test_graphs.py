@@ -35,6 +35,8 @@ class TestTopology:
             graphs.Topology.from_edges(1, 3, [(1, 4, 1.0)])
         with pytest.raises(GraphError):
             graphs.Topology.from_edges(1, 3, [(2, 2, 1.0)])
+        with pytest.raises(GraphError, match=r"bad edge \(1.5, 2\) for n=3"):
+            graphs.Topology.from_edges(1, 3, [(1.5, 2, 1.0)])
 
 
 class TestLaplacian:
@@ -255,6 +257,16 @@ class TestAgentSet:
     def test_rejects(self, ids, match):
         with pytest.raises(GraphError, match=match):
             graphs.agent_set(ids, 4, "attacked")
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "2"], ids=["fraction", "integral-float", "bool", "string"])
+    def test_rejects_ids_that_are_not_integers(self, bad):
+        """An id is an integer: 1.7 is not truncated to agent 1, nor is 2.0
+        taken for agent 2 or true for agent 1."""
+        with pytest.raises(GraphError, match=f"observed set holds {bad!r}, which is not an integer agent id"):
+            graphs.agent_set([3, bad], 4, "observed")
+
+    def test_numpy_integers_are_ids(self):
+        assert graphs.agent_set(np.array([4, 2]), 4, "observed") == (2, 4)
 
 
 class TestSpectralPredicates:

@@ -713,6 +713,27 @@ class TestAgentSets:
         assert (code, capsys.readouterr().err) == (2, f"scenario error: {message}\n")
 
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"observed": [1.7]}, "observed set holds 1.7, which is not an integer agent id"),
+         ({"observed": [True]}, "observed set holds True, which is not an integer agent id"),
+         ({"attacked": [2.0, 3.0]}, "attacked set holds 2.0, which is not an integer agent id"),
+         ({"attack": {"eta": {"re": 0.05, "im": 0.0}, "rho": 5.1, "g0": {"re": [1.0, -0.5], "im": [0.0, 0.0]},
+                      "delta_z0": [0.1] + [0.0] * 7, "attacked": [2.0, 3.0]}},
+          "attacked set holds 2.0, which is not an integer agent id"),
+         ({"topologies": [{"id": 1, "n": 4, "edges": [[1.0, 2, 1], [2, 3, 1], [3, 4, 1]]}], "order": [1],
+           "dwell": {"1": TAU}}, "bad edge (1.0, 2) for n=4")],
+        ids=["observed-fraction", "observed-bool", "attacked-float", "attack-object-float", "edge-float"],
+    )
+    def test_id_that_is_not_an_integer_exits_two(self, tmp_path, capsys, overrides, message):
+        """1.7 is not truncated to agent 1, and an attack object's or an
+        edge's 2.0 or 1.0 does not reach an array index as a float."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(**overrides)))
+        code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2, f"scenario error: {message}\n")
+
+
 def _symmetric_k4(s):
     """A weighting of K4 that swapping agents 2 and 3 leaves unchanged, with
     spectrum {0, 1/9, 4/9, 1} and eigenvector (0, 1, -1, 0) for 4/9, for
@@ -795,6 +816,23 @@ class TestRunPlan:
                 "--m-min", "1", "--m-max", "4"]
         assert cli.main(argv) == 0
         assert (len(spectra), len(certs)) == (2, 2)
+
+    @pytest.mark.parametrize("hurwitz", [False, True], ids=["no-hurwitz-mode", "hurwitz-mode"])
+    def test_sweep_makes_one_lyapunov_solve(self, tmp_path, monkeypatch, hurwitz):
+        """The observer matrices and their weight do not depend on m, and
+        neither does the finding that no mode has a weight."""
+        solves = self.count_calls(monkeypatch, scenario.scheduling, "lyapunov_weight")
+        doc = _delayed_attack_doc()
+        if hurwitz:  # agents 1 and 2 see the mode agent 1 alone cannot
+            doc.update(observed=[1, 2], observer=_observer(psi=[1, 1], theta=[1, 1]), attack=None)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--m-min", "1", "--m-max", "4"]
+        assert cli.main(argv) == 0
+        assert len(solves) == 1
+        (A_list,) = solves[0]
+        assert any(map(scenario.scheduling.hurwitz, A_list)) == hurwitz
 
     def test_sweep_certificate_error_lands_in_each_row(self, tmp_path):
         doc = stealth_doc()

@@ -7,8 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdalab import graphs, scheduling
+from zdalab import graphs, observer, scheduling
 from zdalab.scheduling import DwellParams, ScheduleError, SwitchingSchedule
+
+from conftest import random_connected_topology
 
 
 class TestDwellParams:
@@ -283,8 +285,6 @@ class TestScipyOracles:
         log-norm by 2e-7 and forming P A + A^T P in doubles by the rest
         (checked in 50-digit arithmetic), so 1e-6 would sit on the rounding
         floor and 1e-5 bounds it with margin; scipy's own P reads 7e-4 off."""
-        from zdalab import observer
-
         cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
         A = observer.assemble_observer_A(graphs.laplacian(k4_149), *observer.gain_matrices(cfg, 4))
         P = scheduling.lyapunov_weight([A])
@@ -312,8 +312,6 @@ class TestHurwitz:
         assert not scheduling.hurwitz(np.diag([-1e-10, -4.0]), tol=1e-7)
 
     def test_small_gain_observer_matrices(self, topo2, k4_149):
-        from zdalab import observer
-
         cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
         Phi, Theta = observer.gain_matrices(cfg, 4)
         # max Re = -2.5e-17: one mode is undamped up to rounding
@@ -326,3 +324,112 @@ class TestHurwitz:
         np.testing.assert_array_equal(
             scheduling.lyapunov_weight([blind, slow]), scheduling.lyapunov_weight([slow])
         )
+
+
+def normalized_residual(A, P) -> float:
+    """||A^T P + P A + I||_F / (2 ||A||_F ||P||_F), the measure LYAP_RTOL bounds."""
+    R = A.T @ P + P @ A + np.eye(len(A))
+    return float(np.linalg.norm(R) / (2.0 * np.linalg.norm(A) * np.linalg.norm(P)))
+
+
+def observer_matrix(topology, observed, psi, theta):
+    cfg = observer.ObserverConfig(observed=observed, psi=psi, theta=theta)
+    return observer.assemble_observer_A(graphs.laplacian(topology),
+                                        *observer.gain_matrices(cfg, topology.n))
+
+
+def critically_damped_path():
+    """The 2-agent path observed at agent 1 with psi = 1, theta = 2: the
+    observer matrix has the double pair -1/2 +- i sqrt(3)/2, so its
+    eigenvector matrix is nearly singular (cond(V) about 1e8)."""
+    return observer_matrix(graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)]), (1,), (1.0,), (2.0,))
+
+
+def random_hurwitz_observer(seed):
+    """A Hurwitz observer matrix at n = 2..64 with gains over 1e-6..1e3.
+    Every third draw observes every agent with uniform gains and puts theta
+    within 1e-12..1e-2 of critical damping for one Laplacian mode mu, theta^2
+    = 4 (mu + psi), so two eigenvalues of the matrix nearly coincide."""
+    rng = np.random.default_rng(seed)
+    n = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)[seed % 11]
+    while True:
+        topology = random_connected_topology(rng, n)
+        gain = 10.0 ** rng.uniform(-6, 3)
+        if seed % 3 == 2:
+            observed, psi = tuple(range(1, n + 1)), (gain,) * n
+            mu = rng.choice(np.linalg.eigvalsh(graphs.laplacian(topology)))
+            theta = (2.0 * math.sqrt(mu + gain) * (1.0 + 10.0 ** rng.uniform(-12, -2)),) * n
+        else:
+            size = int(rng.integers(1, min(n, 3) + 1))
+            observed = tuple(int(i) for i in rng.choice(np.arange(1, n + 1), size, replace=False))
+            psi, theta = (tuple(gain * 10.0 ** rng.uniform(-0.5, 0.5, size)) for _ in "pt")
+        A = observer_matrix(topology, observed, psi, theta)
+        if scheduling.hurwitz(A):
+            return A
+
+
+class TestLyapunovWeight:
+    """The weight from one eigendecomposition, with the sign iteration as
+    the fallback where the eigenvectors are nearly dependent, against
+    scipy's Bartels-Stewart solve."""
+
+    @pytest.mark.parametrize("seed", range(33))
+    def test_residual_within_tolerance_and_agrees_with_scipy(self, seed):
+        """Each P solves its equation to LYAP_RTOL, and lies within the two
+        solutions' error bounds of scipy's.  The inverse of X -> A^T X + X A
+        has norm ||P||_2 for a Hurwitz A, so a normalized residual r bounds
+        the relative error by 2 ||A|| ||P|| r.  Both residuals sit at the
+        rounding level, so neither orders the two solutions: on seed 23 (n = 3)
+        P's reads 9.5e-17 and scipy's 2.0e-17, while against a 50-digit solve
+        P errs by 1.2e-15 and scipy's by 1.1e-15."""
+        A = random_hurwitz_observer(seed)
+        P = scheduling.lyapunov_weight([A])
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(len(A)))
+        r, r_ref = normalized_residual(A, P), normalized_residual(A, ref)
+        assert r <= scheduling.LYAP_RTOL
+        bound = 2.0 * np.linalg.norm(A) * np.linalg.norm(P) * (r + r_ref)
+        assert np.linalg.norm(P - ref) <= bound * np.linalg.norm(ref)
+        np.testing.assert_array_equal(P, P.T)
+
+    def test_critically_damped_path_matches_scipy(self):
+        A = critically_damped_path()
+        P = scheduling.lyapunov_weight([A])
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(4))
+        assert normalized_residual(A, P) <= scheduling.LYAP_RTOL
+        assert rel_diff(P, ref) <= 1e-12
+
+    @staticmethod
+    def without_sign_iteration(monkeypatch):
+        def refuse(A):
+            raise AssertionError("sign iteration reached")
+
+        monkeypatch.setattr(scheduling, "_lyapunov", refuse)
+
+    def test_scale_shaped_observer_needs_no_sign_iteration(self, monkeypatch):
+        """n = 64 with unit gains at agent 1, as in the scale benchmark: the
+        eigendecomposition's weight passes the residual gate."""
+        rng = np.random.default_rng(100)
+        while True:
+            A = observer_matrix(random_connected_topology(rng, 64), (1,), (1.0,), (1.0,))
+            if scheduling.hurwitz(A):
+                break
+        self.without_sign_iteration(monkeypatch)
+        assert normalized_residual(A, scheduling.lyapunov_weight([A])) <= scheduling.LYAP_RTOL
+
+    def test_critically_damped_path_needs_sign_iteration(self, monkeypatch):
+        self.without_sign_iteration(monkeypatch)
+        with pytest.raises(AssertionError, match="sign iteration reached"):
+            scheduling.lyapunov_weight([critically_damped_path()])
+
+    def test_rotations_near_the_margin(self):
+        """Rotation blocks with omega = (1, 3) damped at 2e-12 * omega_max
+        in a random orthogonal basis: the sign iteration alone reaches only
+        a normalized residual of about 4e-11 there, scipy about 1e-16."""
+        rng = np.random.default_rng(0)
+        damping = -2e-12 * 3.0
+        B = scipy.linalg.block_diag(*([[damping, w], [-w, damping]] for w in (1.0, 3.0)))
+        Q, _ = np.linalg.qr(rng.normal(size=B.shape))
+        A = Q @ B @ Q.T
+        P = scheduling.lyapunov_weight([A])
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(4))
+        assert normalized_residual(A, P) <= 2.0 * normalized_residual(A, ref)
