@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import agent_set
-from .simulation import SimulationError, Trace, expm, expm_action, taylor_plan
+from .simulation import EXPM_BLOCK_VALUES, SimulationError, Trace, expm, expm_action, taylor_plan
 
 __all__ = [
     "ObserverConfig",
@@ -101,21 +101,22 @@ def run_observer(
 ) -> ObserverRun:
     """Integrate the observer along the plant trace.
 
-    Per dwell segment, under the segment's Laplacian, the estimation error
-    e = zhat - z and the segment's exogenous mode are propagated jointly and
-    exactly, so the correction terms see the continuous plant output rather
-    than a sampled approximation: exp(J tau) acts on the joint state for the
-    partial first and last steps, by a truncated Taylor series when its
-    matrix-vector products cost at most one d x d product and by a stacked
-    exponential otherwise, and the samples between them, exactly ``dt``
-    apart, are filled by doubling with the powers P, P^2, P^4, ... of the
-    steady propagator.  Working in e keeps the small estimation error away
-    from the rounding floor of the O(1) plant state over long dwell
-    intervals; the estimate is the trace's plant state plus e, and the
-    residual is e on the observed positions.  The observer starts from the
-    supplied (possibly falsified) initial state, defaulting to the trace's
-    own initial sample.  Raises SimulationError naming the first sample
-    whose estimation error is not finite.
+    Per dwell segment, the estimation error e = zhat - z and the segment's
+    exogenous mode are propagated jointly and exactly by the drift J of its
+    (topology, attack active) pair, so the correction terms see the
+    continuous plant output rather than a sampled approximation.  Per block
+    of segments whose new propagators hold at most EXPM_BLOCK_VALUES values,
+    a first pass exponentiates each drift's distinct partial (first and
+    last) steps, and once per run its steady step ``dt``, in one stack; a
+    second pass applies them and fills the samples between, ``dt`` apart, by
+    doubling with the powers P, P^2, P^4, ... of the steady propagator, which
+    alone outlive the block.  Working in e keeps the small estimation error
+    away from the rounding floor of the O(1) plant state; the estimate is
+    the trace's plant state plus e, and the residual is e on the observed
+    positions.  The observer starts from the supplied (possibly falsified)
+    initial state, defaulting to the trace's own initial sample.  Raises
+    SimulationError naming the first sample whose estimation error is not
+    finite.
     """
     n = tr.n
     if not tr.segments:
@@ -131,61 +132,67 @@ def run_observer(
     zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
 
     times, dt = tr.times, tr.dt
-    # one row per sample: the segment's mode (at most two columns, flush
-    # against e), then e
+    # one row per sample: the segment's mode (two columns at most, flush against e), then e
     work = np.empty((len(times), 2 + 2 * n))
     err = work[:, 2:]
     err[0] = zhat - tr.states[0]
 
+    segs = [(seg, seg.steps.tolist(), (seg.topology_id, seg.attack_active))
+            for seg in tr.segments if len(seg.steps)]
     # per (topology, attack active): the joint (mode, error) drift, its size
     # and 1-norm, and the powers P, P^2, P^4, ... of its steady propagator
     drifts: dict[tuple, tuple] = {}
-    k = 1
-    for seg in tr.segments:
-        steps = seg.steps.tolist()
-        if not steps:
-            continue
-        key = (seg.topology_id, seg.attack_active)
-        if key not in drifts:
-            # the segment's mode m enters the plant as G m, so the joint
-            # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
-            A_obs = assemble_observer_A(seg.L, Phi, Theta)
-            zero = np.zeros((seg.Eta.shape[0], 2 * n))
-            J = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
-            drifts[key] = J, len(J), float(np.abs(J).sum(axis=0).max()), []
-        J, d, norm, pw = drifts[key]
-        first, last, count = steps[0], steps[-1], len(steps)
-        # one stacked exponential over the partial steps the Taylor action
-        # does not take, with P on the drift's first steady step.  P waits
-        # for a whole dt step: a run whose segments each hold one partial
-        # step never needs it, and at a huge dt (1e308) exp(J dt) overflows
-        plans = {tau: taylor_plan(norm * tau, d) for tau in {first, last} - {dt}}
-        fresh = [tau for tau, plan in plans.items() if plan is None]
-        if not pw and (count > 2 or dt in (first, last)):
-            fresh.append(dt)
-        props = dict(zip(fresh, expm(J * np.array(fresh)[:, None, None]))) if fresh else {}
-        if dt in props:
-            pw.append(props[dt])
-        if pw:
-            props[dt] = pw[0]
+    size, k = max(1, EXPM_BLOCK_VALUES // (3 * (2 * n + 2) ** 2)), 1  # 2 partial steps and P per segment
+    for block in (segs[i : i + size] for i in range(0, len(segs), size)):
+        # first pass.  A segment whose two partial-step propagators would hold
+        # more values than its d-wide rows takes the Taylor action where that
+        # costs at most one d x d product.  P waits for a whole dt step: a run
+        # of one-step segments never needs it, and exp(J 1e308) overflows
+        plans, tables = {}, {}  # per drift: each step's Taylor plan (None: stacked)
+        for seg, steps, key in block:
+            if key not in drifts:
+                # the segment's mode m enters the plant as G m, so the joint
+                # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
+                A_obs = assemble_observer_A(seg.L, Phi, Theta)
+                zero = np.zeros((seg.Eta.shape[0], 2 * n))
+                J = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
+                drifts[key] = J, len(J), float(np.abs(J).sum(axis=0).max()), []
+            J, d, norm, pw = drifts[key]
+            budget = d if 2 * d > len(steps) else 0
+            new = plans.setdefault(key, {})
+            new.update((tau, taylor_plan(norm * tau, budget)) for tau in {steps[0], steps[-1]} - {dt})
+            if not pw and (len(steps) > 2 or dt in (steps[0], steps[-1])):
+                new[dt] = None
+        for key, new in plans.items():
+            J, pw = drifts[key][0], drifts[key][-1]
+            taus = [tau for tau, plan in new.items() if plan is None]
+            table = tables[key] = dict(zip(taus, expm(J * np.array(taus)[:, None, None]))) if taus else {}
+            if dt in table:
+                pw.append(table[dt])
+            elif pw:
+                table[dt] = pw[0]
+        # second pass: matrix-vector products and the doubling only
+        for seg, steps, key in block:
+            (J, d, norm, pw), table, plan = drifts[key], tables[key], plans[key]
 
-        def step(tau, v):
-            return props[tau] @ v if tau in props else expm_action(J, v, tau, *plans[tau])
+            def step(tau, v):
+                return table[tau] @ v if tau in table else expm_action(J, v, tau, *plan[tau])
 
-        S = work[k : k + count, 2 + 2 * n - d :]
-        state = np.concatenate([seg.mode0, err[k - 1]]) if seg.attack_active else err[k - 1]
-        S[0] = step(first, state)
-        # S[j] = P^j S[0] up to the last step: each pass doubles the filled rows
-        filled, j = 1, 0
-        while filled < count - 1:
-            if j == len(pw):
-                pw.append(pw[-1] @ pw[-1])
-            rows = min(filled, count - 1 - filled)
-            np.matmul(S[:rows], pw[j].T, out=S[filled : filled + rows])
-            filled, j = filled + rows, j + 1
-        if count > 1:
-            S[-1] = step(last, S[-2])
-        k += count
+            count = len(steps)
+            S = work[k : k + count, 2 + 2 * n - d :]
+            state = np.concatenate([seg.mode0, err[k - 1]]) if seg.attack_active else err[k - 1]
+            S[0] = step(steps[0], state)
+            # S[j] = P^j S[0] up to the last step: each pass doubles the filled rows
+            filled, j = 1, 0
+            while filled < count - 1:
+                if j == len(pw):
+                    pw.append(pw[-1] @ pw[-1])
+                rows = min(filled, count - 1 - filled)
+                np.matmul(S[:rows], pw[j].T, out=S[filled : filled + rows])
+                filled, j = filled + rows, j + 1
+            if count > 1:
+                S[-1] = step(steps[-1], S[-2])
+            k += count
 
     finite = np.isfinite(err).all(axis=1)
     if not finite.all():

@@ -144,11 +144,18 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError(f"malformed scenario: {what}") from exc
 
 
+def _topology_ids(tids, known, what: str) -> tuple:
+    """``tids`` as a tuple; ScenarioError unless each is an integer id in ``known``."""
+    for tid in (tids := tuple(tids)):
+        _require(graphs._is_id(tid) and tid in known, f"{what} holds {tid!r}, which is not a known topology id")
+    return tids
+
+
 def _directive(order, rho=0.0, stealth_set=None, eta_target=None) -> dict:
     """A synthesize directive as a run reads it; the stealth set defaults to
     the running topology ids in first-appearance order."""
     stealth = dict.fromkeys(order) if stealth_set is None else stealth_set
-    return {"rho": float(rho), "stealth_set": tuple(map(int, stealth)),
+    return {"rho": float(rho), "stealth_set": tuple(stealth),
             "eta_target": None if eta_target is None else float(eta_target)}
 
 
@@ -162,9 +169,8 @@ def _parse(d: dict, base: str) -> Scenario:
     _require(len(ids) == len(topologies), "topology ids must be unique")
     n = topologies[0].n
     _require(all(t.n == n for t in topologies), "all topologies must have the same size")
-    order = tuple(d["order"])
+    order = _topology_ids(d["order"], ids, "switching order")
     _require(bool(order), "switching order must be nonempty")
-    _require(all(tid in ids for tid in order), "switching order references unknown topology ids")
 
     horizon = float(d["horizon"])
     _require(horizon > 0.0, "horizon must be positive")
@@ -182,7 +188,8 @@ def _parse(d: dict, base: str) -> Scenario:
     dwell_params = scheduling.DwellParams(**dp)
     dwell_override = None
     if d.get("dwell") is not None:
-        dwell_override = {int(k): float(v) for k, v in d["dwell"].items()}
+        keys = [int(k) if isinstance(k, str) else k for k in d["dwell"]]  # JSON keys are strings
+        dwell_override = dict(zip(_topology_ids(keys, ids, "dwell map"), map(float, d["dwell"].values())))
         _require(
             all(dwell_override.get(tid, 0.0) > 0.0 for tid in order),
             "dwell map needs a positive dwell time for every topology in order",
@@ -198,8 +205,8 @@ def _parse(d: dict, base: str) -> Scenario:
         _require(0.0 <= rho < math.inf, "directive rho must be finite and nonnegative")
         _require(rho <= horizon, "directive rho must not exceed the horizon")
         _require(eta is None or math.isfinite(eta), "directive eta_target must be null or finite")
-        _require(synth["stealth_set"] and all(tid in ids for tid in synth["stealth_set"]),
-                 "directive stealth_set must name known topology ids")
+        _require(bool(synth["stealth_set"]), "directive stealth_set must be nonempty")
+        _topology_ids(synth["stealth_set"], ids, "directive stealth_set")
     elif isinstance(a, dict):
         attack = attacks.attack_from_json(json.dumps(a))
     elif isinstance(a, str):

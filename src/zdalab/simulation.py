@@ -469,8 +469,9 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     formatting.  Columns: t, topology, x*, v*, y*, r*, attack*.  Rows are
     formatted by one format string per block of about CSV_BLOCK_VALUES
     values.  A trace of two or more blocks, in a process that may run on two
-    CPUs, is split at a block boundary near its middle: a forked child writes
-    the second half to a temporary file that the parent appends to its own."""
+    CPUs, is split one block past its middle (before its last block at the
+    latest): a forked child, slower after the fork, writes the rows after the
+    split to a temporary file that the parent appends to its own."""
     cols = ["t", "topology"] + [f"{c}{i}" for c in "xv" for i in range(1, tr.n + 1)]
     cols += [f"y{i}" for i in tr.observed]
     parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.outputs]
@@ -489,11 +490,11 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
             fh.write(row * (len(block) // len(cols)) % tuple(block))
 
     total = len(tr.times)
-    half = -(-total // (2 * rows)) * rows  # the first block boundary at or past the middle
+    half = min(-(-total // (2 * rows)) + 1, -(-total // rows) - 1) * rows
     with open(path, "w") as fh, contextlib.ExitStack() as stack:
         fh.write(",".join(cols) + "\n")
         pid = None
-        if half < total and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        if 0 < half < total and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             with contextlib.suppress(OSError):  # no fork: the parent writes every row
                 tail = stack.enter_context(tempfile.TemporaryFile("w+"))
                 pid = os.fork()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -141,31 +143,113 @@ class TestRunObserver:
         run = run_observer(tr, cfg)
         assert np.max(np.abs(run.residuals)) < 1e-10
 
-    def test_taylor_action_costs_at_most_one_matrix_product(self, monkeypatch):
-        """On the stealth scenario (d = 8 or 9) some partial steps take the
-        action and the rest the exponential; no action takes more than d
-        matrix-vector products."""
-        taken, stacked = [], []
+    def test_segments_stack_unless_their_table_would_outgrow_their_rows(self, topo1, topo2,
+                                                                         monkeypatch):
+        """A segment of at least 2d samples (d = 8 here) takes its partial
+        steps from the stacked exponential, also those the Taylor action
+        could take; a shorter one takes the action where that costs at most
+        d matrix-vector products.  Both agree with scipy's exponential of
+        each step."""
+        actions, stacked = [], set()
 
         def action(A, v, t, m, s, expm_action=observer.expm_action):
-            taken.append((len(A), m * s))
+            actions.append((t, m * s))
             return expm_action(A, v, t, m, s)
 
         def exponential(M, expm=observer.expm):
-            stacked.append(len(M))
+            stacked.update(M[:, 0, 4].tolist())  # J tau holds tau where J holds 1
             return expm(M)
 
         monkeypatch.setattr(observer, "expm_action", action)
         monkeypatch.setattr(observer, "expm", exponential)
-        sc = scenario.load_scenario(stealth_doc())
+        # 50 samples under topology 1, 3 or 4 under topology 2; the cycle
+        # drifts against the lattice, so partial steps take many sizes
+        sched = scheduling.SwitchingSchedule(
+            order=(1, 2), dwell={1: 5 + np.e / 100, 2: 0.3 + np.pi / 100}, horizon=110.0
+        )
+        z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
+        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.1, observed=(1,))
+        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
+        e0 = np.array([0.5, 0, 0, -0.5, 0, 0.5, 0, 0])
+        run = run_observer(tr, cfg, xhat0=z0[:4] + e0[:4], vhat0=z0[4:] + e0[4:])
+        Phi, Theta = gain_matrices(cfg, 4)
+        norms = {seg.topology_id: np.abs(assemble_observer_A(seg.L, Phi, Theta)).sum(axis=0).max()
+                 for seg in tr.segments}
+        short, long = set(), set()
+        for seg in tr.segments:
+            partial = {(seg.topology_id, tau) for tau in (seg.steps[0], seg.steps[-1]) if tau != tr.dt}
+            (short if len(seg.steps) < 16 else long).update(partial)
+        assert actions and all(cost <= 8 for _, cost in actions)
+        assert {tau for tau, _ in actions} <= {tau for _, tau in short}
+        assert {tau for _, tau in long} <= stacked
+        assert any(simulation.taylor_plan(norms[tid] * tau, 8) for tid, tau in long)
+        oracle = sequential_errors(tr, [topo1, topo2], cfg, e0)
+        est = np.hstack([run.xhat, run.vhat]) - tr.states
+        assert np.abs(est - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+class TestExponentialBlocks:
+    """The observer's exponentials come in blocks of consecutive segments
+    holding at most EXPM_BLOCK_VALUES values, one stack per drift per block."""
+
+    @staticmethod
+    def run_counted(doc, monkeypatch, cap):
+        calls = []
+
+        def counted(M, expm=observer.expm):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(observer, "expm", counted)
+        monkeypatch.setattr(observer, "EXPM_BLOCK_VALUES", cap)
+        sc = scenario.load_scenario(doc)
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
         tr = simulation.simulate(
             sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
         )
-        run_observer(tr, sc.observer_cfg)
-        assert taken and stacked
-        assert all(cost <= d for d, cost in taken)
+        run = run_observer(tr, sc.observer_cfg,
+                           xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+        drifts = {(seg.topology_id, seg.attack_active) for seg in tr.segments}
+        return run.residuals, calls, len(drifts), len(tr.segments)
+
+    def test_stealth_n4_shape_takes_one_stack_per_drift(self, monkeypatch):
+        """The README stealth demo's shape (8,638 samples over 239 segments)
+        fits one block: 4 exponentials, one per drift, where one per segment
+        made 207."""
+        doc = stealth_doc(horizon=420.0, attack={"synthesize": True, "rho": 110.0, "eta_target": 0.05})
+        _, calls, drifts, segments = self.run_counted(doc, monkeypatch, simulation.EXPM_BLOCK_VALUES)
+        assert (len(calls), drifts, segments) == (4, 4, 239)
+
+    @pytest.mark.parametrize("per_block", [1, 4, 12])
+    def test_blocks_change_no_bit(self, monkeypatch, per_block):
+        """With room for 1, 4 or 12 segments per block (three new 10 x 10
+        propagators each), a stealth run takes several blocks, each stack
+        within the bound, and its residuals equal the unbounded run's bit for
+        bit: on this scenario every block's stack takes the same Pade degree
+        and scaling as the whole run's."""
+        doc = stealth_doc()
+        whole, calls, drifts, _ = self.run_counted(doc, monkeypatch, 10**12)
+        assert len(calls) == drifts
+        cap = 3 * 10 * 10 * per_block
+        residuals, calls, drifts, segments = self.run_counted(doc, monkeypatch, cap)
+        blocks = -(-segments // per_block)
+        assert drifts < len(calls) <= drifts * blocks
+        assert all(math.prod(shape) <= cap for shape in calls)
+        assert np.array_equal(residuals, whole)
+
+    def test_whole_steps_at_segment_ends_take_p_in_later_blocks(self, topo1, topo2, monkeypatch):
+        """Dwell times on the lattice make segments start with a whole dt
+        step, which a block after the first takes from the P it kept."""
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 2.0, 2: 2.0}, horizon=20.0)
+        z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
+        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.5, observed=(1,))
+        assert all(seg.steps[0] == tr.dt for seg in tr.segments)
+        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
+        xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
+        whole = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0).residuals
+        monkeypatch.setattr(observer, "EXPM_BLOCK_VALUES", 1)  # one segment per block
+        assert np.array_equal(run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0).residuals, whole)
 
 
 class TestObserverUnderAttack:
@@ -244,8 +328,8 @@ def sequential_errors(tr, topologies, cfg, e0):
 
 class TestLargeNetwork:
     """A seeded random pair at n = 64 (d = 128, or 129 with the attack mode):
-    the partial steps take the Taylor action and the steady runs are filled
-    by doubling, with one exponential per drift."""
+    the partial steps take the Taylor action (61 of them) and the steady runs
+    are filled by doubling, with one exponential per drift."""
 
     def test_matches_per_step_oracle_with_one_expm_per_drift(self, monkeypatch):
         rng = np.random.default_rng(64)
@@ -265,16 +349,22 @@ class TestLargeNetwork:
         z0 = rng.uniform(0.5, 4.5, 2 * n)
         tr = simulation.simulate(topologies, sched, z0, attack=atk, dt=0.05, observed=(1,))
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
-        calls = []
+        calls, actions = [], []
 
         def counted(M, expm=observer.expm):
             calls.append(M.shape)
             return expm(M)
 
+        def action(A, v, t, m, s, expm_action=observer.expm_action):
+            actions.append(t)
+            return expm_action(A, v, t, m, s)
+
         monkeypatch.setattr(observer, "expm", counted)
+        monkeypatch.setattr(observer, "expm_action", action)
         run = run_observer(tr, cfg)
         drifts = {(seg.topology_id, seg.attack_active) for seg in tr.segments}
         assert len(calls) == len(drifts) == 4
+        assert len(actions) == 61
         oracle = sequential_errors(tr, topologies, cfg, np.zeros(2 * n))[:, [0]]
         assert np.abs(run.residuals - oracle).max() <= 1e-12 * np.abs(oracle).max()
         alarm = detect(run.times, run.residuals, cfg)

@@ -86,6 +86,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("key", [1.0, True], ids=["float", "bool"])
+    def test_dwell_key_that_is_not_an_integer_raises(self, key):
+        """A dict document's dwell keys pass the same integer test as the
+        topology ids of a JSON document's string keys."""
+        with pytest.raises(ScenarioError, match=f"dwell map holds {key!r}, which is not a known topology id"):
+            load_scenario(stealth_doc(dwell={key: TAU, 2: TAU}))
+
     def test_explicit_stealth_set_kept_as_given(self):
         sc = load_scenario(stealth_doc(attack={"synthesize": True, "stealth_set": [2, 1]}))
         assert sc.synthesize_directive == {"rho": 0.0, "stealth_set": (2, 1), "eta_target": None}
@@ -722,12 +729,22 @@ class TestAgentSets:
                       "delta_z0": [0.1] + [0.0] * 7, "attacked": [2.0, 3.0]}},
           "attacked set holds 2.0, which is not an integer agent id"),
          ({"topologies": [{"id": 1, "n": 4, "edges": [[1.0, 2, 1], [2, 3, 1], [3, 4, 1]]}], "order": [1],
-           "dwell": {"1": TAU}}, "bad edge (1.0, 2) for n=4")],
-        ids=["observed-fraction", "observed-bool", "attacked-float", "attack-object-float", "edge-float"],
+           "dwell": {"1": TAU}}, "bad edge (1.0, 2) for n=4"),
+         ({"attack": _directive(rho=0.0, stealth_set=[1.7, 2])},
+          "directive stealth_set holds 1.7, which is not a known topology id"),
+         ({"attack": _directive(rho=0.0, stealth_set=[True, 2])},
+          "directive stealth_set holds True, which is not a known topology id"),
+         ({"order": [1.0, 2]}, "switching order holds 1.0, which is not a known topology id"),
+         ({"order": [True, 2]}, "switching order holds True, which is not a known topology id"),
+         ({"dwell": {"1": TAU, "2": TAU, "3": TAU}}, "dwell map holds 3, which is not a known topology id")],
+        ids=["observed-fraction", "observed-bool", "attacked-float", "attack-object-float", "edge-float",
+             "stealth-set-fraction", "stealth-set-bool", "order-float", "order-bool", "dwell-unknown"],
     )
     def test_id_that_is_not_an_integer_exits_two(self, tmp_path, capsys, overrides, message):
         """1.7 is not truncated to agent 1, and an attack object's or an
-        edge's 2.0 or 1.0 does not reach an array index as a float."""
+        edge's 2.0 or 1.0 does not reach an array index as a float; a
+        topology id in a stealth set, a switching order or a dwell map is
+        a known integer id too (1.7 and true used to run as topologies 1)."""
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(stealth_doc(**overrides)))
         code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
