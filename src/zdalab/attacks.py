@@ -296,6 +296,7 @@ def synthesize(
                 continue
             obs_res = 0.0
 
+        g = np.where(np.abs(g) < RANK_RTOL * np.max(np.abs(g)), 0.0, g)  # rounding-level entries
         scale = 1e-2 / np.max(np.abs(g))
         g0 = g * scale
         delta_z0 = delta_z0 * scale

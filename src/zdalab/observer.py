@@ -211,10 +211,8 @@ def detect(times: np.ndarray, residuals: np.ndarray, cfg: ObserverConfig) -> flo
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     if residuals.shape[0] == 0:
         raise ValueError("residual trace is empty")
-    over = np.max(np.abs(residuals), axis=1) > cfg.alarm_threshold
-    run = 0
-    for k, flag in enumerate(over):
-        run = run + 1 if flag else 0
-        if run >= cfg.alarm_window:
-            return float(times[k])
-    return None
+    # c[k] counts the samples over threshold before sample k
+    c = np.concatenate([[0], np.cumsum(np.max(np.abs(residuals), axis=1) > cfg.alarm_threshold)])
+    w = cfg.alarm_window
+    full = np.flatnonzero(c[w:] - c[:-w] == w)
+    return float(times[full[0] + w - 1]) if len(full) else None

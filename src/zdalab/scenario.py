@@ -165,6 +165,8 @@ def _parse(d: dict, base: str) -> Scenario:
     topologies = tuple(
         graphs.Topology.from_edges(t["id"], t["n"], t["edges"]) for t in d["topologies"]
     )
+    for t in topologies:
+        _require(graphs._is_id(t.id), f"topology id {t.id!r} is not an integer")
     ids = {t.id for t in topologies}
     _require(len(ids) == len(topologies), "topology ids must be unique")
     n = topologies[0].n
@@ -387,9 +389,8 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
         residuals = obs_run.residuals
         alarm_time = observer.detect(obs_run.times, residuals, sc.observer_cfg)
 
-    err = simulation.consensus_error(tr)
-    final_dis = max(err["pos_disagreement"][-1], err["vel_disagreement"][-1])
-    initial_dis = max(err["pos_disagreement"][0], err["vel_disagreement"][0])
+    err = simulation.consensus_error(replace(tr, times=tr.times[[0, -1]], states=tr.states[[0, -1]]))
+    initial_dis, final_dis = np.maximum(err["pos_disagreement"], err["vel_disagreement"])
 
     parts = []
     if blowup is not None:

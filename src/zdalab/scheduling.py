@@ -252,14 +252,15 @@ class MeasureReport:
     measures: tuple
 
 
-def weighted_log_norm(A: np.ndarray, P: np.ndarray) -> float:
+def weighted_log_norm(A: np.ndarray, P: np.ndarray):
     """Logarithmic norm of A in the P-weighted 2-norm: the largest eigenvalue
-    of the pencil (P A + A^T P, 2 P), that of R^-1 (P A + A^T P) R^-T for
-    the Cholesky factor 2 P = R R^T."""
-    S = P @ A + A.T @ P
-    R = np.linalg.cholesky(2.0 * P)
-    M = np.linalg.solve(R, np.linalg.solve(R, 0.5 * (S + S.T)).T)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).max())
+    of the pencil (P A + A^T P, 2 P), that of K + K^T for K = R^-1 P A R^-T
+    and the Cholesky factor 2 P = R R^T.  For a stack of matrices (k, d, d),
+    an array of the k norms, with R inverted once for the stack."""
+    Ri = np.linalg.inv(np.linalg.cholesky(2.0 * P))
+    K = Ri @ P @ A @ Ri.T
+    top = np.linalg.eigvalsh(K + np.swapaxes(K, -1, -2)).max(axis=-1)
+    return float(top) if top.ndim == 0 else top
 
 
 def measure_condition(A_list, tau_list, P: np.ndarray) -> MeasureReport:
@@ -272,7 +273,7 @@ def measure_condition(A_list, tau_list, P: np.ndarray) -> MeasureReport:
         raise ScheduleError("weight matrix P must be positive-definite")
     total = float(sum(tau_list))
     nu = tuple(float(t) / total for t in tau_list)
-    measures = tuple(weighted_log_norm(np.asarray(A, float), P) for A in A_list)
+    measures = tuple(weighted_log_norm(np.array(A_list, dtype=float), P).tolist())
     value = float(sum(n * m for n, m in zip(nu, measures)))
     return MeasureReport(ok=value < 0.0, value=value, nu=nu, measures=measures)
 

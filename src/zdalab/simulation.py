@@ -3,8 +3,9 @@
 The stacked state is z = [x_1..x_n, v_1..v_n].  Position coupling enters the
 velocity rows through the active Laplacian L = Q diag(lam) Q^T, whose modes
 are undamped oscillators; an exponential attack input adds a particular
-solution.  Every sample of a dwell interval is thus evaluated in closed form
-from the interval's start, with no discretization error and no stepping.
+solution.  One pass carries each dwell interval's start sample to its end
+sample; each drift then evaluates the samples inside its intervals in closed
+form from their start samples, with no discretization error and no stepping.
 """
 from __future__ import annotations
 
@@ -42,8 +43,9 @@ MAX_SAMPLES = 10_000_000
 # a drift resonates when |eta^2 + lam_i| <= RES_TOL * max(1, |eta|^2, lam_i)
 # for some mode i, where its modal particular solution fails
 RES_TOL = 1e-6
-# values per block of rows the CSV writer formats at once
-CSV_BLOCK_VALUES = 4096
+# values per block of rows the plant fill evaluates, or the CSV writer
+# formats, at once
+ROW_BLOCK_VALUES = 4096
 _W = np.array([1.0, -1j])  # real mode m -> its complex value m @ _W
 # most matrix entries a stacked exponential of many intervals takes at once
 EXPM_BLOCK_VALUES = 1 << 18
@@ -281,64 +283,74 @@ def _attack_mode(attack, n: int) -> tuple[np.ndarray, np.ndarray]:
     return Eta, attack_injection(attack.attacked, n) @ gain
 
 
-def _propagator(L: np.ndarray, Eta: np.ndarray, G: np.ndarray):
-    """Exact sampler of dz/dt = [[0, I], [-L, 0]] z + G m, dm/dt = Eta m: a
-    function of (z0, m0, tau) giving the plant state at each offset in tau.
+def _propagator(L: np.ndarray, lam: np.ndarray, Q: np.ndarray, Eta: np.ndarray, G: np.ndarray):
+    """Exact propagation of dz/dt = [[0, I], [-L, 0]] z + G m, dm/dt = Eta m
+    from spans' start states Z0 (s, 2n) and mode values M0 (s, d), as
+    ``(fill, ends)``: ``fill(Z0, M0)(j, tau)`` is the state at each offset
+    tau[r] into span j[r]; ``ends(M0, tau)`` is ``(step, g)``, and a span i
+    lasting tau[i] ends at step(z0, i) + g[i] from its start z0.
 
     With L = Q diag(lam) Q^T and omega = sqrt(lam), the modes xi = Q^T x,
     nu = Q^T v move freely as xi0 cos(omega t) + nu0 sin(omega t) / omega,
     and the mode value mu0 e^{eta t} adds Re(c mu0 e^{eta t}), where
     c_i = (Q^T B g0)_i / (eta^2 + lam_i).  A resonant drift (RES_TOL) has no
-    such c; its samples are expm(A_aug tau) (z0, m0) instead."""
+    such c; each state is expm(A_aug t) (z0, m0) instead."""
     n, d = L.shape[0], Eta.shape[0]
-    lam, Q = np.linalg.eigh(L)
-    if lam[0] < -1e-9 * max(1.0, lam[-1]):
-        raise ValueError("L must be positive semidefinite")
     w = _W[:d]
     eta = Eta[:, 0] @ w if d else 0.0
     den = eta**2 + lam
     if d and np.any(np.abs(den) <= RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam))):
         # the drift augmented with the mode (Van Loan, IEEE TAC 1978)
         A_aug = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
+        size = max(1, EXPM_BLOCK_VALUES // A_aug.size)
 
-        def resonant(z0, m0, tau):
-            s0, size = np.append(z0, m0), max(1, EXPM_BLOCK_VALUES // A_aug.size)
-            blocks = [tau[k : k + size] for k in range(0, len(tau), size)]
-            return np.vstack([expm(A_aug * t[:, None, None])[:, : 2 * n] @ s0 for t in blocks]
-                             or [np.zeros((0, 2 * n))])
+        def flow(tau):  # the plant rows of expm(A_aug t) for each t in tau
+            return np.concatenate([expm(A_aug * tau[k : k + size, None, None])[:, : 2 * n]
+                                   for k in range(0, len(tau), size)])
 
-        return resonant
+        def ends(M0, tau):
+            E = flow(tau)
+            return (lambda z, i: E[i, :, : 2 * n] @ z), (E[:, :, 2 * n :] @ M0[..., None])[..., 0]
 
-    # one column per position mode, then one per velocity mode
-    omega = np.tile(np.sqrt(np.maximum(lam, 0.0)), 2)
-    still = (omega == 0.0).astype(float)  # sin(omega t) / omega -> t
-    inv = 1.0 / np.maximum(omega, still)
-    swap = np.vstack([np.ones(n), -lam])
-    QQ = np.kron(np.eye(2), Q.T)
+        def fill(Z0, M0):
+            S0 = np.hstack([Z0, M0])[..., None]
+            return lambda j, tau: (flow(tau) @ S0[j])[..., 0]
+
+        return fill, ends
+
+    omega = np.sqrt(np.maximum(lam, 0.0))
+    still = omega == 0.0  # sin(omega t) / omega -> t
+    inv, swap = 1.0 / np.where(still, 1.0, omega), np.stack([np.ones(n), -lam])
     c = Q.T @ (G[n:] @ w.conj()) / den if d else np.zeros(n)
-    cp = np.vstack([c, c * eta])  # particular (xi, nu) per unit mode value
+    cp = np.stack([c, c * eta]).ravel()  # particular (xi, nu) per unit mode value,
+    cp = np.stack([cp.real, -cp.imag])  # applied to the value's (Re, Im)
 
-    def modal(z0, m0, tau):
-        mu0 = m0 @ w
-        free = z0.reshape(2, n) @ Q - (mu0 * cp).real
+    def rotation(tau):  # per offset, (xi, nu) turns into X * C + X[..., ::-1, :] * S
         wt = tau[:, None] * omega
-        sin = np.sin(wt) * inv + tau[:, None] * still
-        y = free.ravel() * np.cos(wt) + (free[::-1] * swap).ravel() * sin
-        if d:
-            y += (mu0 * np.exp(eta * tau)[:, None] * cp.ravel()).real
-        return y @ QQ
+        sin = np.sin(wt) * inv
+        sin[:, still] = tau[:, None]
+        return np.cos(wt)[:, None], sin[:, None] * swap
 
-    return modal
+    def forced(mu, tau):  # modal particular solution of each mode value
+        return ((mu * np.exp(eta * tau)).view(float).reshape(-1, 2) @ cp).reshape(-1, 2, n)
 
+    def fill(Z0, M0):
+        mu = M0 @ w
+        X0 = (Z0.reshape(-1, n) @ Q).reshape(-1, 2, n) - forced(mu, 0.0)
 
-def _evaluate(sample, z0, m0, tau) -> tuple[np.ndarray, int]:
-    """Plant states at the offsets tau, and how many rows precede the first
-    non-finite one."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = sample(z0, m0, tau)
-    if np.isfinite(states).all():
-        return states, len(tau)
-    return states, int(np.argmin(np.isfinite(states).all(axis=1)))
+        def sample(j, tau):
+            (C, S), X = rotation(tau), X0[j]
+            Y = X * C + X[:, ::-1] * S + (forced(mu[j], tau) if d else 0.0)
+            return (Y.reshape(-1, n) @ Q.T).reshape(len(tau), 2 * n)
+
+        return sample
+
+    def ends(M0, tau):  # the free end state turns in modal coordinates
+        C, S = rotation(tau)
+        g = fill(np.zeros((len(tau), 2 * n)), M0)(np.arange(len(tau)), tau)
+        return (lambda z, i: (((x := z.reshape(2, n) @ Q) * C[i] + x[::-1] * S[i]) @ Q.T).ravel()), g
+
+    return fill, ends
 
 
 def check_sample_count(span: float, dt: float) -> None:
@@ -348,25 +360,6 @@ def check_sample_count(span: float, dt: float) -> None:
         raise ValueError("dt must be positive")
     if span / dt > MAX_SAMPLES:
         raise ValueError(f"{span / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
-
-
-def _lattice(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times in (a, b] and the step reaching each: the lattice points
-    k*dt more than _TIME_EPS inside the interval, then b.  Every step between
-    two lattice points is exactly dt."""
-    lo, hi = math.floor(a / dt), math.ceil(b / dt)
-    while lo <= hi and lo * dt - a <= _TIME_EPS:
-        lo += 1
-    while hi >= lo and b - hi * dt <= _TIME_EPS:
-        hi -= 1
-    count = hi - lo + 1
-    times, steps = np.empty((2, count + 1))
-    np.multiply(np.arange(lo, hi + 1), dt, out=times[:count])
-    times[count] = b
-    steps.fill(dt)
-    steps[0] = times[0] - a
-    steps[count] = b - times[count - 1] if count else b - a
-    return times, steps
 
 
 def simulate(
@@ -382,8 +375,12 @@ def simulate(
     The attack (if any) is dormant before its start time and injects
     g0 * e^{eta (t - rho)} into the misbehaving agents' velocity rows
     afterwards; the start instant is inserted as a sample so activation is
-    sharp.  Raises SimulationError carrying the blow-up time if the state
-    overflows; the partial trace is attached to the exception as ``.trace``.
+    sharp.  The samples are the points k*dt more than _TIME_EPS from every
+    span bound, then the bounds.  One pass takes each span's end sample from
+    its start sample; each (topology, attack active) drift then fills the
+    samples inside its spans in blocks of about ROW_BLOCK_VALUES values.
+    Raises SimulationError carrying the blow-up time if the state overflows,
+    with the trace before the first non-finite sample as ``.trace``.
     """
     L_by_id = {t.id: laplacian(t) for t in topologies}
     z0 = np.array(z0, dtype=float)
@@ -398,37 +395,63 @@ def simulate(
     for a, b, tid in sched.intervals():
         cuts = (a, rho, b) if a < rho < b else (a, b)
         spans += [(s, e, tid) for s, e in zip(cuts, cuts[1:]) if e - s > _TIME_EPS]
-    # sample 0 carries the topology active just after t = 0; every later
-    # sample carries the topology of the segment it closes
-    times_all = [np.zeros(1)]
-    states_all = [z0[None, :]]
-    topo_all = [np.array([spans[0][2] if spans else sched.order[0]])]
+    a, b = np.array([s[:2] for s in spans]).reshape(-1, 2).T
+    tids, active = [s[2] for s in spans], a >= rho - _TIME_EPS
+    # the lattice points inside each span, then a row for the span's end
+    lattice = np.arange(1, math.ceil(b[-1] / dt) + 1 if spans else 1) * dt
+    span = np.minimum(np.searchsorted(b, lattice), len(spans) - 1)
+    inside = (lattice - a[span] > _TIME_EPS) & (b[span] - lattice > _TIME_EPS)
+    lattice, span = lattice[inside], span[inside]
+    last = np.cumsum(np.bincount(span, minlength=len(spans)) + 1)  # the row of each span's end
+    start, total = np.r_[0, last][:-1], 1 + len(span) + len(spans)  # ... and of its start
+    rows = 1 + np.arange(len(span)) + span  # the row of each lattice point
+    times, steps = np.zeros(total), np.full(total, dt)
+    times[rows], times[last] = lattice, b
+    steps[last] = b - times[last - 1]
+    steps[start + 1] = times[start + 1] - a
+    # sample 0 carries the topology active just after t = 0, every later one that of the segment it closes
+    topology_ids = np.repeat([(tids or sched.order)[0], *tids], np.r_[1, last - start])
+
+    modes = np.zeros((len(spans), 2))  # each span's mode: (Re, -Im) of e^{eta (t0 - rho)}
+    if attack is not None:
+        modes[active] = np.exp(complex(attack.eta) * (a[active] - rho)).view(float).reshape(-1, 2) * [1, -1]
+    eig = {tid: np.linalg.eigh(L_by_id[tid]) for tid in dict.fromkeys(tids)}
+    # per (topology, attack active) drift: its spans, Eta, G and fill
+    index = {key: k for k, key in enumerate(dict.fromkeys(zip(tids, active.tolist())))}
+    kind = np.array([index[key] for key in zip(tids, active.tolist())], dtype=int)
+    states, plan, drifts = np.empty((total, 2 * n)), [None] * len(spans), []
+    states[0] = state = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for D, (tid, on) in enumerate(index):
+            js = np.flatnonzero(kind == D)
+            Eta, G = _attack_mode(attack if on else None, n)
+            fill, ends = _propagator(L_by_id[tid], *eig[tid], Eta, G)
+            step, g = ends(modes[js, : len(Eta)], b[js] - a[js])
+            for i, k in enumerate(js.tolist()):
+                plan[k] = step, i, g[i]
+            drifts.append((js, Eta, G, fill))
+        for r, (step, i, g) in zip(last.tolist(), plan):
+            state = states[r] = step(state, i) + g
+        # the samples inside spans, up to the first span whose end is not finite
+        ok = np.isfinite(states[last]).all(axis=1)
+        stop = total if ok.all() else int(last[np.argmin(ok)]) + 1
+        size = max(1, ROW_BLOCK_VALUES // (2 * n))
+        for D, (js, Eta, G, fill) in enumerate(drifts):
+            mine = (kind[span] == D) & (rows < stop)
+            j, tau = np.searchsorted(js, span[mine]), lattice[mine] - a[span[mine]]
+            sample, at = fill(states[start[js]], modes[js, : len(Eta)]), rows[mine]
+            for k in range(0, len(at), size):
+                states[at[k : k + size]] = sample(j[k : k + size], tau[k : k + size])
+    finite = np.isfinite(states[1:stop])
+    cut = total if finite.all() else 1 + int(np.argmin(finite.all(axis=1)))
     segments = []
-    # one (Eta, G, sampler) per (topology, attack active)
-    drifts: dict[tuple, tuple] = {}
-    state, blowup = z0, None
+    for k, (t0, t1, tid) in enumerate(spans[: np.searchsorted(last, cut) + 1]):
+        Eta, G = drifts[kind[k]][1:3]
+        segments.append(Segment(t0, t1, tid, bool(active[k]), L_by_id[tid], Eta, G,
+                                modes[k, : len(Eta)], steps[start[k] + 1 : min(last[k], cut - 1) + 1]))
+    blowup = float(times[cut]) if cut < total else None
+    times, states, topology_ids = times[:cut], states[:cut], topology_ids[:cut]
 
-    for a, b, tid in spans:
-        active = a >= rho - _TIME_EPS
-        key = (tid, active)
-        if key not in drifts:
-            Eta, G = _attack_mode(attack if active else None, n)
-            drifts[key] = (Eta, G, _propagator(L_by_id[tid], Eta, G))
-        Eta, G, sample = drifts[key]
-        mu0 = np.exp(complex(attack.eta) * (a - rho)) if active else 0.0
-        mode0 = np.array([mu0.real, -mu0.imag][: Eta.shape[0]])
-        seg_times, steps = _lattice(a, b, dt)
-        seg_states, done = _evaluate(sample, state, mode0, seg_times - a)
-        segments.append(Segment(a, b, tid, active, L_by_id[tid], Eta, G, mode0, steps[:done]))
-        times_all.append(seg_times[:done])
-        states_all.append(seg_states[:done])
-        topo_all.append(np.full(done, tid))
-        if done < len(seg_times):
-            blowup = float(seg_times[done])
-            break
-        state = seg_states[-1]
-
-    times, states = np.concatenate(times_all), np.concatenate(states_all)
     vals = np.zeros((len(times), len(attacked)))
     if attack is not None and attacked:
         post = times >= rho - _TIME_EPS
@@ -439,7 +462,7 @@ def simulate(
         states=states,
         outputs=states @ C.T,
         attack_values=vals,
-        topology_ids=np.concatenate(topo_all),
+        topology_ids=topology_ids,
         observed=agent_set(observed, n, "observed"),
         attacked=attacked,
         segments=tuple(segments),
@@ -456,18 +479,14 @@ def consensus_error(tr: Trace) -> dict:
     """Per-sample maximum pairwise position and velocity disagreement."""
     if len(tr.times) == 0:
         raise ValueError("trace is empty")
-    n = tr.n
-    x, v = tr.states[:, :n], tr.states[:, n:]
-    return {
-        "pos_disagreement": x.max(axis=1) - x.min(axis=1),
-        "vel_disagreement": v.max(axis=1) - v.min(axis=1),
-    }
+    pos, vel = np.ptp(tr.states.reshape(len(tr.times), 2, tr.n), axis=2).T
+    return {"pos_disagreement": pos, "vel_disagreement": vel}
 
 
 def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     """Write the trace as CSV with deterministic 17-significant-digit
     formatting.  Columns: t, topology, x*, v*, y*, r*, attack*.  Rows are
-    formatted by one format string per block of about CSV_BLOCK_VALUES
+    formatted by one format string per block of about ROW_BLOCK_VALUES
     values.  A trace of two or more blocks, in a process that may run on two
     CPUs, is split one block past its middle (before its last block at the
     latest): a forked child, slower after the fork, writes the rows after the
@@ -481,7 +500,7 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
     cols += [f"attack{i}" for i in tr.attacked]
     parts.append(tr.attack_values)
     row = "%.17g,%d" + ",%.17g" * (len(cols) - 2) + "\n"
-    rows = max(1, CSV_BLOCK_VALUES // len(cols))
+    rows = max(1, ROW_BLOCK_VALUES // len(cols))
 
     def write(fh, start, stop):
         for k in range(start, stop, rows):

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zdalab import attacks, graphs, observer, scenario, scheduling, simulation
 from zdalab.observer import (
@@ -440,6 +443,25 @@ class TestDetect:
         r = np.zeros((10, 1))
         r[4:6, 0] = 1e-5
         assert detect(times, r, self.cfg(window=3)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                 elements=st.sampled_from([0.0, 5e-7, 1e-6, -1e-6, 2e-6, -3e-6])),
+        window=st.integers(1, 45),
+    )
+    def test_matches_sample_loop(self, r, window):
+        """The cumulative-sum scan alarms where a loop over the samples
+        counting the current run of exceedances does, also when the window
+        outlasts the trace."""
+        times = 0.25 * np.arange(len(r))
+        run, expected = 0, None
+        for k, flag in enumerate(np.abs(r).max(axis=1) > 1e-6):
+            run = run + 1 if flag else 0
+            if run >= window:
+                expected = float(times[k])
+                break
+        assert detect(times, r, self.cfg(window=window)) == expected
 
     def test_empty_residuals_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import json
 import math
+import operator
 import os
 import re
 import signal
@@ -317,6 +318,11 @@ def _directive(**keys):
 
 def _observer(**keys):
     return {"psi": [1e-6], "theta": [1e-6], "threshold": 1e-6, "window": 5, **keys}
+
+
+def _topology_ids(*ids):
+    """The stealth document's topologies under the given ids."""
+    return {"topologies": [dict(t, id=tid) for t, tid in zip(stealth_doc()["topologies"], ids)]}
 
 
 NAN = float("nan")
@@ -736,9 +742,13 @@ class TestAgentSets:
           "directive stealth_set holds True, which is not a known topology id"),
          ({"order": [1.0, 2]}, "switching order holds 1.0, which is not a known topology id"),
          ({"order": [True, 2]}, "switching order holds True, which is not a known topology id"),
-         ({"dwell": {"1": TAU, "2": TAU, "3": TAU}}, "dwell map holds 3, which is not a known topology id")],
+         ({"dwell": {"1": TAU, "2": TAU, "3": TAU}}, "dwell map holds 3, which is not a known topology id"),
+         (_topology_ids(1.0, 2.0), "topology id 1.0 is not an integer"),
+         (_topology_ids(1, 2.0), "topology id 2.0 is not an integer"),
+         (_topology_ids(True, 2), "topology id True is not an integer")],
         ids=["observed-fraction", "observed-bool", "attacked-float", "attack-object-float", "edge-float",
-             "stealth-set-fraction", "stealth-set-bool", "order-float", "order-bool", "dwell-unknown"],
+             "stealth-set-fraction", "stealth-set-bool", "order-float", "order-bool", "dwell-unknown",
+             "topology-floats", "topology-float", "topology-bool"],
     )
     def test_id_that_is_not_an_integer_exits_two(self, tmp_path, capsys, overrides, message):
         """1.7 is not truncated to agent 1, and an attack object's or an
@@ -749,6 +759,26 @@ class TestAgentSets:
         path.write_text(json.dumps(stealth_doc(**overrides)))
         code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert (code, capsys.readouterr().err) == (2, f"scenario error: {message}\n")
+
+
+@pytest.mark.parametrize("seed", [5, 100])
+def test_rounding_level_gains_are_injected_as_zero(tmp_path, seed):
+    """On the stealth pair at rho = 110, agents 1 and 2 hold entries of the
+    kernel vector at its rounding level (about 1e-16 of the others): they
+    inject exactly nothing, and the certificate still holds."""
+    rng = np.random.default_rng(seed)
+    initial = {"x": rng.uniform(0.5, 4.5, 4).tolist(), "v": rng.uniform(0.5, 4.5, 4).tolist()}
+    sc = load_scenario(stealth_doc(horizon=420.0, dwell={"1": 1.7708, "2": 1.7708}, initial=initial,
+                                   attack=_directive(rho=110.0, eta_target=0.05)))
+    atk, cert = scenario.synthesize_for(sc)
+    assert cert.valid
+    assert atk.g0[:2].tolist() == [0.0, 0.0] and np.all(atk.g0[2:] != 0.0)
+    result = scenario.run(sc, str(tmp_path))
+    with open(result.trace_path) as fh:
+        cols = fh.readline().rstrip("\n").split(",")
+        k1, k2 = cols.index("attack1"), cols.index("attack2")
+        assert {v for line in fh for v in operator.itemgetter(k1, k2)(line.split(","))} == {"0"}
+    assert result.alarm_time is None
 
 
 def _symmetric_k4(s):

@@ -254,6 +254,30 @@ class TestMeasureCondition:
         with pytest.raises(ScheduleError):
             scheduling.measure_condition([-np.eye(2)], [1.0], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n, seed", [(4, 5), (64, 100), (64, 101)])
+    def test_log_norms_match_per_mode_solves(self, n, seed):
+        """The one inverse Cholesky factor gives every mode the log-norm of
+        two triangular solves per mode to 1e-7, relative, on observer pairs
+        shaped like the stealth and scale scenarios."""
+        rng = np.random.default_rng(seed)
+        A_list = []
+        for _ in range(2):
+            a = random_connected_topology(rng, n).adjacency
+            a *= (n / 2) / a.sum(axis=1).max()
+            A_list.append(observer_matrix(graphs.Topology(id=1, n=n, adjacency=a), (1,), (1.0,), (1.0,)))
+        P = scheduling.lyapunov_weight(A_list)
+        rep = scheduling.measure_condition(A_list, [1.0, 2.0], P)
+
+        def solved(A):
+            S = P @ A + A.T @ P
+            R = np.linalg.cholesky(2.0 * P)
+            M = np.linalg.solve(R, np.linalg.solve(R, 0.5 * (S + S.T)).T)
+            return float(np.linalg.eigvalsh(0.5 * (M + M.T)).max())
+
+        for A, measure in zip(A_list, rep.measures):
+            assert measure == pytest.approx(solved(A), rel=1e-7)
+            assert scheduling.weighted_log_norm(A, P) == measure
+
 
 def lyapunov_residual(A, P) -> float:
     return float(np.linalg.norm(P @ A + A.T @ P + np.eye(len(A)), 1))

@@ -120,6 +120,22 @@ def star_resonant_attack():
     return star, atk
 
 
+def lattice_oracle(a: float, b: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-span sampling rule: the times in (a, b] and the step reaching
+    each, the lattice points k*dt more than _TIME_EPS inside the interval,
+    then b."""
+    lo, hi = math.floor(a / dt), math.ceil(b / dt)
+    while lo <= hi and lo * dt - a <= simulation._TIME_EPS:
+        lo += 1
+    while hi >= lo and b - hi * dt <= simulation._TIME_EPS:
+        hi -= 1
+    times = np.append(np.arange(lo, hi + 1) * dt, b)
+    steps = np.full(len(times), dt)
+    steps[0] = times[0] - a
+    steps[-1] = b - times[-2] if len(times) > 1 else b - a
+    return times, steps
+
+
 def record_pade(monkeypatch) -> list:
     """Record the (degree, squarings) of every Pade approximant expm forms."""
     picks = []
@@ -563,19 +579,42 @@ class TestSimulate:
 class TestLattice:
     @settings(max_examples=300, deadline=None)
     @given(
-        a=st.floats(0.0, 1e3),
-        span=st.floats(3e-9, 50.0),
-        dt=st.floats(1e-3, 10.0),
+        dt=st.floats(1e-3, 2.0),
+        dwells=st.lists(st.tuples(st.integers(1, 40), st.sampled_from([-5e-11, 0.0, 5e-11, 0.37])),
+                        min_size=2, max_size=2),
+        rho=st.one_of(st.none(), st.floats(0.0, 120.0),
+                      st.tuples(st.integers(1, 120), st.sampled_from([-5e-11, 0.0, 5e-11]))),
+        cycles=st.floats(0.6, 3.0),
     )
-    def test_samples_and_steps(self, a, span, dt):
-        b = a + span
-        times, steps = simulation._lattice(a, b, dt)
-        assert times[-1] == b
+    def test_samples_and_steps(self, dt, dwells, rho, cycles):
+        """The one lattice of a run is the per-span rule laid end to end, bit
+        for bit, over random dwells, steps and attack starts, with switches
+        and starts on, or 5e-11 either side of, a lattice point."""
+        path = graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)])
+        copies = [graphs.Topology(id=k, n=2, adjacency=path.adjacency) for k in (1, 2)]
+        dwell = {k: (m + frac) * dt for k, (m, frac) in zip((1, 2), dwells)}
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell=dwell, horizon=cycles * (dwell[1] + dwell[2]))
+        if isinstance(rho, tuple):
+            rho = rho[0] * dt + rho[1]
+        atk = None
+        if rho is not None:
+            atk = attacks.ZdaAttack(eta=0.1, rho=rho, g0=np.array([1e-2]), delta_z0=np.ones(4), attacked=(2,))
+        tr = simulate(copies, sched, np.ones(4), attack=atk, dt=dt)
+        spans = []
+        for a, b, _ in sched.intervals():
+            cuts = (a, rho, b) if atk is not None and a < rho < b else (a, b)
+            spans += [(s, e) for s, e in zip(cuts, cuts[1:]) if e - s > simulation._TIME_EPS]
+        per_span = [lattice_oracle(a, b, dt) for a, b in spans]
+        np.testing.assert_array_equal(tr.times, np.concatenate([[0.0]] + [t for t, _ in per_span]))
+        np.testing.assert_array_equal(np.concatenate([seg.steps for seg in tr.segments]),
+                                      np.concatenate([steps for _, steps in per_span]))
+        assert [(seg.t0, seg.t1) for seg in tr.segments] == spans
         # strictly increasing, each sample more than the merge tolerance past
-        # the one before it (the first past a)
-        assert np.all(np.diff(times, prepend=a) > simulation._TIME_EPS)
-        assert np.all(steps[1:-1] == dt)
-        assert abs(math.fsum(steps) - (b - a)) <= 4 * np.spacing(b)
+        # the one before it, and every step between lattice points exactly dt
+        assert np.all(np.diff(tr.times) > simulation._TIME_EPS)
+        for seg in tr.segments:
+            assert np.all(seg.steps[1:-1] == dt)
+            assert abs(math.fsum(seg.steps) - (seg.t1 - seg.t0)) <= 4 * np.spacing(seg.t1)
 
     @pytest.mark.parametrize("offset", [-5e-11, 5e-11])
     def test_switch_near_lattice_point_is_one_sample(self, topo1, topo2, offset):
@@ -631,6 +670,112 @@ class TestLattice:
             mu = np.exp(atk.eta * (seg.t0 - atk.rho))
             np.testing.assert_allclose(seg.mode0, [mu.real, -mu.imag], rtol=1e-14)
             np.testing.assert_allclose(seg.Eta, [[0.05, 0.7], [-0.7, 0.05]])
+
+
+def closed_form_oracle(tr) -> np.ndarray:
+    """Every sample of the trace evaluated from its segment's start sample in
+    the trace, one segment and one sample at a time: in the modal closed form
+    of the segment's Laplacian and mode, or for a resonant drift as the
+    augmented exponential."""
+    n, out, row = tr.n, tr.states.copy(), 0
+    for seg in tr.segments:
+        rows = np.arange(row + 1, row + 1 + len(seg.steps))
+        z0, m0, d = tr.states[row], seg.mode0, len(seg.mode0)
+        lam, Q = np.linalg.eigh(seg.L)
+        eta = complex(seg.Eta[0, 0], -seg.Eta[1, 0] if d == 2 else 0.0) if d else 0.0
+        if d and np.any(np.abs(eta**2 + lam) <= simulation.RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam))):
+            A = np.block([[assemble_A(seg.L), seg.G], [np.zeros((d, 2 * n)), seg.Eta]])
+            s0 = np.concatenate([z0, m0])
+            for r in rows:
+                out[r] = (scipy.linalg.expm(A * (tr.times[r] - seg.t0)) @ s0)[: 2 * n]
+        else:
+            mu0 = m0[0] - 1j * m0[1] if d == 2 else (m0[0] if d else 0.0)
+            c = Q.T @ (seg.G[n:] @ np.array([1.0, 1j])[:d]) / (eta**2 + lam) if d else np.zeros(n)
+            omega = np.sqrt(np.maximum(lam, 0.0))
+            xi0, nu0 = Q.T @ z0[:n] - np.real(c * mu0), Q.T @ z0[n:] - np.real(c * eta * mu0)
+            for r in rows:
+                t = tr.times[r] - seg.t0
+                sin = np.array([math.sin(w * t) / w if w > 0.0 else t for w in omega])
+                cos = np.cos(omega * t)
+                forced = c * mu0 * np.exp(eta * t)
+                out[r, :n] = Q @ (xi0 * cos + nu0 * sin + np.real(forced))
+                out[r, n:] = Q @ (nu0 * cos - lam * xi0 * sin + np.real(forced * eta))
+        row += len(rows)
+    return out
+
+
+def row_gap(X, Y) -> float:
+    """Largest entry of X - Y relative to max(1, ||row of Y||_inf)."""
+    return float((np.abs(X - Y).max(axis=1) / np.maximum(1.0, np.abs(Y).max(axis=1))).max())
+
+
+def fill_cases():
+    """(name, topologies, schedule, z0, attack, dt) runs whose segments
+    differ in topology, attack activity, mode and duration."""
+    from test_scenario_cli import stealth_doc
+
+    sc = scenario.load_scenario(stealth_doc())
+    atk, _ = scenario.synthesize_for(sc)
+    yield "stealth-n4", sc.topologies, sc.schedule, np.array(sc.initial_x + sc.initial_v) + atk.delta_z0, atk, sc.dt
+
+    rng = np.random.default_rng(17)
+    topologies = [random_connected_topology(rng, 4, id=k) for k in (1, 2, 3)]
+    sched = scheduling.SwitchingSchedule(order=(1, 2, 3), dwell={1: 1.3, 2: 0.9, 3: 2.05}, horizon=40.0)
+    atk = make_attack(rng, 4, eta=complex(0.04, 0.9))
+    g0 = atk.g0 + 1j * rng.uniform(-1.0, 1.0, len(atk.g0)) * 1e-2
+    atk = attacks.ZdaAttack(atk.eta, 13.37, g0, atk.delta_z0, atk.attacked)
+    yield "complex-n4", topologies, sched, rng.normal(size=8), atk, 0.07
+
+    rng = np.random.default_rng(64)
+    n, horizon = 64, 52.5
+    topologies = []
+    for tid in (1, 2):
+        a = random_connected_topology(rng, n).adjacency
+        a *= (n / 2) / a.sum(axis=1).max()
+        topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
+    tau = np.pi / 2 + 0.2
+    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
+    atk = attacks.ZdaAttack(eta=0.1, rho=horizon / 2, g0=np.array([1.0, -0.5]),
+                            delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3))
+    yield "n64", topologies, sched, rng.uniform(0.5, 4.5, 2 * n), atk, 0.05
+
+    star, atk = star_resonant_attack()
+    copies = [graphs.Topology(id=k, n=4, adjacency=star.adjacency) for k in (1, 2)]
+    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 3.3, 2: 4.1}, horizon=30.0)
+    yield "resonant", copies, sched, np.concatenate([np.full(4, 0.3), np.full(4, -0.1)]), atk, 0.5
+
+
+FILL_CASES = ("stealth-n4", "complex-n4", "n64", "resonant")
+
+
+def fill_case(name) -> tuple:
+    return next(case[1:] for case in fill_cases() if case[0] == name)
+
+
+class TestBatchedFill:
+    """The segment-end pass and the per-drift fill against a per-segment,
+    per-sample evaluation from the trace's own start samples."""
+
+    @pytest.mark.parametrize("case", FILL_CASES)
+    def test_states_match_per_segment_closed_form(self, case):
+        tr = simulate(*fill_case(case))
+        assert len({(seg.topology_id, seg.attack_active) for seg in tr.segments}) >= 2
+        assert row_gap(tr.states, closed_form_oracle(tr)) <= 1e-13
+
+    @pytest.mark.parametrize("case, tol", [("stealth-n4", 1e-15), ("complex-n4", 1e-15),
+                                           ("resonant", 1e-14), ("n64", 1e-14)])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_blocks_move_no_state_beyond_rounding(self, case, tol, rows, monkeypatch):
+        """Blocks of one and seven rows give the states of the default
+        blocks to rounding.  The block's shape can change how the matrix
+        products round, by 9 ulps of a row over the 64-term products at
+        n = 64, and a resonant block is one stack of exponentials, whose
+        Pade degree follows its largest member."""
+        whole = simulate(*fill_case(case))
+        monkeypatch.setattr(simulation, "ROW_BLOCK_VALUES", rows * whole.states.shape[1])
+        blocked = simulate(*fill_case(case))
+        np.testing.assert_array_equal(blocked.times, whole.times)
+        assert row_gap(blocked.states, whole.states) <= tol
 
 
 def counting_fork(calls, fork=os.fork):
@@ -720,7 +865,7 @@ class TestTraceExports:
         so the writer forks once; no temporary file or descriptor is left."""
         tr, res = stealth_trace
         cols = 2 + tr.states.shape[1] + 2 * len(tr.observed) + len(tr.attacked)
-        assert len(tr.times) > 2 * (simulation.CSV_BLOCK_VALUES // cols)
+        assert len(tr.times) > 2 * (simulation.ROW_BLOCK_VALUES // cols)
         with closes_its_files():
             simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
         assert len(forks) == 1
@@ -831,7 +976,7 @@ class TestTraceExports:
         out = tmp_path_factory.getbasetemp() / "csv"
         out.mkdir(exist_ok=True)
         forks = []
-        with mock.patch.object(simulation, "CSV_BLOCK_VALUES", block), \
+        with mock.patch.object(simulation, "ROW_BLOCK_VALUES", block), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
                 mock.patch.object(os, "fork", counting_fork(forks)):
             simulation.trace_to_csv(tr, out / "new.csv", residuals=residuals)
