@@ -227,10 +227,12 @@ def synthesize(
     The state part w = (x, v) of every kernel vector (w, -g) lies in
     U = blkdiag(X ker(N X), X): C w = 0 and (A_r - A_1) w = 0 put x in the
     kernel of N = ``detection_matrix(S_stealth, M)``, the pencil fixes
-    v = eta x, and X = I at ``rho = 0``.  For ``rho > 0``, a real rate and a
+    v = eta x, and X = I at ``rho = 0``.  For ``rho > 0`` and a
     ``schedule_prefix`` running only ``S_stealth`` topologies, X spans the
     position half of ``unobservable_subspace``, which every dwell maps onto
-    itself.  An empty ker(N X) admits no attack.  Otherwise the rates of
+    itself, and the offset at t = 0 is Re(Phi^-1 w) for the prefix
+    propagator Phi, real or complex rate alike.  An empty ker(N X) admits
+    no attack.  Otherwise the rates of
     ``_candidate_rates`` are tried in turn: the target ``eta_target``
     (0.05 when None), then the reduced pencil's zeros, which may be complex.
     Each rate's kernel comes from the reduced pencil [eta U - A_1 U, B_K],
@@ -279,15 +281,13 @@ def synthesize(
         seen.append(eta)
         if abs(eta.imag) < 1e-12:
             eta = eta.real
-        elif rho > 0.0:
-            continue
         pair = _kernel_pair(A_list[0], B_K, U, eta)
         if pair is None:
             continue
         w, g = pair
 
         if rho > 0.0:
-            delta_z0 = np.linalg.solve(Phi, w)
+            delta_z0 = np.linalg.solve(Phi, w).real  # the real offset, as w.real at rho = 0
             proj = V @ (V.conj().T @ delta_z0)
             obs_res = float(np.linalg.norm(delta_z0 - proj) / np.linalg.norm(delta_z0))
         else:

@@ -136,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = (parser := build_parser()).parse_args(argv)
+        if args.command == "sweep" and args.m_min > args.m_max:
+            parser.error(f"empty sweep range: --m-min {args.m_min} exceeds --m-max {args.m_max}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

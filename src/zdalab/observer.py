@@ -107,16 +107,17 @@ def run_observer(
     continuous plant output rather than a sampled approximation.  Per block
     of segments whose new propagators hold at most EXPM_BLOCK_VALUES values,
     a first pass exponentiates each drift's distinct partial (first and
-    last) steps, and once per run its steady step ``dt``, in one stack; a
-    second pass applies them and fills the samples between, ``dt`` apart, by
-    doubling with the powers P, P^2, P^4, ... of the steady propagator, which
-    alone outlive the block.  Working in e keeps the small estimation error
-    away from the rounding floor of the O(1) plant state; the estimate is
-    the trace's plant state plus e, and the residual is e on the observed
-    positions.  The observer starts from the supplied (possibly falsified)
-    initial state, defaulting to the trace's own initial sample.  Raises
-    SimulationError naming the first sample whose estimation error is not
-    finite.
+    last) steps, and once per run its steady step ``dt``, in one stack.  A
+    second pass chains the segment end errors, one precombined propagator
+    or one pair of steps per segment, then fills the samples between, ``dt``
+    apart, per drift in one batch by doubling with the powers P, P^2, P^4,
+    ... of the steady propagator, which alone outlive the block.  Working in
+    e keeps the small estimation error away from the rounding floor of the
+    O(1) plant state; the estimate is the trace's plant state plus e, and
+    the residual is e on the observed positions.  The observer starts from
+    the supplied (possibly falsified) initial state, defaulting to the
+    trace's own initial sample.  Raises SimulationError naming the first
+    sample whose estimation error is not finite.
     """
     n = tr.n
     if not tr.segments:
@@ -132,18 +133,21 @@ def run_observer(
     zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
 
     times, dt = tr.times, tr.dt
-    # one row per sample: the segment's mode (two columns at most, flush against e), then e
-    work = np.empty((len(times), 2 + 2 * n))
+    # one row per sample: the segment's mode (two columns at most, flush against e, else 0), then e
+    work = np.zeros((len(times), 2 + 2 * n))
     err = work[:, 2:]
     err[0] = zhat - tr.states[0]
 
     segs = [(seg, seg.steps.tolist(), (seg.topology_id, seg.attack_active))
             for seg in tr.segments if len(seg.steps)]
+    count = np.array([len(steps) for _, steps, _ in segs])
+    first = np.cumsum(np.r_[1, count[:-1]])  # the row of each segment's first sample
     # per (topology, attack active): the joint (mode, error) drift, its size
     # and 1-norm, and the powers P, P^2, P^4, ... of its steady propagator
     drifts: dict[tuple, tuple] = {}
-    size, k = max(1, EXPM_BLOCK_VALUES // (3 * (2 * n + 2) ** 2)), 1  # 2 partial steps and P per segment
-    for block in (segs[i : i + size] for i in range(0, len(segs), size)):
+    size = max(1, EXPM_BLOCK_VALUES // (3 * (2 * n + 2) ** 2))  # 2 partial steps and P per segment
+    for b in range(0, len(segs), size):
+        block = segs[b : b + size]
         # first pass.  A segment whose two partial-step propagators would hold
         # more values than its d-wide rows takes the Taylor action where that
         # costs at most one d x d product.  P waits for a whole dt step: a run
@@ -160,48 +164,98 @@ def run_observer(
             J, d, norm, pw = drifts[key]
             budget = d if 2 * d > len(steps) else 0
             new = plans.setdefault(key, {})
-            new.update((tau, taylor_plan(norm * tau, budget)) for tau in {steps[0], steps[-1]} - {dt})
+            for tau in (steps[0], steps[-1]):
+                if tau != dt:
+                    new[tau] = taylor_plan(norm * tau, budget)
             if not pw and (len(steps) > 2 or dt in (steps[0], steps[-1])):
                 new[dt] = None
         for key, new in plans.items():
-            J, pw = drifts[key][0], drifts[key][-1]
+            J, d, norm, pw = drifts[key]
             taus = [tau for tau, plan in new.items() if plan is None]
-            table = tables[key] = dict(zip(taus, expm(J * np.array(taus)[:, None, None]))) if taus else {}
-            if dt in table:
-                pw.append(table[dt])
+            E = expm(J * np.array(taus)[:, None, None]) if taus else np.empty((0, d, d))
+            if dt in taus:
+                pw.append(E[taus.index(dt)])
             elif pw:
-                table[dt] = pw[0]
-        # second pass: matrix-vector products and the doubling only
-        for seg, steps, key in block:
-            (J, d, norm, pw), table, plan = drifts[key], tables[key], plans[key]
+                taus, E = taus + [dt], np.concatenate([E, pw[:1]])
+            tables[key] = dict(zip(taus, range(len(taus)))), E
 
-            def step(tau, v):
-                return table[tau] @ v if tau in table else expm_action(J, v, tau, *plan[tau])
+        def step(key, tau, v):
+            index, E = tables[key]
+            return E[index[tau]] @ v if tau in index else expm_action(drifts[key][0], v, tau, *plans[key][tau])
 
-            count = len(steps)
-            S = work[k : k + count, 2 + 2 * n - d :]
-            state = np.concatenate([seg.mode0, err[k - 1]]) if seg.attack_active else err[k - 1]
-            S[0] = step(steps[0], state)
-            # S[j] = P^j S[0] up to the last step: each pass doubles the filled rows
-            filled, j = 1, 0
-            while filled < count - 1:
-                if j == len(pw):
-                    pw.append(pw[-1] @ pw[-1])
-                rows = min(filled, count - 1 - filled)
-                np.matmul(S[:rows], pw[j].T, out=S[filled : filled + rows])
-                filled, j = filled + rows, j + 1
-            if count > 1:
-                S[-1] = step(steps[-1], S[-2])
-            k += count
+        # second pass (i): one chain of segment end errors y = (e, 1).  A
+        # segment of c >= 2 samples whose partial steps are both stacked ends
+        # at T y, T the error rows of E(last) P^(c-2) E(first) with its start
+        # mode folded in; one stacked product per drift forms them.  Any
+        # other segment applies its steps, and P^(c-2) by the powers, to y
+        stacked, links = {}, [None] * len(block)
+        for i, (_, steps, key) in enumerate(block):
+            if len(steps) > 1 and steps[0] in tables[key][0] and steps[-1] in tables[key][0]:
+                stacked.setdefault(key, []).append(i)
+        for key, pos in stacked.items():
+            (J, d, norm, pw), (index, E), m = drifts[key], tables[key], drifts[key][1] - 2 * n
+            steps, F = [block[i][1] for i in pos], E[[index[block[i][1][0]] for i in pos]]
+            modes = np.array([block[i][0].mode0 for i in pos]).reshape(len(pos), m, 1)
+            stacked[key] = pos, np.concatenate([F[:, :, m:], F[:, :, :m] @ modes], axis=2)  # y -> first sample
+            powers = {c: _times_power(pw, c - 2, np.eye(d)) for c in set(map(len, steps))}
+            T = np.zeros((len(pos), 2 * n + 1, 2 * n + 1))
+            T[:, :-1], T[:, -1, -1] = (E[[index[s[-1]] for s in steps]] @ np.array(
+                [powers[len(s)] for s in steps]) @ stacked[key][1])[:, m:], 1.0
+            for i, t in zip(pos, T):
+                links[i] = t
+        ys = [np.append(err[first[b] - 1], 1.0)]
+        for (seg, steps, key), t, k in zip(block, links, first[b : b + size].tolist()):
+            if t is None:
+                d = drifts[key][1]
+                x = work[k, -d:] = step(key, steps[0], np.concatenate([seg.mode0, ys[-1][:-1]]))
+                if len(steps) > 1:
+                    x = step(key, steps[-1], _times_power(drifts[key][3], len(steps) - 2, x))
+                ys.append(np.append(x[d - 2 * n :], 1.0))
+            else:
+                ys.append(np.dot(t, ys[-1]))
+        ys = np.array(ys)
+        for pos, F in stacked.values():  # each stacked segment's first sample
+            work[first[b + np.array(pos)], -F.shape[1] :] = (F @ ys[pos, :, None])[..., 0]
+        err[first[b : b + size] + count[b : b + size] - 1] = ys[1:, :-1]
 
-    finite = np.isfinite(err).all(axis=1)
-    if not finite.all():
-        raise SimulationError(f"observer overflow at t={times[np.argmin(finite)]:.6g}")
+    # second pass (ii): the samples inside segments.  Row r of a segment,
+    # 2^j <= r < 2^(j+1), is P^(2^j) times its row r - 2^j: per power and
+    # drift, one product fills those rows of every segment.  The chain has
+    # formed every power a segment needs
+    ids = dict(zip(drifts, range(len(drifts))))
+    drift = np.array([ids[key] for *_, key in segs])
+    fill = np.argsort(drift, kind="stable")
+    fill = fill[count[fill] > 2]
+    k, c = first[fill], count[fill] - 1  # c - 1 rows follow each first sample
+    p = 1 << np.arange(int(c.max(initial=1) - 1).bit_length())[:, None]
+    rows = np.clip(c - p, 0, p)  # per power and segment, segments in drift order
+    dst = np.repeat((k + p).ravel() - np.cumsum(rows) + rows.ravel(), rows.ravel()) + np.arange(rows.sum())
+    cuts = np.searchsorted(drift[fill], range(len(drifts) + 1)) + len(k) * np.arange(len(p))[:, None]
+    for j, cut in enumerate(np.r_[0, np.cumsum(rows)][cuts].tolist()):
+        for (J, d, norm, pw), lo, hi in zip(drifts.values(), cut, cut[1:]):
+            if lo < hi:
+                work[dst[lo:hi], -d:] = work.take(dst[lo:hi] - p[j], axis=0)[:, -d:] @ pw[j].T
+
+    if not np.isfinite(work).all():  # a value of e or of a mode is not finite
+        finite = np.isfinite(err).all(axis=1)
+        if not finite.all():
+            raise SimulationError(f"observer overflow at t={times[np.argmin(finite)]:.6g}")
     zhat = tr.states + err
     idx = [i - 1 for i in cfg.observed]
     return ObserverRun(
         times=times, xhat=zhat[:, :n], vhat=zhat[:, n:], residuals=err[:, idx]
     )
+
+
+def _times_power(pw: list, k: int, X: np.ndarray) -> np.ndarray:
+    """P^k X from the powers pw = [P, P^2, P^4, ...], squaring the last one
+    where k needs more."""
+    for j in range(k.bit_length()):
+        if j == len(pw):
+            pw.append(pw[-1] @ pw[-1])
+        if k >> j & 1:
+            X = pw[j] @ X
+    return X
 
 
 def detect(times: np.ndarray, residuals: np.ndarray, cfg: ObserverConfig) -> float | None:

@@ -281,6 +281,32 @@ class TestSynthesize:
         assert np.max(np.abs(attacked.states - clean.states)) > 1e-3
         assert np.max(np.abs(attacked.outputs - clean.outputs)) < 1e-10
 
+    @pytest.mark.parametrize("rho", [5.0, 7.3])
+    def test_delayed_attack_at_complex_zeros_only(self, rho):
+        """On this pair's hidden subspace the reduced pencil has a kernel
+        only at eta = +-sqrt(7) i.  A delayed attack takes the real part of
+        Phi^-1 w as its offset, as rho = 0 takes w.real: the plant's output
+        matches the clean run's while its state does not."""
+        a = np.array([[0, 1, 1, 1], [1, 0, 2, 0.5], [1, 2, 0, 0], [1, 0.5, 0, 0]], float)
+        t1 = graphs.Topology(id=1, n=4, adjacency=a.copy())
+        a[2, 3] = a[3, 2] = 2.0  # topology 2 adds link 3-4
+        t2 = graphs.Topology(id=2, n=4, adjacency=a)
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            atk, cert = synthesize([t1, t2], (1,), (1, 2, 4), rho=rho, schedule_prefix=sched)
+        assert cert.valid and max(cert.pencil_residuals) < 1e-14
+        assert abs(atk.eta.real) < 1e-12 and abs(abs(atk.eta.imag) - np.sqrt(7.0)) < 1e-10
+        assert np.isrealobj(atk.delta_z0)
+        z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
+        clean = simulation.simulate([t1, t2], sched, z0, dt=0.01, observed=(1,))
+        attacked = simulation.simulate(
+            [t1, t2], sched, z0 + atk.delta_z0, attack=atk, dt=0.01, observed=(1,)
+        )
+        assert np.max(np.abs(attacked.outputs - clean.outputs)) < 1e-10
+        after = attacked.times > rho
+        assert np.max(np.abs(attacked.states - clean.states)[after]) > 1e-3
+
     def test_detectable_set_blocks_synthesis(self, topo1, topo2):
         third = graphs.Topology.from_edges(
             3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.3), (3, 4, 1.0)]

@@ -375,6 +375,89 @@ class TestLargeNetwork:
         assert alarm == detect(tr.times, oracle, cfg)
 
 
+class TestChainAndFill:
+    """The observer's two passes, a chain of segment end errors and one
+    batched doubling fill per drift, against the per-step oracle: every
+    error within 1e-12 of the largest."""
+
+    @staticmethod
+    def check(tr, topologies, cfg, e0, monkeypatch=None):
+        actions = []
+        if monkeypatch is not None:
+            def action(A, v, t, m, s, expm_action=observer.expm_action):
+                actions.append(t)
+                return expm_action(A, v, t, m, s)
+
+            monkeypatch.setattr(observer, "expm_action", action)
+        n = tr.n
+        run = run_observer(tr, cfg, xhat0=tr.states[0, :n] + e0[:n], vhat0=tr.states[0, n:] + e0[n:])
+        oracle = sequential_errors(tr, topologies, cfg, e0)
+        est = np.hstack([run.xhat, run.vhat]) - tr.states
+        assert np.abs(est - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        idx = [i - 1 for i in cfg.observed]
+        assert np.abs(run.residuals - oracle[:, idx]).max() <= 1e-12 * np.abs(oracle).max()
+        return actions
+
+    def test_stealth_n4_shape(self, monkeypatch):
+        """239 segments of 35 or 36 samples: every segment ends through its
+        stacked propagator, with no Taylor action."""
+        doc = stealth_doc(horizon=420.0, attack={"synthesize": True, "rho": 110.0, "eta_target": 0.05})
+        sc = scenario.load_scenario(doc)
+        atk, _ = scenario.synthesize_for(sc)
+        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt,
+                                 observed=sc.observed)
+        assert (len(tr.times), len(tr.segments)) == (8638, 239)
+        e0 = np.array(sc.initial_x + sc.initial_v) - z0
+        assert self.check(tr, sc.topologies, sc.observer_cfg, e0, monkeypatch) == []
+
+    def test_seeded_n16_pair(self, monkeypatch):
+        """At n = 16 (d = 32 or 33) segments of 35 samples are shorter than
+        2d: partial steps within the budget take the Taylor action and the
+        others are stacked, so both kinds of chain link run."""
+        rng = np.random.default_rng(16)
+        n = 16
+        topologies = []
+        for tid in (1, 2):
+            a = random_connected_topology(rng, n).adjacency
+            a *= (n / 2) / a.sum(axis=1).max()
+            topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=30.0)
+        atk = attacks.ZdaAttack(eta=0.2, rho=12.0, g0=np.array([1.0, -0.5]),
+                                delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3))
+        tr = simulation.simulate(topologies, sched, rng.uniform(0.5, 4.5, 2 * n), attack=atk,
+                                 dt=0.05, observed=(1,))
+        cfg = ObserverConfig(observed=(1, 5), psi=(1.0, 0.5), theta=(1.0, 2.0))
+        actions = self.check(tr, topologies, cfg, 1e-2 * rng.normal(size=2 * n), monkeypatch)
+        assert 0 < len(actions) < 2 * len(tr.segments)
+
+    def test_complex_rate(self, topo1, topo2):
+        """A complex rate's two mode columns fill work's row: d = 2n + 2."""
+        tau = np.pi / 2 + 0.2
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=40.0)
+        atk = attacks.ZdaAttack(eta=0.15 + 0.9j, rho=9.1, g0=np.array([0.02 + 0.01j, -0.01 + 0.03j]),
+                                delta_z0=np.ones(8), attacked=(2, 4))
+        z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
+        tr = simulation.simulate([topo1, topo2], sched, z0, attack=atk, dt=0.05)
+        cfg = ObserverConfig(observed=(1, 3), psi=(0.8, 0.4), theta=(0.6, 0.9))
+        self.check(tr, [topo1, topo2], cfg, np.array([-0.5, 0, 0.5, 0, -0.5, 0, 0, 0.5]))
+
+    @pytest.mark.parametrize("dwell, counts", [((0.3, 0.2), {1}), ((0.45, 0.4), {1, 2})],
+                             ids=["one-sample", "two-sample"])
+    def test_segments_of_one_and_two_samples(self, topo1, topo2, dwell, counts):
+        """With dt at least the dwell, segments hold one or two samples: no
+        sample lies inside a segment, and the chain alone writes the trace."""
+        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell=dict(zip((1, 2), dwell)), horizon=30.0)
+        atk = attacks.ZdaAttack(eta=0.1, rho=10.2, g0=np.array([0.02, -0.01]),
+                                delta_z0=1e-3 * np.eye(8)[0], attacked=(2, 4))
+        z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
+        tr = simulation.simulate([topo1, topo2], sched, z0, attack=atk, dt=0.5)
+        assert {len(seg.steps) for seg in tr.segments} == counts
+        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
+        self.check(tr, [topo1, topo2], cfg, np.array([0.5, 0, 0, -0.5, 0, 0.5, 0, 0]))
+
+
 class TestStealthErrorClosedForm:
     @pytest.mark.parametrize("dwell", [None, 40.0], ids=["test-dwell", "long-dwell"])
     def test_error_is_minus_the_attack_response(self, dwell):

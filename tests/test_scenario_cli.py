@@ -303,6 +303,21 @@ class TestCli:
         for entry in table.values():
             assert "switch_count" in entry
 
+    def test_empty_sweep_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """--m-min above --m-max names no multiplier: exit 2 with the usage,
+        before the scenario is read or any m runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran with an empty range")
+
+        monkeypatch.setattr(scenario, "load_scenario", refuse)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(tmp_path / "missing.json"), "--out", str(out),
+                "--m-min", "3", "--m-max", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "empty sweep range: --m-min 3 exceeds --m-max 1" in err
+        assert not out.exists()
+
 
 def _src_env() -> dict:
     """The environment of a subprocess that imports this checkout's zdalab."""
