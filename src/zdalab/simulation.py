@@ -9,11 +9,8 @@ form from their start samples, with no discretization error and no stepping.
 """
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +43,7 @@ RES_TOL = 1e-6
 # values per block of rows the plant fill evaluates, or the CSV writer
 # formats, at once
 ROW_BLOCK_VALUES = 4096
+_CSV_EXPONENTS = (-280, 280)  # decimal exponents the CSV writer formats in bulk
 _W = np.array([1.0, -1j])  # real mode m -> its complex value m @ _W
 # most matrix entries a stacked exponential of many intervals takes at once
 EXPM_BLOCK_VALUES = 1 << 18
@@ -93,7 +91,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009).  One degree and one
     scaling serve the whole stack, chosen by the exact 1-norms of A^4, A^6,
     A^8 and A^10 of its largest member; A^8 and A^10 are formed only when the
-    choice still depends on them."""
+    choice still depends on them.  A stack whose powers overflow gives NaN."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return np.zeros_like(A)
@@ -115,8 +113,10 @@ def expm(A: np.ndarray) -> np.ndarray:
     if m == 13:
         (d10,) = _root_norms((P[2] @ P[3])[None], (10,))
         eta = min(max(d6, d8), max(d8, d10))
-        s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if eta > 0.0 else 0
+        s = max(0, math.ceil(math.log2(eta / _PADE[13][0]))) if 0.0 < eta < math.inf else math.inf if eta else 0
         s += _ell(A * 2.0**-s, 13)
+    if s == math.inf:  # the powers overflowed: no scaling is known
+        return np.full(shape, np.nan)
     return _pade(A, P, m, s).reshape(shape)
 
 
@@ -164,7 +164,7 @@ def _ell(A: np.ndarray, m: int) -> int:
     """Extra squarings the degree-m approximant needs on the stack A, from
     ||abs(A)^(2m+1)||_1 (Al-Mohy & Higham 2009, eq. (3.13)), taken as
     1^T abs(A) (abs(A)^2)^m.  The bound ||A||_1 ||abs(A)^2||_1^m on that
-    norm settles a zero without the powers."""
+    norm settles a zero without the powers; a norm that overflows gives inf."""
     absA = np.abs(A)
     v = absA.sum(axis=1, keepdims=True)
     sq = absA @ absA
@@ -176,7 +176,7 @@ def _ell(A: np.ndarray, m: int) -> int:
         v = v @ sq
     live = norm > 0.0
     alpha = float((v.max(axis=(1, 2))[live] / norm[live]).max()) / _ELL_C[m]
-    return max(0, math.ceil((math.log2(alpha) + 53) / (2 * m))) if alpha > 0.0 else 0
+    return max(0, math.ceil((math.log2(alpha) + 53) / (2 * m))) if 0.0 < alpha < math.inf else math.inf if alpha else 0
 
 
 def _pade(A: np.ndarray, P: np.ndarray, m: int, s: int) -> np.ndarray:
@@ -483,14 +483,74 @@ def consensus_error(tr: Trace) -> dict:
     return {"pos_disagreement": pos, "vel_disagreement": vel}
 
 
+@functools.cache
+def _csv_tables():
+    """_format_slots' tables, built on first use.  A value of binary exponent e
+    takes row 2e + (|v| >= th[e]), th[e] the least double >= 10^(k+1) for k =
+    floor(log10 2^(e-1023)), so a row has one decimal exponent X: it holds
+    10^(16-X) = hi + lo (lo NaN out of range), hi's 26-bit halves, the digits
+    before the point, the bytes of digits 1..q, the point, prefix and exponent."""
+    k0, k1 = _CSV_EXPONENTS
+    nd = [(10**j, 1) if j >= 0 else (1, 10**-j) for j in range(k0, 17 - k0)]  # 10^j = n / d = hi + lo, at j - k0
+    hi, lo = np.array([(a / b, (n * b - a * d) / (d * b)) for n, d in nd for a, b in [(n / d).as_integer_ratio()]]).T
+    klo = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.int64)
+    th = np.where(lo > 0, np.nextafter(hi, np.inf), hi)[np.clip(klo + 1, k0, k1 + 1) - k0]
+    th[0] = 5e-324  # zero takes row 0, a subnormal row 1
+    r, x = np.arange(4096), np.repeat(klo, 2) + np.arange(4096) % 2
+    bad = (x < k0) | (x > k1) | (r // 2 % 2047 == 0)  # or e = 0 or 2047
+    x[bad] = 0
+    fixed, ax = (x >= -4) & (x <= 16), np.abs(x)
+    q = np.where(fixed, np.where((x < 0) | (x == 16), 16, x), 0)
+    h = np.where(bad, 0.0, hi[16 - x - k0])
+    hs = h * 134217729.0 - (h * 134217729.0 - h)  # Veltkamp's split
+    masks = np.left_shift(1, np.maximum(8 * np.arange(17) - [[0], [64]], 0)) - 1  # masks[:, t] keeps digits 1..t
+    exp = np.where(ax < 100, 0x3030 | ax // 10 | ax % 10 << 8, 0x303030 | ax // 100 | ax // 10 % 10 << 8 | ax % 10 << 16)
+    ints = np.array([np.where(fixed & (x >= 0), x, 0), *masks[:, q], *np.left_shift(ord("."), 8 * q - [[0], [64]]),
+                     np.where(fixed & (x < 0), 0x2E3000 | 0x303030 >> 8 * (4 + x) << 24, 0),  # "0." "000"
+                     np.where(fixed, 0, 0x6500 | (0x2B + 2 * (x < 0)) << 16 | exp << 24)])  # "e" sign digits
+    flt, g = np.array([h, np.where(bad & (r > 0), np.nan, lo[16 - x - k0]), hs, h - hs]), np.arange(10**4)
+    return th, flt, ints, masks, g // 1000 | g // 100 % 10 << 8 | g // 10 % 10 << 16 | g % 10 << 24
+
+
+def _format_slots(x: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """format(v, ".17g") of each v in x in four little-endian words, padded
+    with zero bytes: [sign, "0.000", first digit], the other digits with the
+    point shifted in, [a digit shifted out, exponent, separator from sep,
+    repeating along x]; and the mask of the right slots: values in range, not near ties."""
+    th, flt, ints, masks, digits = _csv_tables()
+    a = np.abs(x)
+    e = a.view(np.int64) >> 52
+    r = 2 * e + (a >= th[e])
+    (hi, lo, hs, hl), (f, *row) = np.take(flt, r, axis=1), np.take(ints, r, axis=1)
+    with np.errstate(invalid="ignore"):  # the values deferred may be inf or NaN
+        # |x| 10^(16-X) = p + c: Dekker's exact product of hi with 27- and 26-bit halves of |x|
+        p, ah = a * hi, (a.view(np.int64) & -(2**26)).view(np.float64)
+        c = (ah * hs - p + ah * hl + (a - ah) * hs + (a - ah) * hl) + a * lo
+        ok = np.abs(c - np.rint(c)) < 0.5 - 2.0**-30
+        D = p.astype(np.int64) + np.rint(c).astype(np.int64)
+    # D = 10^16 d0 + 10^8 u[0] + u[1]; each u gets its 8 digits, one a byte, the first lowest
+    q = D // 10**8
+    d0 = q // 10**8
+    u = np.stack([q - d0 * 10**8, D - q * 10**8])
+    del a, e, r, hi, lo, hs, hl, p, ah, c, D, q  # keep a block's temporaries few
+    hi4 = u // 10**4
+    u = np.take(digits, hi4, mode="clip") | np.take(digits, u - hi4 * 10**4, mode="clip") << 32
+    # the last digit printed: past the trailing zeros (from each word's top nonzero byte) and f
+    top = np.maximum(((u.astype(np.float64).view(np.int64) + [[-1015 << 52], [-951 << 52]]) >> 55).max(axis=0), f)
+    M = np.take(masks, top, axis=1, mode="clip")
+    u = np.bitwise_and(u | 0x3030303030303030, M, out=u)
+    A = u & row[0:2]
+    B = np.bitwise_xor(u, A, out=u)  # the digits after the point, one byte up
+    return np.stack([np.signbit(x) * ord("-") | row[4] | (d0 | ord("0")) << 56,
+                     A[0] | B[0] << 8 | M[0] & row[2], A[1] | B[1] << 8 | M[1] & row[3] | B[0] >> 56,
+                     (row[5].reshape(-1, len(sep)) | sep).ravel() | B[1] >> 56]), ok & (d0 < 10)
+
+
 def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
-    """Write the trace as CSV with deterministic 17-significant-digit
-    formatting.  Columns: t, topology, x*, v*, y*, r*, attack*.  Rows are
-    formatted by one format string per block of about ROW_BLOCK_VALUES
-    values.  A trace of two or more blocks, in a process that may run on two
-    CPUs, is split one block past its middle (before its last block at the
-    latest): a forked child, slower after the fork, writes the rows after the
-    split to a temporary file that the parent appends to its own."""
+    """Write the trace as CSV, every value as format(v, ".17g") and every
+    topology id as "%d".  Columns: t, topology, x*, v*, y*, r*, attack*.
+    _format_slots formats blocks of about ROW_BLOCK_VALUES values; format()
+    takes the values it defers, and str() the ids a float does not hold."""
     cols = ["t", "topology"] + [f"{c}{i}" for c in "xv" for i in range(1, tr.n + 1)]
     cols += [f"y{i}" for i in tr.observed]
     parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.outputs]
@@ -499,37 +559,17 @@ def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
         parts.append(residuals)
     cols += [f"attack{i}" for i in tr.attacked]
     parts.append(tr.attack_values)
-    row = "%.17g,%d" + ",%.17g" * (len(cols) - 2) + "\n"
-    rows = max(1, ROW_BLOCK_VALUES // len(cols))
-
-    def write(fh, start, stop):
-        for k in range(start, stop, rows):
-            block = np.hstack([p[k : k + rows] for p in parts]).ravel().tolist()
-            block[1 :: len(cols)] = tr.topology_ids[k : k + rows].tolist()  # exact ints
-            fh.write(row * (len(block) // len(cols)) % tuple(block))
-
-    total = len(tr.times)
-    half = min(-(-total // (2 * rows)) + 1, -(-total // rows) - 1) * rows
-    with open(path, "w") as fh, contextlib.ExitStack() as stack:
-        fh.write(",".join(cols) + "\n")
-        pid = None
-        if 0 < half < total and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            with contextlib.suppress(OSError):  # no fork: the parent writes every row
-                tail = stack.enter_context(tempfile.TemporaryFile("w+"))
-                pid = os.fork()
-        if pid == 0:  # the child writes the second half and never returns
-            try:
-                write(tail, half, total)
-                tail.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        try:
-            write(fh, 0, half if pid else total)
-        finally:
-            status = pid and os.waitpid(pid, 0)[1]
-        if status:
-            raise OSError(f"trace writer child exited with code {os.waitstatus_to_exitcode(status)}")
-        if pid:
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+    width = len(cols)
+    rows = max(1, ROW_BLOCK_VALUES // width)
+    sep = np.array([ord(",")] * (width - 1) + [ord("\n")]) << 56
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for k in range(0, len(tr.times), rows):
+            block = np.hstack([p[k : k + rows] for p in parts])
+            words, ok = _format_slots(block.ravel(), sep)
+            ok[1::width] &= np.abs(block[:, 1]) < 2.0**53
+            for i in np.flatnonzero(~ok).tolist():
+                r, col = divmod(i, width)
+                text = str(tr.topology_ids[k + r]) if col == 1 else format(block[r, col], ".17g")
+                words[:, i] = np.frombuffer(text.encode().ljust(31, b"\0") + bytes([sep[col] >> 56]), np.int64)
+            fh.write(words.T.tobytes().translate(None, b"\0"))

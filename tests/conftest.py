@@ -18,8 +18,8 @@ from zdalab import graphs
 
 @pytest.fixture(autouse=True)
 def no_leaked_children():
-    """Every test reaps the processes it starts, the trace writer's forked
-    child included, whether the writer returns or raises."""
+    """Every test reaps the processes it starts, whether the code under
+    test returns or raises."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

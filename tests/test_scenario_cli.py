@@ -498,11 +498,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and "edge weights must be finite" in err
 
-    @pytest.mark.parametrize("case", ["gain", "weight"])
+    @pytest.mark.parametrize("case", ["gain", "finite-powers-gain", "weight"])
     def test_observer_overflow_exits_four(self, tmp_path, capsys, case):
         """A huge gain, or a huge weight without an attack, overflows the
-        observer's propagators; the run reports it and writes no trace."""
+        observer's propagators; the run reports it and writes no trace.
+        With psi = 1e100 the drift's squares are finite but its fourth powers
+        are not, so expm has no scaling to choose."""
         doc = stealth_doc(observer=_observer(psi=[1e308], theta=[1.0]))
+        if case == "finite-powers-gain":
+            doc = stealth_doc(observer=_observer(psi=[1e100], theta=[1.0]), dt=0.5)
         if case == "weight":
             doc = stealth_doc(attack=None)
             doc["topologies"][0]["edges"][0][2] = 1e200
@@ -561,7 +565,7 @@ class TestExitCodes:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_cli_import_loads_no_process_pool(self):
-        """The trace writer forks with os alone: a fresh interpreter's
+        """The CLI runs in one process: a fresh interpreter's
         `import zdalab.cli` loads neither multiprocessing nor
         concurrent.futures, each of which costs milliseconds to import."""
         code = (

@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,11 @@ from zdalab.simulation import (
 )
 
 from conftest import random_connected_topology, trace_to_csv_oracle
+
+# values at the trace writer's edges: zeros, subnormals, extremes, integers
+# past 2^53, powers of ten, non-terminating fractions
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+               1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e16, 0.1, 1 / 3]
 
 
 def topology_before(sched, t):
@@ -778,16 +784,6 @@ class TestBatchedFill:
         assert row_gap(blocked.states, whole.states) <= tol
 
 
-def counting_fork(calls, fork=os.fork):
-    """An os.fork that records each call in ``calls``."""
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    return counted
-
-
 @contextlib.contextmanager
 def closes_its_files():
     """Fails when the block leaves a descriptor open, or leaves a file
@@ -806,16 +802,17 @@ def closes_its_files():
     assert lowest_free_fd() == fd
 
 
+def no_fork():
+    raise AssertionError("the trace writer forked")
+
+
 @pytest.fixture
-def forks(monkeypatch, tmp_path):
-    """The trace writer's os.fork calls, in a process that may run on two
-    CPUs and keeps its temporary files in tmp_path / "tmp"."""
-    calls = []
-    monkeypatch.setattr(os, "fork", counting_fork(calls))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def one_process(monkeypatch, tmp_path):
+    """Fails the test if the trace writer forks; temporary files go to
+    tmp_path / "tmp"."""
+    monkeypatch.setattr(os, "fork", no_fork)
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -860,98 +857,37 @@ class TestTraceExports:
         assert header == "t,topology,x1,x2,x3,x4,v1,v2,v3,v4,y1"
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_writer_matches_row_writer_on_simulated_trace(self, tmp_path, stealth_trace, forks):
-        """A stealth run of 3,001 rows spans more than two default blocks,
-        so the writer forks once; no temporary file or descriptor is left."""
+    def test_writer_matches_row_writer_on_simulated_trace(self, tmp_path, stealth_trace, one_process):
+        """A stealth run of 3,001 rows spans many default blocks; one process
+        writes them and leaves no temporary file or descriptor."""
         tr, res = stealth_trace
         cols = 2 + tr.states.shape[1] + 2 * len(tr.observed) + len(tr.attacked)
         assert len(tr.times) > 2 * (simulation.ROW_BLOCK_VALUES // cols)
         with closes_its_files():
             simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
-        assert len(forks) == 1
         assert not any((tmp_path / "tmp").iterdir())
         trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_one_cpu_writes_serially(self, tmp_path, stealth_trace, forks, monkeypatch):
-        """With one CPU to run on, the parent writes every row itself."""
-        tr, res = stealth_trace
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
-        assert forks == []
-        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    def test_failed_fork_writes_serially(self, tmp_path, stealth_trace, forks, monkeypatch):
-        """A fork refused for want of processes falls back to the serial write."""
-        tr, res = stealth_trace
-
-        def fork():
-            forks.append(None)
-            raise BlockingIOError("no process left")
-
-        monkeypatch.setattr(os, "fork", fork)
-        simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
-        assert len(forks) == 1
-        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    def test_failing_child_raises_after_it_is_reaped(self, tmp_path, stealth_trace, forks,
-                                                      monkeypatch):
-        """A child that dies before writing its half is an OSError, raised
-        after the temporary file is closed (and, as conftest checks after
-        every test, the child reaped)."""
-        tr, res = stealth_trace
-        counted = os.fork
-
-        def fork():
-            pid = counted()
-            if pid == 0:
-                os._exit(3)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        with closes_its_files(), pytest.raises(OSError, match="exited with code 3"):
-            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
-        assert len(forks) == 1
-        assert not any((tmp_path / "tmp").iterdir())
-
-    def test_error_in_parent_half_reaps_the_child(self, tmp_path, stealth_trace, forks,
-                                                  monkeypatch):
-        """An exception in the parent's half propagates after the temporary
-        file is closed (and, as conftest checks, the child reaped)."""
-        tr, res = stealth_trace
-        counted, hstack, children = os.fork, np.hstack, []
-
-        def fork():
-            pid = counted()
-            children.append(pid)
-            return pid
-
-        def parent_hstack(*args, **kwargs):
-            # the child's copy of `children` holds only its own 0
-            if any(children):
-                raise RuntimeError("parent half failed")
-            return hstack(*args, **kwargs)
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(simulation.np, "hstack", parent_hstack)
-        with closes_its_files(), pytest.raises(RuntimeError, match="parent half failed"):
-            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
-        assert len(forks) == 1
-        assert not any((tmp_path / "tmp").iterdir())
+    def test_topology_ids_print_as_integers(self, tmp_path):
+        """Every int64 id prints as "%d", also those a float does not hold."""
+        ids = np.array([-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 10**17 - 1, 10**17, 10**17 + 1,
+                        -(10**17) + 1, -(10**17), -(10**17) - 1, 2**53 - 1, 2**53, 2**53 + 1,
+                        -(2**53) - 1, 0, 1, -1, 7])
+        rows = len(ids)
+        tr = simulation.Trace(times=np.zeros(rows), states=np.zeros((rows, 2)), outputs=np.zeros((rows, 1)),
+                              attack_values=np.zeros((rows, 0)), topology_ids=ids, observed=(1,), attacked=())
+        simulation.trace_to_csv(tr, tmp_path / "ids.csv")
+        lines = (tmp_path / "ids.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["%d" % i for i in ids.tolist()]
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_writer_matches_row_writer(self, tmp_path_factory, data):
         """Byte-identical to the row-at-a-time writer on edge values, output
         and attack widths, with and without residuals, and on one to many
-        blocks of rows, so on both sides of the writer's fork."""
-        edge = st.sampled_from(
-            [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
-             1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e16, 0.1, 1 / 3]
-        )
-        value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False),
+        blocks of rows, all in one process."""
+        value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False),
                           st.integers(-(10**6), 10**6).map(float))
         n = data.draw(st.integers(1, 4))
         observed = tuple(sorted(data.draw(
@@ -975,13 +911,62 @@ class TestTraceExports:
         block = data.draw(st.integers(1, 64))
         out = tmp_path_factory.getbasetemp() / "csv"
         out.mkdir(exist_ok=True)
-        forks = []
-        with mock.patch.object(simulation, "ROW_BLOCK_VALUES", block), \
-                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
-                mock.patch.object(os, "fork", counting_fork(forks)):
+        with mock.patch.object(simulation, "ROW_BLOCK_VALUES", block), mock.patch.object(os, "fork", no_fork):
             simulation.trace_to_csv(tr, out / "new.csv", residuals=residuals)
-        # one block is written serially, two or more split across a fork
-        cols = 2 + 2 * n + width * (1 + (residuals is not None)) + len(attacked)
-        assert len(forks) == (rows > max(1, block // cols))
         trace_to_csv_oracle(tr, out / "old.csv", residuals=residuals)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def kernel_text(values):
+    """The CSV kernel's text for each value, "?" where it defers to
+    format(), and its mask of the values it formats itself."""
+    words, ok = simulation._format_slots(values, np.array([ord("\n") << 56]))
+    words[:, ~ok] = np.frombuffer(b"?".ljust(31, b"\0") + b"\n", np.int64)[:, None]
+    return words.T.tobytes().translate(None, b"\0").decode().split("\n")[:-1], ok
+
+
+def rests_on_rounding(v: float) -> bool:
+    """Whether |v| 10^(16-X), X the decimal exponent of v, lies within
+    2^-30 of a half-integer or rounds up to 10^17: the two cases where the
+    kernel's 17 digits would rest on how it rounds."""
+    scaled = abs(Fraction(v)) / Fraction(10) ** math.floor(math.log10(abs(v))) * 10**16
+    while scaled >= 10**17:
+        scaled /= 10
+    while scaled < 10**16:
+        scaled *= 10
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 2**30) or scaled >= 10**17 - Fraction(1, 2)
+
+
+class TestCsvKernel:
+    def test_matches_format(self):
+        """At least 10^5 values: random bit patterns, the writer tests' edge
+        values, each 10^k from 1e-45 to 1e45 and its two neighbours, dyadic
+        values m / 2^j that sit exactly half-way between two 17-digit
+        decimals, and lattice times k * 0.05.  Where the kernel formats a
+        value, it reads as format(v, ".17g").  It defers every value that
+        is not finite, subnormal or out of its exponent range, and every
+        exact tie; any other value it defers rests on a rounding."""
+        rng = np.random.default_rng(23)
+        powers = [float(f"1e{k}") for k in range(-45, 46)]
+        ties = []
+        for j in range(2, 23):  # m odd: m 5^j has 18 digits, the last a 5
+            lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+            ties += [m / 2**j for m in (rng.integers(lo, hi, 200) | 1).tolist()]
+        values = np.concatenate([
+            rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),
+            EDGE_VALUES, [math.inf, -math.inf, math.nan],
+            powers, np.nextafter(powers, math.inf), np.nextafter(powers, -math.inf),
+            ties, np.negative(ties),
+            np.arange(40_000) * 0.05,
+        ])
+        assert len(values) >= 10**5
+        text, ok = kernel_text(values)
+        want = [format(v, ".17g") for v in values.tolist()]
+        assert [t for t, k in zip(text, ok) if k] == [w for w, k in zip(want, ok) if k]
+        lo, hi = simulation._CSV_EXPONENTS
+        a = np.abs(values)
+        in_range = (a == 0.0) | ((a >= 10.0**lo) & (a < 10.0 ** (hi + 1)))
+        assert not ok[~in_range].any()
+        deferred = values[in_range & ~ok].tolist()
+        assert set(ties + np.negative(ties).tolist()) <= set(deferred)
+        assert all(rests_on_rounding(v) for v in deferred)
