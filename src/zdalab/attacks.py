@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RANK_RTOL, agent_set, detection_matrix, laplacian
+from .graphs import RANK_RTOL, agent_set, detection_matrix
 from .scheduling import SwitchingSchedule
 from .simulation import assemble_A, assemble_C, attack_injection, expm
 
@@ -248,7 +248,7 @@ def synthesize(
     if not K:
         raise SynthesisError("no attack channels: attacked set is empty")
     n = S_stealth[0].n
-    A_by_id = {t.id: assemble_A(laplacian(t)) for t in S_stealth}
+    A_by_id = {t.id: assemble_A(t.L) for t in S_stealth}
     A_list = [A_by_id[t.id] for t in S_stealth]
     C = assemble_C(M, n)
     B_K = attack_injection(K, n)
@@ -261,7 +261,7 @@ def synthesize(
         unhidden = sorted(set(schedule_prefix.order) - set(A_by_id))
         if unhidden:
             raise ValueError(f"rho > 0: scheduled topologies {unhidden} are not in the stealth set")
-        V = unobservable_subspace([laplacian(t) for t in S_stealth], M)
+        V = unobservable_subspace([t.L for t in S_stealth], M)
         if V.shape[1] == 0:
             raise SynthesisError("no stealthy prefix possible: "
                                  "common unobservable subspace is trivial")

@@ -6,6 +6,7 @@ are indexed 0-based internally.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,6 @@ __all__ = [
     "DetectabilityReport",
     "RatioCertificate",
     "agent_set",
-    "laplacian",
-    "spectrum",
     "detection_matrix",
     "detectability",
     "has_distinct_eigenvalues",
@@ -47,10 +46,11 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Weighted undirected communication graph.
+    """Weighted undirected communication graph; the one owner of its
+    Laplacian ``L``, ``spectrum`` and ratio ``certificate``, each cached.
 
-    Invariants: symmetric adjacency, zero diagonal (no self-loops),
-    finite nonnegative weights.
+    Invariants: an integer id within int64, an exactly symmetric read-only
+    adjacency, zero diagonal (no self-loops), finite nonnegative weights.
     """
 
     id: int
@@ -58,17 +58,22 @@ class Topology:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+        if not _is_id(self.id):
+            raise GraphError(f"topology id {self.id!r} is not an integer")
+        if not -(2**63) <= self.id < 2**63:
+            raise GraphError(f"topology id {self.id} is outside int64")
+        a = np.array(self.adjacency, dtype=float)
         if a.shape != (self.n, self.n):
             raise GraphError(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise GraphError("edge weights must be finite")
-        if not np.allclose(a, a.T, atol=0.0):
+        if not np.array_equal(a, a.T):
             raise GraphError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise GraphError("adjacency must have zero diagonal (no self-loops)")
         if np.any(a < 0.0):
             raise GraphError("edge weights must be nonnegative")
+        a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
 
     @classmethod
@@ -80,6 +85,27 @@ class Topology:
                 raise GraphError(f"bad edge ({i}, {j}) for n={n}")
             a[i - 1, j - 1] = a[j - 1, i - 1] = float(w)
         return cls(id=id, n=n, adjacency=a)
+
+    @functools.cached_property
+    def L(self) -> np.ndarray:
+        """Graph Laplacian: l_ii = sum_j a_ij, l_ij = -a_ij for i != j."""
+        return np.diag(self.adjacency.sum(axis=1)) - self.adjacency
+
+    @functools.cached_property
+    def spectrum(self) -> LaplacianSpectrum:
+        """Eigendecomposition of ``L``; ``connected`` is true when the
+        second-smallest eigenvalue exceeds CONNECTED_RTOL * max(1, ||L||_2)."""
+        try:
+            vals, vecs = np.linalg.eigh(self.L)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise GraphError(f"eigensolver failed: {exc}") from exc
+        connected = len(vals) < 2 or bool(vals[1] > CONNECTED_RTOL * max(1.0, np.linalg.norm(self.L, 2)))
+        return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs, connected=connected)
+
+    @functools.cached_property
+    def certificate(self) -> RatioCertificate:
+        """The spectrum's ratio certificate; GraphError when disconnected."""
+        return rational_ratio_certificate(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -130,30 +156,6 @@ def agent_set(S, n: int, what: str) -> tuple:
     return ids
 
 
-def laplacian(t: Topology) -> np.ndarray:
-    """Graph Laplacian: l_ii = sum_j a_ij, l_ij = -a_ij for i != j."""
-    a = t.adjacency
-    return np.diag(a.sum(axis=1)) - a
-
-
-def spectrum(L: np.ndarray) -> LaplacianSpectrum:
-    """Eigendecomposition of a symmetric Laplacian.
-
-    ``connected`` is true when the second-smallest eigenvalue exceeds
-    CONNECTED_RTOL * max(1, ||L||_2).
-    """
-    L = np.asarray(L, dtype=float)
-    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, abs(L).max())):
-        raise GraphError("Laplacian must be symmetric")
-    try:
-        vals, vecs = np.linalg.eigh(L)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise GraphError(f"eigensolver failed: {exc}") from exc
-    tol = CONNECTED_RTOL * max(1.0, np.linalg.norm(L, 2))
-    connected = bool(vals[1] > tol) if len(vals) > 1 else True
-    return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs, connected=connected)
-
-
 def detection_matrix(S, M) -> np.ndarray:
     """N = [E_M^T; L_2 - L_1; ...] for the topologies S and observed agents M
     (possibly none): every stealthy attack on S has its positions in ker N."""
@@ -162,8 +164,7 @@ def detection_matrix(S, M) -> np.ndarray:
     if any(t.n != n for t in S):
         raise GraphError(f"topology sizes differ: {sorted({t.n for t in S})}")
     M = agent_set(M, n, "observed") if len(M) else ()
-    L1 = laplacian(S[0])
-    return np.vstack([np.eye(n)[[m - 1 for m in M]]] + [laplacian(t) - L1 for t in S[1:]])
+    return np.vstack([np.eye(n)[[m - 1 for m in M]]] + [t.L - S[0].L for t in S[1:]])
 
 
 def detectability(S, M) -> DetectabilityReport:

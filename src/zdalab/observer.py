@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import agent_set
+from .graphs import _is_id, agent_set
 from .simulation import EXPM_BLOCK_VALUES, SimulationError, Trace, expm, expm_action, taylor_plan
 
 __all__ = [
@@ -57,7 +57,7 @@ class ObserverConfig:
             raise ValueError("at least one psi and one theta must be positive")
         if not 0.0 < self.alarm_threshold < np.inf:
             raise ValueError("alarm threshold must be positive and finite")
-        if self.alarm_window < 1:
+        if not (_is_id(self.alarm_window) and self.alarm_window >= 1):
             raise ValueError("alarm window must be a positive integer")
         obs, psi, theta = zip(*sorted(zip(self.observed, psi, theta)))
         object.__setattr__(self, "observed", obs)

@@ -65,16 +65,10 @@ class Scenario:
         return self.topologies[0].n
 
     @functools.cached_property
-    def spectra(self) -> dict:
-        """Running topology id -> its Laplacian spectrum."""
+    def running(self) -> tuple:
+        """The topologies of ``order``, each once, in order of first appearance."""
         by_id = {t.id: t for t in self.topologies}
-        return {tid: graphs.spectrum(graphs.laplacian(by_id[tid])) for tid in dict.fromkeys(self.order)}
-
-    @functools.cached_property
-    def certificates(self) -> dict:
-        """Running topology id -> its ratio certificate; raises GraphError
-        when a running topology is disconnected."""
-        return {tid: graphs.rational_ratio_certificate(s) for tid, s in self.spectra.items()}
+        return tuple(by_id[tid] for tid in dict.fromkeys(self.order))
 
     @functools.cached_property
     def schedule(self) -> scheduling.SwitchingSchedule:
@@ -87,8 +81,7 @@ class Scenario:
         P, None when no mode has one; needs an observer configuration."""
         by_id = {t.id: t for t in self.topologies}
         Phi, Theta = observer.gain_matrices(self.observer_cfg, self.n)
-        A_list = tuple(observer.assemble_observer_A(graphs.laplacian(by_id[tid]), Phi, Theta)
-                       for tid in self.order)
+        A_list = tuple(observer.assemble_observer_A(by_id[tid].L, Phi, Theta) for tid in self.order)
         try:
             return A_list, scheduling.lyapunov_weight(A_list)
         except scheduling.ScheduleError:
@@ -96,11 +89,10 @@ class Scenario:
 
     def at_multiplier(self, m: int) -> Scenario:
         """This plan at multiplier m with derived dwell times, as ``<id>_m<m>``;
-        it keeps the spectra, certificates and observer weight, which do not
-        depend on m."""
+        it shares the topologies, with their spectra and certificates, and
+        keeps the observer weight, none of which depends on m."""
         sub = replace(self, id=f"{self.id}_m{m}", dwell_override=None,
                       dwell_params=replace(self.dwell_params, m=m))
-        sub.__dict__.update(spectra=self.spectra, certificates=self.certificates)
         if self.observer_cfg is not None:
             sub.__dict__["observer_weight"] = self.observer_weight
         return sub
@@ -160,13 +152,12 @@ def _directive(order, rho=0.0, stealth_set=None, eta_target=None) -> dict:
 
 
 def _parse(d: dict, base: str) -> Scenario:
-    _require(d.get("schema") == SCHEMA_VERSION, f"scenario schema must be {SCHEMA_VERSION}")
+    _require(graphs._is_id(d.get("schema")) and d["schema"] == SCHEMA_VERSION,
+             f"scenario schema must be {SCHEMA_VERSION}")
     _require("topologies" in d and d["topologies"], "scenario needs at least one topology")
     topologies = tuple(
         graphs.Topology.from_edges(t["id"], t["n"], t["edges"]) for t in d["topologies"]
     )
-    for t in topologies:
-        _require(graphs._is_id(t.id), f"topology id {t.id!r} is not an integer")
     ids = {t.id for t in topologies}
     _require(len(ids) == len(topologies), "topology ids must be unique")
     n = topologies[0].n
@@ -232,7 +223,7 @@ def _parse(d: dict, base: str) -> Scenario:
             psi=tuple(map(float, oc["psi"])),
             theta=tuple(map(float, oc["theta"])),
             alarm_threshold=float(oc.get("threshold", 1e-6)),
-            alarm_window=int(oc.get("window", 5)),
+            alarm_window=oc.get("window", 5),
         )
 
     return Scenario(
@@ -260,11 +251,11 @@ def build_schedule(sc: Scenario) -> scheduling.SwitchingSchedule:
     override when the scenario supplies one."""
     dwell = sc.dwell_override
     if dwell is None:
-        xi_val = scheduling.xi(sc.spectra.values())
+        xi_val = scheduling.xi(t.spectrum for t in sc.running)
         dwell = {}
-        for tid, cert in sc.certificates.items():
-            T_r = scheduling.base_period(cert, sc.spectra[tid].eigenvalues[1])
-            dwell[tid] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
+        for t in sc.running:
+            T_r = scheduling.base_period(t.certificate, t.spectrum.eigenvalues[1])
+            dwell[t.id] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
     return scheduling.SwitchingSchedule(order=sc.order, dwell=dwell, horizon=sc.horizon)
 
 
@@ -289,15 +280,14 @@ def validate(sc: Scenario) -> ValidationReport:
     construction, the averaged contraction condition, and detectability of
     the running topology set."""
     checks: dict = {}
-    topo_by_id = {t.id: t for t in sc.topologies}
     try:
-        rational_ok = all(cert.ok for cert in sc.certificates.values())
+        rational_ok = all(t.certificate.ok for t in sc.running)
     except graphs.GraphError:
         rational_ok = False
     checks["rational modal-period ratios (all topologies)"] = bool(rational_ok)
 
     checks["some topology has distinct eigenvalues"] = any(
-        graphs.has_distinct_eigenvalues(s) for s in sc.spectra.values())
+        graphs.has_distinct_eigenvalues(t.spectrum) for t in sc.running)
 
     sched = None
     try:
@@ -314,9 +304,8 @@ def validate(sc: Scenario) -> ValidationReport:
             measure_ok = scheduling.measure_condition(A_list, tau_list, P).ok
     checks["averaged contraction of observer error"] = bool(measure_ok)
 
-    running = [topo_by_id[tid] for tid in dict.fromkeys(sc.order)]
     checks["detectability of running topology set"] = (
-        len(running) >= 2 and graphs.detectability(running, sc.observed).ok)
+        len(sc.running) >= 2 and graphs.detectability(sc.running, sc.observed).ok)
     return ValidationReport(checks=checks)
 
 

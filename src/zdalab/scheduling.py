@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import LaplacianSpectrum, RatioCertificate
+from .graphs import LaplacianSpectrum, RatioCertificate, _is_id
 
 __all__ = [
     "DwellParams",
@@ -65,9 +65,9 @@ class DwellParams:
             raise ScheduleError(f"beta must be in (0,1), got {self.beta}")
         if self.alpha <= 0.0:
             raise ScheduleError(f"alpha must be positive, got {self.alpha}")
-        if self.kappa < 1:
+        if not (_is_id(self.kappa) and self.kappa >= 1):
             raise ScheduleError(f"kappa must be a positive integer, got {self.kappa}")
-        if self.m < 1:
+        if not (_is_id(self.m) and self.m >= 1):
             raise ScheduleError(f"m must be a positive integer, got {self.m}")
         bound = -math.log(self.beta) / self.alpha
         tau_hat = self.tau_hat_max
@@ -257,7 +257,7 @@ def weighted_log_norm(A: np.ndarray, P: np.ndarray):
     of the pencil (P A + A^T P, 2 P), that of K + K^T for K = R^-1 P A R^-T
     and the Cholesky factor 2 P = R R^T.  For a stack of matrices (k, d, d),
     an array of the k norms, with R inverted once for the stack."""
-    Ri = np.linalg.inv(np.linalg.cholesky(2.0 * P))
+    Ri = np.linalg.inv(np.linalg.cholesky(2.0 * np.asarray(P, dtype=float)))
     K = Ri @ P @ A @ Ri.T
     top = np.linalg.eigvalsh(K + np.swapaxes(K, -1, -2)).max(axis=-1)
     return float(top) if top.ndim == 0 else top
@@ -268,12 +268,12 @@ def measure_condition(A_list, tau_list, P: np.ndarray) -> MeasureReport:
     means the switched error dynamics contract on average."""
     if len(A_list) != len(tau_list):
         raise ScheduleError("A_list and tau_list lengths differ")
-    P = np.asarray(P, dtype=float)
-    if np.min(np.linalg.eigvalsh(0.5 * (P + P.T))) <= 0.0:
-        raise ScheduleError("weight matrix P must be positive-definite")
     total = float(sum(tau_list))
     nu = tuple(float(t) / total for t in tau_list)
-    measures = tuple(weighted_log_norm(np.array(A_list, dtype=float), P).tolist())
+    try:  # the Cholesky factorization of 2 P decides definiteness
+        measures = tuple(weighted_log_norm(np.array(A_list, dtype=float), P).tolist())
+    except np.linalg.LinAlgError as exc:
+        raise ScheduleError("weight matrix P must be positive-definite") from exc
     value = float(sum(n * m for n, m in zip(nu, measures)))
     return MeasureReport(ok=value < 0.0, value=value, nu=nu, measures=measures)
 

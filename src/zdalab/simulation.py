@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import agent_set, laplacian
+from .graphs import Topology, agent_set
 from .scheduling import SwitchingSchedule
 
 __all__ = [
@@ -283,18 +283,19 @@ def _attack_mode(attack, n: int) -> tuple[np.ndarray, np.ndarray]:
     return Eta, attack_injection(attack.attacked, n) @ gain
 
 
-def _propagator(L: np.ndarray, lam: np.ndarray, Q: np.ndarray, Eta: np.ndarray, G: np.ndarray):
+def _propagator(t: Topology, Eta: np.ndarray, G: np.ndarray):
     """Exact propagation of dz/dt = [[0, I], [-L, 0]] z + G m, dm/dt = Eta m
     from spans' start states Z0 (s, 2n) and mode values M0 (s, d), as
     ``(fill, ends)``: ``fill(Z0, M0)(j, tau)`` is the state at each offset
     tau[r] into span j[r]; ``ends(M0, tau)`` is ``(step, g)``, and a span i
     lasting tau[i] ends at step(z0, i) + g[i] from its start z0.
 
-    With L = Q diag(lam) Q^T and omega = sqrt(lam), the modes xi = Q^T x,
+    With L = t.L = Q diag(lam) Q^T and omega = sqrt(lam), the modes xi = Q^T x,
     nu = Q^T v move freely as xi0 cos(omega t) + nu0 sin(omega t) / omega,
     and the mode value mu0 e^{eta t} adds Re(c mu0 e^{eta t}), where
     c_i = (Q^T B g0)_i / (eta^2 + lam_i).  A resonant drift (RES_TOL) has no
     such c; each state is expm(A_aug t) (z0, m0) instead."""
+    L, lam, Q = t.L, t.spectrum.eigenvalues, t.spectrum.eigenvectors
     n, d = L.shape[0], Eta.shape[0]
     w = _W[:d]
     eta = Eta[:, 0] @ w if d else 0.0
@@ -382,7 +383,7 @@ def simulate(
     Raises SimulationError carrying the blow-up time if the state overflows,
     with the trace before the first non-finite sample as ``.trace``.
     """
-    L_by_id = {t.id: laplacian(t) for t in topologies}
+    by_id = {t.id: t for t in topologies}
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
     C = assemble_C(observed, n)
@@ -415,7 +416,6 @@ def simulate(
     modes = np.zeros((len(spans), 2))  # each span's mode: (Re, -Im) of e^{eta (t0 - rho)}
     if attack is not None:
         modes[active] = np.exp(complex(attack.eta) * (a[active] - rho)).view(float).reshape(-1, 2) * [1, -1]
-    eig = {tid: np.linalg.eigh(L_by_id[tid]) for tid in dict.fromkeys(tids)}
     # per (topology, attack active) drift: its spans, Eta, G and fill
     index = {key: k for k, key in enumerate(dict.fromkeys(zip(tids, active.tolist())))}
     kind = np.array([index[key] for key in zip(tids, active.tolist())], dtype=int)
@@ -425,7 +425,7 @@ def simulate(
         for D, (tid, on) in enumerate(index):
             js = np.flatnonzero(kind == D)
             Eta, G = _attack_mode(attack if on else None, n)
-            fill, ends = _propagator(L_by_id[tid], *eig[tid], Eta, G)
+            fill, ends = _propagator(by_id[tid], Eta, G)
             step, g = ends(modes[js, : len(Eta)], b[js] - a[js])
             for i, k in enumerate(js.tolist()):
                 plan[k] = step, i, g[i]
@@ -447,7 +447,7 @@ def simulate(
     segments = []
     for k, (t0, t1, tid) in enumerate(spans[: np.searchsorted(last, cut) + 1]):
         Eta, G = drifts[kind[k]][1:3]
-        segments.append(Segment(t0, t1, tid, bool(active[k]), L_by_id[tid], Eta, G,
+        segments.append(Segment(t0, t1, tid, bool(active[k]), by_id[tid].L, Eta, G,
                                 modes[k, : len(Eta)], steps[start[k] + 1 : min(last[k], cut - 1) + 1]))
     blowup = float(times[cut]) if cut < total else None
     times, states, topology_ids = times[:cut], states[:cut], topology_ids[:cut]

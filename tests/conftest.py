@@ -111,7 +111,7 @@ def random_topology_set(rng):
                     else:
                         a[i, j] = a[j, i] = rng.uniform(0.2, 2.0)
         t = graphs.Topology(id=tid, n=n, adjacency=a)
-        if graphs.spectrum(graphs.laplacian(t)).connected:
+        if t.spectrum.connected:
             topos.append(t)
             tid += 1
     m_size = int(rng.integers(1, n))

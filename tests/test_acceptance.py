@@ -64,8 +64,8 @@ def test_criterion_1_hurwitz_equivalence():
         else:
             n = int(rng.integers(3, 9))
             topo = random_connected_topology(rng, n)
-        L = graphs.laplacian(topo)
-        spec = graphs.spectrum(L)
+        L = topo.L
+        spec = topo.spectrum
         distinct = graphs.has_distinct_eigenvalues(spec)
         for _ in range(50):
             # with repeated eigenvalues and several observed agents the
@@ -98,7 +98,7 @@ def _eta_scan(topos, M, K):
     from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
     n = topos[0].n
-    A_list = [assemble_A(graphs.laplacian(t)) for t in topos]
+    A_list = [assemble_A(t.L) for t in topos]
     C = assemble_C(M, n)
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, 100))
@@ -226,7 +226,7 @@ def test_criterion_5_switched_consensus():
     tb = graphs.Topology.from_edges(2, 4, [(i, j, w * scale_b) for i, j, w in K4_WEIGHTS])
 
     params = scheduling.DwellParams(tau_hat_max=0.2)
-    spectra = {t.id: graphs.spectrum(graphs.laplacian(t)) for t in (ta, tb)}
+    spectra = {t.id: t.spectrum for t in (ta, tb)}
     xi_val = scheduling.xi(spectra.values())
     dwell = {}
     for t in (ta, tb):
@@ -248,7 +248,7 @@ def test_criterion_5_switched_consensus():
     handover = symplectic = 0.0
     flows = {}
     for t in (ta, tb):
-        A = simulation.assemble_A(graphs.laplacian(t))
+        A = simulation.assemble_A(t.L)
         H = Qb.T @ scipy.linalg.expm(A * (dwell[t.id] - params.tau_hat_max)) @ Qb
         handover = max(handover, float(np.abs(H @ H - np.eye(2 * n - 2)).max()))
         Phi = scipy.linalg.expm(A * dwell[t.id])
@@ -300,7 +300,7 @@ def test_criterion_6_observer_tracking_small_gains():
     cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
     Phi, Theta = observer.gain_matrices(cfg, 4)
     A_list = [
-        observer.assemble_observer_A(graphs.laplacian(g), Phi, Theta) for g in (ga, gb)
+        observer.assemble_observer_A(g.L, Phi, Theta) for g in (ga, gb)
     ]
     P = scheduling.lyapunov_weight(A_list)
     tau = 0.2 + 20000 * np.pi
@@ -336,7 +336,7 @@ def test_criterion_7_integration_fidelity():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         topo = random_connected_topology(rng, n)
-        A = assemble_A(graphs.laplacian(topo))
+        A = assemble_A(topo.L)
         z0 = rng.normal(size=2 * n)
         atk = make_attack(rng, n)
         B = attack_injection(atk.attacked, n)

@@ -87,7 +87,7 @@ def eta_scan_oracle(topos, M, K, grid_points=100):
     """Brute-force existence test: scan candidate rates and check that the
     stacked pencil kernel carries a nonzero signal component."""
     n = topos[0].n
-    A_list = [assemble_A(graphs.laplacian(t)) for t in topos]
+    A_list = [assemble_A(t.L) for t in topos]
     C = assemble_C(M, n)
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, grid_points))
@@ -104,12 +104,12 @@ class TestObservability:
 
     def test_rank_matches_pbh_oracle(self):
         t = graphs.Topology.from_edges(1, 3, [(1, 2, 1.0), (2, 3, 1.0)])
-        L = graphs.laplacian(t)
+        L = t.L
         V = unobservable_subspace([L], [1])
         assert V.shape[1] == pbh_unobservable_dim(assemble_A(L), assemble_C([1], 3))
 
     def test_intersection_kernel_of_undetectable_pair(self, topo1, topo2):
-        V = unobservable_subspace([graphs.laplacian(t) for t in (topo1, topo2)], [1])
+        V = unobservable_subspace([t.L for t in (topo1, topo2)], [1])
         # the hidden direction is agent 3 against agent 4, in position and
         # velocity
         assert V.shape == (8, 2)
@@ -124,20 +124,20 @@ class TestObservability:
         is; an absolute rank threshold would count the rounding of a large
         L_r as a direction, or a small L_r's directions as rounding.  At
         1e300 the Frobenius norm of L_r itself would overflow."""
-        V = unobservable_subspace([scale * graphs.laplacian(t) for t in (topo1, topo2)], [1])
+        V = unobservable_subspace([scale * t.L for t in (topo1, topo2)], [1])
         assert V.shape == (8, 2)
         probe = (np.eye(8)[2] - np.eye(8)[3]) / np.sqrt(2)
         assert np.linalg.norm(probe - V @ (V.T @ probe)) < 1e-12
 
     def test_agent_zero_is_not_read_as_agent_n(self, topo1):
         with pytest.raises(graphs.GraphError, match="observed set"):
-            unobservable_subspace([graphs.laplacian(topo1)], (0,))
+            unobservable_subspace([topo1.L], (0,))
 
     def test_full_output_kills_kernel(self, topo1):
-        assert unobservable_subspace([graphs.laplacian(topo1)], [1, 2, 3, 4]).shape[1] == 0
+        assert unobservable_subspace([topo1.L], [1, 2, 3, 4]).shape[1] == 0
 
     def test_intersection_dimension_monotone(self, topo1, topo2, topo3):
-        L1, L2, L3 = (graphs.laplacian(t) for t in (topo1, topo2, topo3))
+        L1, L2, L3 = (t.L for t in (topo1, topo2, topo3))
         d12 = unobservable_subspace([L1, L2], [1]).shape[1]
         d123 = unobservable_subspace([L1, L2, L3], [1]).shape[1]
         assert d123 <= d12
@@ -150,7 +150,7 @@ class TestObservability:
         star = [(1, j, 1.0) for j in range(2, n + 1)]
         pair = [graphs.Topology.from_edges(1, n, star),
                 graphs.Topology.from_edges(2, n, star + [(2, 3, 1.0)])]
-        V = unobservable_subspace([graphs.laplacian(t) for t in pair], [1])
+        V = unobservable_subspace([t.L for t in pair], [1])
         assert V.shape == (2 * n, 2 * (n - 2))
         X = scipy.linalg.null_space(np.vstack([np.eye(n)[:1], np.ones((1, n))]))
         exact = scipy.linalg.block_diag(X, X)
@@ -167,7 +167,7 @@ class TestObservability:
                 symmetric_topology(rng, 5, 2, [(2, 3)])]
 
     def test_closure_is_invariant_where_the_intersection_is_not(self):
-        Ls = [graphs.laplacian(t) for t in self.swap_pair()]
+        Ls = [t.L for t in self.swap_pair()]
         meet = intersection_of_invariant_subspaces(Ls, (1,))
         assert meet.shape[1] == 1 and leaves(meet, Ls[0]) > 0.1
         V = unobservable_subspace(Ls, (1,))
@@ -195,7 +195,7 @@ class TestObservability:
             i, j = rng.choice(np.arange(2, n + 1), size=2, replace=False)
             swaps = ([[], []], [[(i, j)], [(i, j)]], [[(2, 3), (4, 5)], [(2, 3)]])[k % 3]
             pair = [symmetric_topology(rng, n, tid, sw) for tid, sw in zip((1, 2), swaps)]
-            Ls = [graphs.laplacian(t) for t in pair]
+            Ls = [t.L for t in pair]
             V = unobservable_subspace(Ls, (1,))
             X = V[:n, : V.shape[1] // 2]
             meet = intersection_of_invariant_subspaces(Ls, (1,))
@@ -219,7 +219,7 @@ class TestPencil:
         assert np.linalg.matrix_rank(P) == 4
 
     def test_fat_pencil_has_generic_kernel(self, topo1):
-        A = assemble_A(graphs.laplacian(topo1))
+        A = assemble_A(topo1.L)
         C = assemble_C([1], 4)
         B = attack_injection([1, 2, 3, 4], 4)
         P = rosenbrock_pencil(A, B, C, 0.37)
@@ -360,7 +360,7 @@ class TestSynthesize:
         base = [(1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
         pair = [graphs.Topology.from_edges(1, 4, base),
                 graphs.Topology.from_edges(2, 4, base + [(2, 3, 1.0)])]
-        assert unobservable_subspace([graphs.laplacian(t) for t in pair], (1,)).shape[1] == 2
+        assert unobservable_subspace([t.L for t in pair], (1,)).shape[1] == 2
 
         def refuse(*args):
             raise AssertionError("the prefix propagator ran")
@@ -382,13 +382,13 @@ class TestSynthesize:
             [topo1, topo2], (1,), (1, 2, 3, 4), rho=50.0, schedule_prefix=sched
         )
         assert cert.observability_residual < 1e-8
-        V = unobservable_subspace([graphs.laplacian(t) for t in (topo1, topo2)], [1])
+        V = unobservable_subspace([t.L for t in (topo1, topo2)], [1])
         proj = V @ (V.T @ atk.delta_z0)
         np.testing.assert_allclose(proj, atk.delta_z0, atol=1e-10)
 
     def test_scaled_attack_stays_in_kernel(self, topo1, topo2):
         atk, _ = synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=0.0)
-        A = assemble_A(graphs.laplacian(topo1))
+        A = assemble_A(topo1.L)
         P = rosenbrock_pencil(A, attack_injection((1, 2, 3, 4), 4), assemble_C([1], 4), atk.eta)
         for c in (1.0, -3.0, 0.25):
             vec = np.concatenate([c * atk.delta_z0, -c * np.real(atk.g0)])
@@ -412,7 +412,7 @@ class TestSynthesize:
                             continue
                         a[i, j] = a[j, i] = w
             t = graphs.Topology(id=tid, n=n, adjacency=a)
-            if graphs.spectrum(graphs.laplacian(t)).connected:
+            if t.spectrum.connected:
                 topos.append(t)
         if len(topos) < 2:
             topos.append(graphs.Topology(id=2, n=n, adjacency=base.adjacency))
@@ -452,7 +452,7 @@ class TestCandidateRates:
         # target, so no pencil is formed.
         rng = np.random.default_rng(64)
         topo = random_connected_topology(rng, 64, id=1)
-        A = assemble_A(graphs.laplacian(topo))
+        A = assemble_A(topo.L)
         U = np.eye(128)[:, 64:]
         assert list(attacks._candidate_rates(A, attack_injection((2, 3), 64), U, 0.05)) == []
 
@@ -465,7 +465,7 @@ class TestCandidateRates:
             topos, M, _ = random_topology_set(rng)
             n = topos[0].n
             K = tuple(sorted(rng.choice(np.arange(1, n + 1), size=len(M), replace=False)))
-            A_list = [assemble_A(graphs.laplacian(t)) for t in topos]
+            A_list = [assemble_A(t.L) for t in topos]
             C, B = assemble_C(M, n), attack_injection(K, n)
             U = attacks._nullspace(np.vstack([C] + [A - A_list[0] for A in A_list[1:]]))
             rates = list(attacks._candidate_rates(A_list[0], B, U, 0.05))
@@ -495,7 +495,7 @@ def interval_product(sched, A_by_id, rho):
 class TestPrefixPropagator:
     @pytest.fixture
     def A_by_id(self, topo1, topo2, topo3):
-        return {t.id: assemble_A(graphs.laplacian(t)) for t in (topo1, topo2, topo3)}
+        return {t.id: assemble_A(t.L) for t in (topo1, topo2, topo3)}
 
     TWO = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=1000.0)
     THREE = scheduling.SwitchingSchedule(

@@ -1,6 +1,9 @@
 import importlib
+import importlib.util
 import inspect
+import os
 import pkgutil
+import sys
 
 import pytest
 
@@ -29,3 +32,16 @@ def test_exported_callables_are_defined_in_their_module(name):
         and getattr(module, n).__module__ != name
     ]
     assert foreign == []
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    """The benchmark's tracer wraps public zdalab attributes; a hook whose
+    target is gone is reported as missing, and the per-layer metrics it feeds
+    silently drop out of every traced run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    missing = [(m, a) for m, a, *_ in tracing.HOOKS if not callable(getattr(getattr(zdalab, m), a, None))]
+    assert tracing.HOOKS and missing == []

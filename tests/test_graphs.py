@@ -19,6 +19,48 @@ class TestTopology:
         with pytest.raises(GraphError):
             graphs.Topology(id=1, n=3, adjacency=a)
 
+    def test_rejects_adjacency_asymmetric_by_rounding(self):
+        """Symmetry is exact: an asymmetry of 1e-9 relative, which a
+        relative-tolerance check lets through, is refused at construction."""
+        a = np.array(graphs.Topology.from_edges(1, 4, K4_WEIGHTS).adjacency)
+        a[0, 1] *= 1.0 + 1e-9
+        with pytest.raises(GraphError, match="symmetric"):
+            graphs.Topology(id=1, n=4, adjacency=a)
+
+    def test_adjacency_is_a_read_only_copy(self):
+        """No cached Laplacian or spectrum can go stale: the topology copies
+        its adjacency and refuses writes to it."""
+        a = np.array(graphs.Topology.from_edges(1, 4, K4_WEIGHTS).adjacency)
+        t = graphs.Topology(id=1, n=4, adjacency=a)
+        L = t.L.copy()
+        a[0, 1] = a[1, 0] = 5.0
+        np.testing.assert_array_equal(t.L, L)
+        with pytest.raises(ValueError):
+            t.adjacency[0, 1] = 5.0
+
+    def test_derived_matrices_are_computed_once(self, topo2):
+        assert topo2.L is topo2.L and topo2.spectrum is topo2.spectrum
+        assert topo2.certificate is topo2.certificate
+
+    def test_certificate_needs_a_connected_topology(self):
+        t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (3, 4, 1.0)])
+        with pytest.raises(GraphError, match="connected"):
+            t.certificate
+
+    @pytest.mark.parametrize("tid", [-(2**63), 2**63 - 1, np.int64(7)])
+    def test_accepts_int64_ids(self, tid):
+        assert graphs.Topology.from_edges(tid, 2, [(1, 2, 1.0)]).id == tid
+
+    @pytest.mark.parametrize("tid, message", [
+        (2**63, "topology id 9223372036854775808 is outside int64"),
+        (-(2**63) - 1, "topology id -9223372036854775809 is outside int64"),
+        (1.0, "topology id 1.0 is not an integer"),
+        (True, "topology id True is not an integer"),
+    ])
+    def test_rejects_ids_outside_int64(self, tid, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            graphs.Topology.from_edges(tid, 2, [(1, 2, 1.0)])
+
     def test_rejects_self_loops(self):
         a = np.eye(3)
         with pytest.raises(GraphError):
@@ -42,29 +84,29 @@ class TestTopology:
 class TestLaplacian:
     def test_path_of_two(self):
         t = graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)])
-        np.testing.assert_allclose(graphs.laplacian(t), [[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_allclose(t.L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_row_sums_vanish(self, topo2):
-        L = graphs.laplacian(topo2)
+        L = topo2.L
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-14)
 
     def test_path_of_three_spectrum(self):
         # unweighted path has eigenvalues 0, 1, 3
         t = graphs.Topology.from_edges(1, 3, [(1, 2, 1.0), (2, 3, 1.0)])
-        spec = graphs.spectrum(graphs.laplacian(t))
+        spec = t.spectrum
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
         assert spec.connected
 
     def test_disconnected_flagged(self):
         t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (3, 4, 1.0)])
-        assert not graphs.spectrum(graphs.laplacian(t)).connected
+        assert not t.spectrum.connected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
     def test_laplacian_positive_semidefinite(self, n, seed):
         rng = np.random.default_rng(seed)
         t = random_connected_topology(rng, n)
-        spec = graphs.spectrum(graphs.laplacian(t))
+        spec = t.spectrum
         assert spec.eigenvalues[0] > -1e-10
         assert spec.connected
 
@@ -272,17 +314,17 @@ class TestAgentSet:
 class TestSpectralPredicates:
     def test_path_p4_distinct(self):
         t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        assert graphs.has_distinct_eigenvalues(graphs.spectrum(graphs.laplacian(t)))
+        assert graphs.has_distinct_eigenvalues(t.spectrum)
 
     def test_cycle_c4_repeated(self):
         t = graphs.Topology.from_edges(
             1, 4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)]
         )
         # spectrum {0, 2, 2, 4}
-        assert not graphs.has_distinct_eigenvalues(graphs.spectrum(graphs.laplacian(t)))
+        assert not graphs.has_distinct_eigenvalues(t.spectrum)
 
     def test_rational_ratio_certificate_149(self, k4_149):
-        spec = graphs.spectrum(graphs.laplacian(k4_149))
+        spec = k4_149.spectrum
         cert = graphs.rational_ratio_certificate(spec)
         assert cert.ok
         assert [(f.numerator, f.denominator) for f in cert.ratios] == [(1, 1), (2, 1), (3, 1)]

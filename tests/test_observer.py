@@ -53,7 +53,7 @@ class TestConfig:
 
 class TestErrorDynamics:
     def test_zero_gains_reduce_to_plant_matrix(self, topo1):
-        L = graphs.laplacian(topo1)
+        L = topo1.L
         A = assemble_observer_A(L, np.zeros((4, 4)), np.zeros((4, 4)))
         np.testing.assert_array_equal(A, simulation.assemble_A(L))
 
@@ -70,7 +70,7 @@ class TestErrorDynamics:
         t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
         cfg = ObserverConfig(observed=(1,), psi=(0.7,), theta=(0.9,))
         Phi, Theta = gain_matrices(cfg, 4)
-        assert hurwitz(assemble_observer_A(graphs.laplacian(t), Phi, Theta))
+        assert hurwitz(assemble_observer_A(t.L, Phi, Theta))
 
     def test_cycle_c4_repeated_spectrum_not_hurwitz(self):
         t = graphs.Topology.from_edges(
@@ -78,7 +78,7 @@ class TestErrorDynamics:
         )
         cfg = ObserverConfig(observed=(1,), psi=(0.7,), theta=(0.9,))
         Phi, Theta = gain_matrices(cfg, 4)
-        assert not hurwitz(assemble_observer_A(graphs.laplacian(t), Phi, Theta))
+        assert not hurwitz(assemble_observer_A(t.L, Phi, Theta))
 
 
 class TestRunObserver:
@@ -105,7 +105,7 @@ class TestRunObserver:
         xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
         run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
         Phi, Theta = gain_matrices(cfg, 4)
-        A_err = assemble_observer_A(graphs.laplacian(topo1), Phi, Theta)
+        A_err = assemble_observer_A(topo1.L, Phi, Theta)
         e0 = np.concatenate([xhat0, vhat0]) - z0
         for k, t in enumerate(tr.times):
             e_sim = np.hstack([run.xhat[k], run.vhat[k]]) - tr.states[k]
@@ -283,7 +283,7 @@ class TestObserverUnderAttack:
 
         phi = np.array([0.8, 0, 0.4, 0])
         theta = np.array([0.6, 0, 0.9, 0])
-        L_by_id = {1: graphs.laplacian(topo1), 2: graphs.laplacian(topo2)}
+        L_by_id = {1: topo1.L, 2: topo2.L}
         w = np.concatenate([z0, xhat0, vhat0])
         oracle = [w[8:]]
         for a, b in zip(tr.times[:-1], tr.times[1:]):
@@ -315,7 +315,7 @@ def sequential_errors(tr, topologies, cfg, e0):
     advanced sample by sample with scipy's exponential of each step."""
     n = tr.n
     Phi, Theta = gain_matrices(cfg, n)
-    L_by_id = {t.id: graphs.laplacian(t) for t in topologies}
+    L_by_id = {t.id: t.L for t in topologies}
     err = [np.asarray(e0, float)]
     for seg in tr.segments:
         A_obs = assemble_observer_A(L_by_id[seg.topology_id], Phi, Theta)
@@ -341,7 +341,7 @@ class TestLargeNetwork:
         for tid in (1, 2):
             a = random_connected_topology(rng, n).adjacency
             # a largest weighted degree of n/2 keeps ||J||_1 dt near 3.2
-            a *= (n / 2) / a.sum(axis=1).max()
+            a = a * ((n / 2) / a.sum(axis=1).max())
             topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
         tau = np.pi / 2 + 0.2
         sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
@@ -420,7 +420,7 @@ class TestChainAndFill:
         topologies = []
         for tid in (1, 2):
             a = random_connected_topology(rng, n).adjacency
-            a *= (n / 2) / a.sum(axis=1).max()
+            a = a * ((n / 2) / a.sum(axis=1).max())
             topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
         tau = np.pi / 2 + 0.2
         sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=30.0)

@@ -373,13 +373,20 @@ class TestExitCodes:
             (stealth_doc(initial={"x": [NAN, 2, 3, 4], "v": [1, 2, 3, 4]}), []),
             (stealth_doc(reported_initial={"x": [1, 2], "v": [1, 2]}), []),
             (stealth_doc(reported_initial={"x": [1, 2, 3, 4], "v": [1, 2, 3, NAN]}), []),
+            (stealth_doc(dwell_params={"m": 1.5}), []),
+            (stealth_doc(dwell_params={"m": True}), []),
+            (stealth_doc(dwell_params={"kappa": 1.5}), []),
+            (stealth_doc(observer=_observer(window=2.5)), []),
+            (stealth_doc(observer=_observer(window=True)), []),
+            (stealth_doc(schema=True), []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
              "dwell-tiny", "dt-tiny", "top-level-list", "initial-not-object",
              "dwell-m-not-number", "stealth-set-unknown-id", "rho-nan", "rho-null",
              "rho-past-horizon", "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
-             "initial-nan", "reported-initial-short", "reported-initial-nan"],
+             "initial-nan", "reported-initial-short", "reported-initial-nan", "dwell-m-fraction",
+             "dwell-m-bool", "dwell-kappa-fraction", "window-fraction", "window-bool", "schema-bool"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
         path = tmp_path / "scenario.json"
@@ -779,6 +786,17 @@ class TestAgentSets:
         code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert (code, capsys.readouterr().err) == (2, f"scenario error: {message}\n")
 
+    @pytest.mark.parametrize("tid", [2**63, -(2**63) - 1, 2**64], ids=["2^63", "-2^63-1", "2^64"])
+    def test_topology_id_outside_int64_exits_two(self, tmp_path, capsys, tid):
+        """The trace stores topology ids in one int64 array: 2^64 and
+        -2^63-1 used to make it an object array and end in a traceback, and
+        2^63 + 1 a float array whose CSV printed a rounded id."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stealth_doc(**_topology_ids(tid, 2), order=[tid, 2],
+                                               dwell={str(tid): TAU, "2": TAU})))
+        code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2, f"scenario error: topology id {tid} is outside int64\n")
+
 
 @pytest.mark.parametrize("seed", [5, 100])
 def test_rounding_level_gains_are_injected_as_zero(tmp_path, seed):
@@ -852,7 +870,7 @@ class TestRunPlan:
 
     def test_derived_inputs_once_per_running_topology(self, tmp_path, monkeypatch):
         builds = self.count_calls(monkeypatch, scenario, "build_schedule")
-        spectra = self.count_calls(monkeypatch, scenario.graphs, "spectrum")
+        spectra = self.count_calls(monkeypatch, np.linalg, "eigh")
         certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
         sc = load_scenario(_delayed_attack_doc())
         result = scenario.run(sc, str(tmp_path))
@@ -873,8 +891,9 @@ class TestRunPlan:
 
     def test_sweep_computes_spectra_and_certificates_once(self, tmp_path, monkeypatch):
         """They do not depend on m: one of each per running topology for the
-        whole sweep, not per m."""
-        spectra = self.count_calls(monkeypatch, scenario.graphs, "spectrum")
+        whole sweep, not per m: the plans share their topologies, which own
+        them."""
+        spectra = self.count_calls(monkeypatch, np.linalg, "eigh")
         certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(_delayed_attack_doc()))

@@ -110,7 +110,7 @@ class TestDwellConstruction:
         assert scheduling.xi([_spec([0.0, 0.5, 1.5]), _spec([0.0, 0.9, 1.1])]) == pytest.approx(1.0)
 
     def test_base_period_integer_ratios(self, k4_149):
-        spec = graphs.spectrum(graphs.laplacian(k4_149))
+        spec = k4_149.spectrum
         cert = graphs.rational_ratio_certificate(spec)
         T = scheduling.base_period(cert, spec.eigenvalues[1])
         # modal periods 2*pi, pi, 2*pi/3 share the period 2*pi
@@ -251,8 +251,9 @@ class TestMeasureCondition:
         assert not rep.ok
 
     def test_measure_condition_requires_definite_weight(self):
-        with pytest.raises(ScheduleError):
-            scheduling.measure_condition([-np.eye(2)], [1.0], np.zeros((2, 2)))
+        for P in (np.zeros((2, 2)), np.diag([1.0, -1.0])):
+            with pytest.raises(ScheduleError, match="positive-definite"):
+                scheduling.measure_condition([-np.eye(2)], [1.0], P)
 
     @pytest.mark.parametrize("n, seed", [(4, 5), (64, 100), (64, 101)])
     def test_log_norms_match_per_mode_solves(self, n, seed):
@@ -263,7 +264,7 @@ class TestMeasureCondition:
         A_list = []
         for _ in range(2):
             a = random_connected_topology(rng, n).adjacency
-            a *= (n / 2) / a.sum(axis=1).max()
+            a = a * ((n / 2) / a.sum(axis=1).max())
             A_list.append(observer_matrix(graphs.Topology(id=1, n=n, adjacency=a), (1,), (1.0,), (1.0,)))
         P = scheduling.lyapunov_weight(A_list)
         rep = scheduling.measure_condition(A_list, [1.0, 2.0], P)
@@ -310,7 +311,7 @@ class TestScipyOracles:
         (checked in 50-digit arithmetic), so 1e-6 would sit on the rounding
         floor and 1e-5 bounds it with margin; scipy's own P reads 7e-4 off."""
         cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
-        A = observer.assemble_observer_A(graphs.laplacian(k4_149), *observer.gain_matrices(cfg, 4))
+        A = observer.assemble_observer_A(k4_149.L, *observer.gain_matrices(cfg, 4))
         P = scheduling.lyapunov_weight([A])
         ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(8))
         assert lyapunov_residual(A, P) <= lyapunov_residual(A, 0.5 * (ref + ref.T))
@@ -339,10 +340,10 @@ class TestHurwitz:
         cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
         Phi, Theta = observer.gain_matrices(cfg, 4)
         # max Re = -2.5e-17: one mode is undamped up to rounding
-        blind = observer.assemble_observer_A(graphs.laplacian(topo2), Phi, Theta)
+        blind = observer.assemble_observer_A(topo2.L, Phi, Theta)
         assert not scheduling.hurwitz(blind)
         # max Re = -2.06e-8 at ||A|| = 9: slow but genuine decay
-        slow = observer.assemble_observer_A(graphs.laplacian(k4_149), Phi, Theta)
+        slow = observer.assemble_observer_A(k4_149.L, Phi, Theta)
         assert scheduling.hurwitz(slow)
         # the weight comes from the slow matrix, not from the blind one
         np.testing.assert_array_equal(
@@ -358,7 +359,7 @@ def normalized_residual(A, P) -> float:
 
 def observer_matrix(topology, observed, psi, theta):
     cfg = observer.ObserverConfig(observed=observed, psi=psi, theta=theta)
-    return observer.assemble_observer_A(graphs.laplacian(topology),
+    return observer.assemble_observer_A(topology.L,
                                         *observer.gain_matrices(cfg, topology.n))
 
 
@@ -381,7 +382,7 @@ def random_hurwitz_observer(seed):
         gain = 10.0 ** rng.uniform(-6, 3)
         if seed % 3 == 2:
             observed, psi = tuple(range(1, n + 1)), (gain,) * n
-            mu = rng.choice(np.linalg.eigvalsh(graphs.laplacian(topology)))
+            mu = rng.choice(np.linalg.eigvalsh(topology.L))
             theta = (2.0 * math.sqrt(mu + gain) * (1.0 + 10.0 ** rng.uniform(-12, -2)),) * n
         else:
             size = int(rng.integers(1, min(n, 3) + 1))

@@ -236,7 +236,7 @@ class TestExpm:
 def random_observer_drift(rng, n, eta):
     """The observer's joint drift [[Eta, 0], [-G, A_obs]] on a random
     topology with random gains, with no attack mode for ``eta`` None."""
-    L = graphs.laplacian(random_connected_topology(rng, n))
+    L = random_connected_topology(rng, n).L
     k = int(rng.integers(1, n + 1))
     cfg = observer.ObserverConfig(
         observed=tuple(int(i) for i in rng.choice(np.arange(1, n + 1), k, replace=False)),
@@ -305,7 +305,7 @@ class TestAssembly:
         )
 
     def test_consensus_direction_in_kernel(self, topo2):
-        A = assemble_A(graphs.laplacian(topo2))
+        A = assemble_A(topo2.L)
         direction = np.concatenate([np.ones(4), np.zeros(4)])
         np.testing.assert_allclose(A @ direction, 0.0, atol=1e-14)
 
@@ -368,7 +368,7 @@ class TestPropagateInterval:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 6))
         topo = random_connected_topology(rng, n)
-        A = assemble_A(graphs.laplacian(topo))
+        A = assemble_A(topo.L)
         z0 = rng.normal(size=2 * n)
         atk = make_attack(rng, n)
         B = attack_injection(atk.attacked, n)
@@ -390,7 +390,7 @@ class TestPropagateInterval:
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(2, 7))
         topo = random_connected_topology(rng, n)
-        A = assemble_A(graphs.laplacian(topo))
+        A = assemble_A(topo.L)
         z0 = rng.normal(size=2 * n)
         eta = {
             "real": rng.uniform(-0.5, 0.5),
@@ -414,7 +414,7 @@ class TestPropagateInterval:
         solution: the trace grows secularly, every sample comes from the
         augmented exponential, and it matches RK4."""
         star, atk = star_resonant_attack()
-        A = assemble_A(graphs.laplacian(star))
+        A = assemble_A(star.L)
         B = attack_injection(atk.attacked, 4)
         z0 = np.concatenate([np.full(4, 0.3), np.full(4, -0.1)])  # in consensus
         calls = count_expm(monkeypatch)
@@ -737,7 +737,7 @@ def fill_cases():
     topologies = []
     for tid in (1, 2):
         a = random_connected_topology(rng, n).adjacency
-        a *= (n / 2) / a.sum(axis=1).max()
+        a = a * ((n / 2) / a.sum(axis=1).max())
         topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
     tau = np.pi / 2 + 0.2
     sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
