@@ -30,8 +30,6 @@ __all__ = [
 RANK_RTOL = 1e-10
 # a Laplacian is connected when lambda_2 exceeds CONNECTED_RTOL * max(1, ||L||_2)
 CONNECTED_RTOL = 1e-9
-# two topologies differ on a link whose weights differ by more than WEIGHT_TOL
-WEIGHT_TOL = 1e-12
 # eigenvalues are distinct when every gap exceeds SEPARATION_RTOL * max(1, |lambda|)
 SEPARATION_RTOL = 1e-9
 # a modal ratio is rational when a convergent lies within RATIO_TOL of it
@@ -44,10 +42,11 @@ class GraphError(ValueError):
     """Invalid topology data or incompatible graph arguments."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Weighted undirected communication graph; the one owner of its
     Laplacian ``L``, ``spectrum`` and ratio ``certificate``, each cached.
+    Two topologies are equal only when they are the same object.
 
     Invariants: an integer id within int64, an exactly symmetric read-only
     adjacency, zero diagonal (no self-loops), finite nonnegative weights.
@@ -83,6 +82,8 @@ class Topology:
         for i, j, w in edges:
             if not (_is_id(i) and _is_id(j) and 1 <= i <= n and 1 <= j <= n) or i == j:
                 raise GraphError(f"bad edge ({i}, {j}) for n={n}")
+            if isinstance(w, bool):
+                raise GraphError(f"edge ({i}, {j}) weight {w!r} is not a number")
             a[i - 1, j - 1] = a[j - 1, i - 1] = float(w)
         return cls(id=id, n=n, adjacency=a)
 
@@ -120,7 +121,6 @@ class LaplacianSpectrum:
 @dataclass(frozen=True)
 class DetectabilityReport:
     ok: bool
-    uncovered: tuple  # difference-graph components (frozensets) with no observed agent
     margin: float  # smallest singular value of N = detection_matrix(S, M)
 
 
@@ -171,30 +171,12 @@ def detectability(S, M) -> DetectabilityReport:
     """Exact detectability of the switching set S from the observed agents M
     when every agent may be attacked: a stealthy attack exists exactly when
     ``detection_matrix(S, M)`` has a nontrivial kernel, so ``ok`` needs its
-    smallest singular value (``margin``) above RANK_RTOL * max(sigma_max, 1).
-
-    ``uncovered`` lists, by smallest agent, the components without an
-    observed agent of the difference graph, whose links are those whose
-    weight differs by more than WEIGHT_TOL between some two topologies.
-    Their indicators lie in the kernel of N, so each one makes ``ok`` false;
-    sign-cancelling weight changes can defeat a covered set too."""
+    smallest singular value (``margin``) above RANK_RTOL * max(sigma_max, 1)."""
     S = list(S)
     if len(S) < 2:
         raise GraphError("detectability needs at least two topologies")
-    N = detection_matrix(S, M)
-    n = N.shape[1]
-    # boolean closure by squaring: reach[i, j] once a path joins i and j
-    reach = (np.ptp([t.adjacency for t in S], axis=0) > WEIGHT_TOL) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    # a component's first agent leads it; E_M's rows mark the observed agents
-    lead = (reach.argmax(axis=1) == np.arange(n)) & ~(reach @ N[: len(M)].any(axis=0))
-    uncovered = tuple(
-        frozenset((np.flatnonzero(reach[i]) + 1).tolist()) for i in np.flatnonzero(lead)
-    )
-    s = np.linalg.svd(N, compute_uv=False)
-    ok = bool(s[-1] > RANK_RTOL * max(s[0], 1.0))
-    return DetectabilityReport(ok=ok, uncovered=uncovered, margin=float(s[-1]))
+    s = np.linalg.svd(detection_matrix(S, M), compute_uv=False)
+    return DetectabilityReport(ok=bool(s[-1] > RANK_RTOL * max(s[0], 1.0)), margin=float(s[-1]))
 
 
 def has_distinct_eigenvalues(spec: LaplacianSpectrum) -> bool:

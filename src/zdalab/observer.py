@@ -67,11 +67,10 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class ObserverRun:
-    """Observer trajectory aligned sample-for-sample with the plant trace."""
+    """Estimation error e = zhat - z per sample of the plant trace, (samples,
+    2n), and the residuals, its columns on the observed positions."""
 
-    times: np.ndarray
-    xhat: np.ndarray
-    vhat: np.ndarray
+    error: np.ndarray
     residuals: np.ndarray
 
 
@@ -113,11 +112,11 @@ def run_observer(
     apart, per drift in one batch by doubling with the powers P, P^2, P^4,
     ... of the steady propagator, which alone outlive the block.  Working in
     e keeps the small estimation error away from the rounding floor of the
-    O(1) plant state; the estimate is the trace's plant state plus e, and
-    the residual is e on the observed positions.  The observer starts from
-    the supplied (possibly falsified) initial state, defaulting to the
-    trace's own initial sample.  Raises SimulationError naming the first
-    sample whose estimation error is not finite.
+    O(1) plant state; the run returns e, and the residual is e on the
+    observed positions.  The observer starts from the supplied (possibly
+    falsified) initial state, defaulting to the trace's own initial sample.
+    Raises SimulationError naming the first sample whose estimation error is
+    not finite.
     """
     n = tr.n
     if not tr.segments:
@@ -240,11 +239,7 @@ def run_observer(
         finite = np.isfinite(err).all(axis=1)
         if not finite.all():
             raise SimulationError(f"observer overflow at t={times[np.argmin(finite)]:.6g}")
-    zhat = tr.states + err
-    idx = [i - 1 for i in cfg.observed]
-    return ObserverRun(
-        times=times, xhat=zhat[:, :n], vhat=zhat[:, n:], residuals=err[:, idx]
-    )
+    return ObserverRun(error=err, residuals=err[:, [i - 1 for i in cfg.observed]])
 
 
 def _times_power(pw: list, k: int, X: np.ndarray) -> np.ndarray:

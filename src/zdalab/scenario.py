@@ -103,8 +103,14 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _real(v, what: str) -> float:
+    """v as a float; ScenarioError for a JSON boolean or string, which float() takes."""
+    _require(not isinstance(v, (bool, str)), f"{what} must be a number, not {v!r}")
+    return float(v)
+
+
 def _state(part, n: int, what: str) -> tuple:
-    x, v = tuple(map(float, part["x"])), tuple(map(float, part["v"]))
+    x, v = (tuple(_real(a, what) for a in part[k]) for k in "xv")
     _require(len(x) == n and len(v) == n, f"{what} size must match n")
     _require(all(map(math.isfinite, x + v)), f"{what} must be finite")
     return x, v
@@ -147,8 +153,8 @@ def _directive(order, rho=0.0, stealth_set=None, eta_target=None) -> dict:
     """A synthesize directive as a run reads it; the stealth set defaults to
     the running topology ids in first-appearance order."""
     stealth = dict.fromkeys(order) if stealth_set is None else stealth_set
-    return {"rho": float(rho), "stealth_set": tuple(stealth),
-            "eta_target": None if eta_target is None else float(eta_target)}
+    return {"rho": _real(rho, "directive rho"), "stealth_set": tuple(stealth),
+            "eta_target": None if eta_target is None else _real(eta_target, "directive eta_target")}
 
 
 def _parse(d: dict, base: str) -> Scenario:
@@ -165,9 +171,9 @@ def _parse(d: dict, base: str) -> Scenario:
     order = _topology_ids(d["order"], ids, "switching order")
     _require(bool(order), "switching order must be nonempty")
 
-    horizon = float(d["horizon"])
+    horizon = _real(d["horizon"], "horizon")
     _require(horizon > 0.0, "horizon must be positive")
-    dt = float(d.get("dt", 0.01))
+    dt = _real(d.get("dt", 0.01), "dt")
     _require(0.0 < dt < float("inf"), "dt must be positive and finite")
     x0, v0 = _state(d["initial"], n, "initial condition")
     observed = graphs.agent_set(d["observed"], n, "observed")
@@ -178,11 +184,13 @@ def _parse(d: dict, base: str) -> Scenario:
     allowed = {"beta", "alpha", "kappa", "tau_hat_max", "m"}
     unknown = set(dp) - allowed
     _require(not unknown, f"unknown dwell parameters: {sorted(unknown)}")
-    dwell_params = scheduling.DwellParams(**dp)
+    dwell_params = scheduling.DwellParams(**{  # kappa and m are integers, checked there
+        k: v if k in ("kappa", "m") or v is None else _real(v, f"dwell_params {k}") for k, v in dp.items()})
     dwell_override = None
     if d.get("dwell") is not None:
         keys = [int(k) if isinstance(k, str) else k for k in d["dwell"]]  # JSON keys are strings
-        dwell_override = dict(zip(_topology_ids(keys, ids, "dwell map"), map(float, d["dwell"].values())))
+        dwell_override = dict(zip(_topology_ids(keys, ids, "dwell map"),
+                                  (_real(v, "dwell time") for v in d["dwell"].values())))
         _require(
             all(dwell_override.get(tid, 0.0) > 0.0 for tid in order),
             "dwell map needs a positive dwell time for every topology in order",
@@ -220,9 +228,9 @@ def _parse(d: dict, base: str) -> Scenario:
     if oc is not None:
         cfg = observer.ObserverConfig(
             observed=tuple(d["observed"]),  # in the order of psi and theta
-            psi=tuple(map(float, oc["psi"])),
-            theta=tuple(map(float, oc["theta"])),
-            alarm_threshold=float(oc.get("threshold", 1e-6)),
+            psi=tuple(_real(v, "observer psi") for v in oc["psi"]),
+            theta=tuple(_real(v, "observer theta") for v in oc["theta"]),
+            alarm_threshold=_real(oc.get("threshold", 1e-6), "observer threshold"),
             alarm_window=oc.get("window", 5),
         )
 
@@ -360,9 +368,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
 
     blowup = None
     try:
-        tr = simulation.simulate(
-            sc.topologies, sc.schedule, z0, attack=atk, dt=dt, observed=sc.observed
-        )
+        tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=dt)
     except simulation.SimulationError as exc:
         if not hasattr(exc, "trace"):
             raise
@@ -372,11 +378,10 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     residuals = None
     alarm_time = None
     if sc.observer_cfg is not None:
-        obs_run = observer.run_observer(
+        residuals = observer.run_observer(
             tr, sc.observer_cfg, xhat0=np.array(sc.reported_x), vhat0=np.array(sc.reported_v)
-        )
-        residuals = obs_run.residuals
-        alarm_time = observer.detect(obs_run.times, residuals, sc.observer_cfg)
+        ).residuals
+        alarm_time = observer.detect(tr.times, residuals, sc.observer_cfg)
 
     err = simulation.consensus_error(replace(tr, times=tr.times[[0, -1]], states=tr.states[[0, -1]]))
     initial_dis, final_dis = np.maximum(err["pos_disagreement"], err["vel_disagreement"])
@@ -395,7 +400,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     summary = ", ".join(parts) if parts else "completed"
 
     trace_path = os.path.join(out_dir, f"{sc.id}_trace.csv")
-    simulation.trace_to_csv(tr, trace_path, residuals=residuals)
+    simulation.trace_to_csv(tr, trace_path, sc.observed, residuals=residuals)
     alarm_path = os.path.join(out_dir, f"{sc.id}_alarm.json")
     with open(alarm_path, "w") as fh:
         json.dump(

@@ -254,10 +254,8 @@ class Trace:
 
     times: np.ndarray
     states: np.ndarray
-    outputs: np.ndarray
     attack_values: np.ndarray
     topology_ids: np.ndarray
-    observed: tuple
     attacked: tuple
     segments: tuple = field(repr=False, default=())
     dt: float | None = None
@@ -369,7 +367,6 @@ def simulate(
     z0: np.ndarray,
     attack=None,
     dt: float = 0.01,
-    observed=(1,),
 ) -> Trace:
     """Run the switched network over the schedule horizon.
 
@@ -386,7 +383,6 @@ def simulate(
     by_id = {t.id: t for t in topologies}
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
-    C = assemble_C(observed, n)
     attacked = attack.attacked if attack is not None else ()
     rho = attack.rho if attack is not None else math.inf
     check_sample_count(sched.horizon, dt)
@@ -460,10 +456,8 @@ def simulate(
     tr = Trace(
         times=times,
         states=states,
-        outputs=states @ C.T,
         attack_values=vals,
         topology_ids=topology_ids,
-        observed=agent_set(observed, n, "observed"),
         attacked=attacked,
         segments=tuple(segments),
         dt=dt,
@@ -546,16 +540,18 @@ def _format_slots(x: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarra
                      (row[5].reshape(-1, len(sep)) | sep).ravel() | B[1] >> 56]), ok & (d0 < 10)
 
 
-def trace_to_csv(tr: Trace, path, residuals: np.ndarray | None = None) -> None:
+def trace_to_csv(tr: Trace, path, observed, residuals: np.ndarray | None = None) -> None:
     """Write the trace as CSV, every value as format(v, ".17g") and every
-    topology id as "%d".  Columns: t, topology, x*, v*, y*, r*, attack*.
+    topology id as "%d".  Columns: t, topology, x*, v*, then y* and r* for
+    the observed agents (the y* columns repeat their x* columns), attack*.
     _format_slots formats blocks of about ROW_BLOCK_VALUES values; format()
     takes the values it defers, and str() the ids a float does not hold."""
+    observed = agent_set(observed, tr.n, "observed")
     cols = ["t", "topology"] + [f"{c}{i}" for c in "xv" for i in range(1, tr.n + 1)]
-    cols += [f"y{i}" for i in tr.observed]
-    parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.outputs]
+    cols += [f"y{i}" for i in observed]
+    parts = [tr.times[:, None], tr.topology_ids[:, None], tr.states, tr.states[:, [i - 1 for i in observed]]]
     if residuals is not None:
-        cols += [f"r{i}" for i in tr.observed]
+        cols += [f"r{i}" for i in observed]
         parts.append(residuals)
     cols += [f"attack{i}" for i in tr.attacked]
     parts.append(tr.attack_values)

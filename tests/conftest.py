@@ -12,6 +12,8 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from zdalab import graphs
 
@@ -119,6 +121,29 @@ def random_topology_set(rng):
     return topos, M, tuple(range(1, n + 1))
 
 
+# two topologies differ on a link whose weights differ by more than DIFF_TOL
+DIFF_TOL = 1e-12
+
+
+def pairwise_uncovered(S, M):
+    """Oracle: the union of the pairwise difference graphs, its components
+    by scipy, and those without an observed agent, by smallest agent.  Each
+    such component's indicator lies in the kernel of the detection matrix,
+    so the set is undetectable."""
+    n = S[0].n
+    linked = np.zeros((n, n), dtype=bool)
+    for a in range(len(S)):
+        for b in range(a + 1, len(S)):
+            linked |= np.abs(S[a].adjacency - S[b].adjacency) > DIFF_TOL
+    _, labels = connected_components(csr_matrix(linked), directed=False)
+    comps = {}
+    for v, label in enumerate(labels, start=1):
+        comps.setdefault(label, set()).add(v)
+    return tuple(
+        frozenset(c) for c in sorted(comps.values(), key=min) if not c & set(M)
+    )
+
+
 # The scan oracles' own kernel test and zero candidates, kept apart from the
 # synthesis code they check.
 def stacked_pencil_has_attack(A_list, B_K, C, eta) -> bool:
@@ -171,16 +196,18 @@ def predicted_state(atk, clean_state_at_t, discrepancy_at_rho, t: float) -> np.n
 
 # The row-at-a-time trace writer the block writer replaced, kept as the
 # oracle for its bytes.
-def trace_to_csv_oracle(tr, path, residuals=None) -> None:
+def trace_to_csv_oracle(tr, path, observed, residuals=None) -> None:
     """Write the trace as CSV with deterministic 17-significant-digit
-    formatting.  Columns: t, topology, x*, v*, y*, r*, attack*."""
+    formatting.  Columns: t, topology, x*, v*, y* and r* for the observed
+    agents (ascending), attack*."""
     n = tr.n
+    observed = sorted(observed)
     cols = ["t", "topology"]
     cols += [f"x{i}" for i in range(1, n + 1)]
     cols += [f"v{i}" for i in range(1, n + 1)]
-    cols += [f"y{i}" for i in tr.observed]
+    cols += [f"y{i}" for i in observed]
     if residuals is not None:
-        cols += [f"r{i}" for i in tr.observed]
+        cols += [f"r{i}" for i in observed]
     cols += [f"attack{i}" for i in tr.attacked]
 
     def fmt(v: float) -> str:
@@ -191,7 +218,7 @@ def trace_to_csv_oracle(tr, path, residuals=None) -> None:
         for k in range(len(tr.times)):
             row = [fmt(tr.times[k]), str(int(tr.topology_ids[k]))]
             row += [fmt(v) for v in tr.states[k]]
-            row += [fmt(v) for v in tr.outputs[k]]
+            row += [fmt(tr.states[k, i - 1]) for i in observed]
             if residuals is not None:
                 row += [fmt(v) for v in residuals[k]]
             row += [fmt(v) for v in tr.attack_values[k]]

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from zdalab import graphs
 from zdalab.attacks import synthesize
 from zdalab.graphs import GraphError
 
-from conftest import K4_WEIGHTS, random_connected_topology
+from conftest import DIFF_TOL, K4_WEIGHTS, pairwise_uncovered, random_connected_topology
 
 
 class TestTopology:
@@ -41,6 +39,20 @@ class TestTopology:
     def test_derived_matrices_are_computed_once(self, topo2):
         assert topo2.L is topo2.L and topo2.spectrum is topo2.spectrum
         assert topo2.certificate is topo2.certificate
+
+    def test_equality_is_identity(self):
+        """Two topologies with equal fields are distinct objects: comparing
+        them neither raises nor compares arrays, and both fit in a set."""
+        t1, t2 = (graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)]) for _ in range(2))
+        assert t1 == t1 and not t1 != t1
+        assert t1 != t2 and not t1 == t2
+        assert {t1, t2, t1} == {t1, t2} and len({t1, t2}) == 2
+        assert t1 in {t1} and t2 not in {t1}
+
+    def test_rejects_bool_weights(self):
+        """JSON true is not a weight, although float() reads it as 1.0."""
+        with pytest.raises(GraphError, match=r"edge \(1, 2\) weight True is not a number"):
+            graphs.Topology.from_edges(1, 2, [(1, 2, True)])
 
     def test_certificate_needs_a_connected_topology(self):
         t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (3, 4, 1.0)])
@@ -111,41 +123,25 @@ class TestLaplacian:
         assert spec.connected
 
 
-def pairwise_uncovered(S, M):
-    """Oracle: the union of the pairwise difference graphs, its components
-    by scipy, and those without an observed agent, by smallest agent."""
-    n = S[0].n
-    linked = np.zeros((n, n), dtype=bool)
-    for a in range(len(S)):
-        for b in range(a + 1, len(S)):
-            linked |= np.abs(S[a].adjacency - S[b].adjacency) > graphs.WEIGHT_TOL
-    _, labels = connected_components(csr_matrix(linked), directed=False)
-    comps = {}
-    for v, label in enumerate(labels, start=1):
-        comps.setdefault(label, set()).add(v)
-    return tuple(
-        frozenset(c) for c in sorted(comps.values(), key=min) if not c & set(M)
-    )
-
-
 class TestDifferenceGraphs:
     """The difference graph links agents whose link weight differs between
-    some two topologies; ``detectability`` reports its components without an
-    observed agent."""
+    some two topologies (the ``pairwise_uncovered`` oracle); a component of
+    it without an observed agent makes ``detectability`` refuse the set."""
 
     def test_pairwise_edges(self, topo1, topo2):
         # topo1 and topo2 differ on the links (1, 3), (1, 4) and (3, 4)
-        assert graphs.detectability([topo1, topo2], []).uncovered == (
+        assert pairwise_uncovered([topo1, topo2], []) == (
             frozenset({1, 3, 4}),
             frozenset({2}),
         )
-        assert graphs.detectability([topo1, topo2], [3]).uncovered == (frozenset({2}),)
+        assert pairwise_uncovered([topo1, topo2], [3]) == (frozenset({2}),)
+        assert not graphs.detectability([topo1, topo2], []).ok
+        assert not graphs.detectability([topo1, topo2], [3]).ok
 
     def test_identical_topologies_give_empty_graph(self, topo1):
         same = graphs.Topology(id=9, n=4, adjacency=topo1.adjacency)
-        rep = graphs.detectability([topo1, same], [1, 2, 3])
-        assert rep.uncovered == (frozenset({4}),)
-        assert not rep.ok
+        assert pairwise_uncovered([topo1, same], [1, 2, 3]) == (frozenset({4}),)
+        assert not graphs.detectability([topo1, same], [1, 2, 3]).ok
 
     def test_size_mismatch_rejected(self, topo1):
         small = graphs.Topology.from_edges(5, 3, [(1, 2, 1.0)])
@@ -156,29 +152,29 @@ class TestDifferenceGraphs:
 
     def test_union_includes_third_topology(self, topo1, topo2, topo3):
         # topo3's (2, 3) link joins agent 2 to the component {1, 3, 4}
-        assert graphs.detectability([topo1, topo2], [1]).uncovered == (frozenset({2}),)
-        assert graphs.detectability([topo1, topo2, topo3], [1]).uncovered == ()
-        assert graphs.detectability([topo1, topo2, topo3], []).uncovered == (
-            frozenset({1, 2, 3, 4}),
-        )
+        assert pairwise_uncovered([topo1, topo2], [1]) == (frozenset({2}),)
+        assert pairwise_uncovered([topo1, topo2, topo3], [1]) == ()
+        assert pairwise_uncovered([topo1, topo2, topo3], []) == (frozenset({1, 2, 3, 4}),)
+        assert not graphs.detectability([topo1, topo2], [1]).ok
+        assert not graphs.detectability([topo1, topo2, topo3], []).ok
 
     def test_components_of_undetectable_pair(self, topo1, topo2):
-        rep = graphs.detectability([topo1, topo2], [1])
-        assert rep.uncovered == (frozenset({2}),)
-        assert not rep.ok
+        assert pairwise_uncovered([topo1, topo2], [1]) == (frozenset({2}),)
+        assert not graphs.detectability([topo1, topo2], [1]).ok
 
     def test_components_edgeless_graph_all_singletons(self):
         t = graphs.Topology.from_edges(1, 3, [(1, 2, 1.0), (2, 3, 1.0)])
         twin = graphs.Topology(id=2, n=3, adjacency=t.adjacency)
-        rep = graphs.detectability([t, twin], [])
-        assert rep.uncovered == (frozenset({1}), frozenset({2}), frozenset({3}))
+        assert pairwise_uncovered([t, twin], []) == (frozenset({1}), frozenset({2}), frozenset({3}))
+        assert not graphs.detectability([t, twin], []).ok
 
-    def test_uncovered_matches_pairwise_components(self):
+    def test_uncovered_component_makes_ok_false(self):
         """Random, integer-weighted and relabelled topology sets, and sets
-        reweighted near WEIGHT_TOL: ``uncovered`` equals the components scipy
-        finds in the union of the pairwise difference graphs."""
+        reweighted near the oracle's DIFF_TOL: wherever the union of the
+        pairwise difference graphs has a component without an observed
+        agent, ``detectability`` refuses the set."""
         rng = np.random.default_rng(2024)
-        tol = graphs.WEIGHT_TOL
+        tol = DIFF_TOL
         kinds, boundary = set(), 0
         for k in range(300):
             n = int(rng.integers(2, 10))
@@ -204,8 +200,8 @@ class TestDifferenceGraphs:
                 S.append(graphs.Topology(id=tid, n=n, adjacency=a))
             M = rng.choice(np.arange(1, n + 1), int(rng.integers(0, n + 1)), replace=False)
             M = sorted(int(m) for m in M)
-            got = graphs.detectability(S, M).uncovered
-            assert got == pairwise_uncovered(S, M), (k, got)
+            got = pairwise_uncovered(S, M)
+            assert not (got and graphs.detectability(S, M).ok), (k, got)
             kinds.add((kind, len(got) > 0))
             adj = np.array([t.adjacency for t in S])
             near_first = np.abs(adj - adj[0]).max(axis=0) <= tol
@@ -219,7 +215,7 @@ class TestDetectability:
     def test_undetectable_pair(self, topo1, topo2):
         rep = graphs.detectability([topo1, topo2], [1])
         assert not rep.ok
-        assert rep.uncovered == (frozenset({2}),)
+        assert pairwise_uncovered([topo1, topo2], [1]) == (frozenset({2}),)
 
     def test_third_topology_restores_detectability(self, topo1, topo2):
         # topo3 with the (2, 4) link changed as well: no direction cancels
@@ -240,7 +236,7 @@ class TestDetectability:
         twin = [(perm[i - 1], perm[j - 1], w) for i, j, w in base]
         S = [graphs.Topology.from_edges(1, 4, base), graphs.Topology.from_edges(2, 4, twin)]
         rep = graphs.detectability(S, (1,))
-        assert rep.uncovered == ()
+        assert pairwise_uncovered(S, (1,)) == ()
         assert not rep.ok
         assert rep.margin < 1e-12
         assert synthesize(S, (1,), (1, 2, 3, 4)) is not None
@@ -273,8 +269,9 @@ class TestDetectability:
             rep = graphs.detectability(S, M)
             attack = synthesize(S, M, tuple(range(1, n + 1)))
             assert rep.ok == (attack is None), (k, rep)
-            assert not (rep.uncovered and rep.ok)
-            seen.add((rep.ok, bool(rep.uncovered)))
+            uncovered = pairwise_uncovered(S, M)
+            assert not (uncovered and rep.ok)
+            seen.add((rep.ok, bool(uncovered)))
         # detectable, uncovered, and covered-but-undetectable sets all occur
         assert seen == {(True, False), (False, True), (False, False)}
 

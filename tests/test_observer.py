@@ -88,7 +88,7 @@ class TestRunObserver:
             order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon
         )
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        tr = simulation.simulate([topo1, topo2], sched, z0, dt=dt, observed=(1,))
+        tr = simulation.simulate([topo1, topo2], sched, z0, dt=dt)
         return sched, z0, tr
 
     def test_perfect_initialization_keeps_residual_zero(self, topo1, topo2):
@@ -100,7 +100,7 @@ class TestRunObserver:
     def test_matches_exact_error_dynamics_on_fixed_topology(self, topo1):
         sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 100.0}, horizon=30.0)
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        tr = simulation.simulate([topo1], sched, z0, dt=1.0, observed=(1,))
+        tr = simulation.simulate([topo1], sched, z0, dt=1.0)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
         run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
@@ -108,7 +108,7 @@ class TestRunObserver:
         A_err = assemble_observer_A(topo1.L, Phi, Theta)
         e0 = np.concatenate([xhat0, vhat0]) - z0
         for k, t in enumerate(tr.times):
-            e_sim = np.hstack([run.xhat[k], run.vhat[k]]) - tr.states[k]
+            e_sim = run.error[k]
             e_exact = scipy.linalg.expm(A_err * t) @ e0
             assert np.linalg.norm(e_sim - e_exact) < 1e-10
 
@@ -116,17 +116,17 @@ class TestRunObserver:
         sched, z0, tr = self.setup_run(topo1, topo2, horizon=40.0)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,), alarm_threshold=1e-6)
         run = run_observer(tr, cfg)
-        assert detect(run.times, run.residuals, cfg) is None
+        assert detect(tr.times, run.residuals, cfg) is None
 
     def test_wrong_initialization_with_large_gains_converges(self, k4_149):
         # needs a graph whose Laplacian eigenvectors all touch the observed
         # agent; symmetric graphs can hide a mode from a single sensor
         sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e4}, horizon=700.0)
         z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
-        tr = simulation.simulate([k4_149], sched, z0, dt=0.5, observed=(1,))
+        tr = simulation.simulate([k4_149], sched, z0, dt=0.5)
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
         run = run_observer(tr, cfg, xhat0=np.array([0, 0, 0, 0.0]), vhat0=np.zeros(4))
-        err = np.linalg.norm(np.hstack([run.xhat, run.vhat]) - tr.states, axis=1)
+        err = np.linalg.norm(run.error, axis=1)
         assert err[-1] < 1e-2 * err[0]
 
     def test_huge_steps_take_the_exponential(self, topo1, topo2, monkeypatch):
@@ -140,7 +140,7 @@ class TestRunObserver:
         sched = scheduling.SwitchingSchedule(
             order=(1, 2), dwell={1: 2.5e6, 2: 2.5e6}, horizon=1e7
         )
-        tr = simulation.simulate([topo1, topo2], sched, np.ones(8), dt=1e6, observed=(1,))
+        tr = simulation.simulate([topo1, topo2], sched, np.ones(8), dt=1e6)
         assert 5e5 in {float(seg.steps[0]) for seg in tr.segments}
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         run = run_observer(tr, cfg)
@@ -171,7 +171,7 @@ class TestRunObserver:
             order=(1, 2), dwell={1: 5 + np.e / 100, 2: 0.3 + np.pi / 100}, horizon=110.0
         )
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.1, observed=(1,))
+        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.1)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         e0 = np.array([0.5, 0, 0, -0.5, 0, 0.5, 0, 0])
         run = run_observer(tr, cfg, xhat0=z0[:4] + e0[:4], vhat0=z0[4:] + e0[4:])
@@ -187,8 +187,7 @@ class TestRunObserver:
         assert {tau for _, tau in long} <= stacked
         assert any(simulation.taylor_plan(norms[tid] * tau, 8) for tid, tau in long)
         oracle = sequential_errors(tr, [topo1, topo2], cfg, e0)
-        est = np.hstack([run.xhat, run.vhat]) - tr.states
-        assert np.abs(est - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.abs(run.error - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestExponentialBlocks:
@@ -209,7 +208,7 @@ class TestExponentialBlocks:
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
         tr = simulation.simulate(
-            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
+            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt
         )
         run = run_observer(tr, sc.observer_cfg,
                            xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
@@ -246,7 +245,7 @@ class TestExponentialBlocks:
         step, which a block after the first takes from the P it kept."""
         sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 2.0, 2: 2.0}, horizon=20.0)
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.5, observed=(1,))
+        tr = simulation.simulate([topo1, topo2], sched, z0, dt=0.5)
         assert all(seg.steps[0] == tr.dt for seg in tr.segments)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
@@ -305,7 +304,7 @@ class TestObserverUnderAttack:
             w = rk4(f, w, a, b, 100)
             oracle.append(w[8:])
         oracle = np.array(oracle)
-        est = np.hstack([run.xhat, run.vhat])
+        est = tr.states + run.error
         assert np.abs(est - oracle).max() < 1e-8 * np.abs(oracle).max()
         assert np.abs(tr.states - oracle).max() > 1e-3
 
@@ -350,7 +349,7 @@ class TestLargeNetwork:
             delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3),
         )
         z0 = rng.uniform(0.5, 4.5, 2 * n)
-        tr = simulation.simulate(topologies, sched, z0, attack=atk, dt=0.05, observed=(1,))
+        tr = simulation.simulate(topologies, sched, z0, attack=atk, dt=0.05)
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
         calls, actions = [], []
 
@@ -370,7 +369,7 @@ class TestLargeNetwork:
         assert len(actions) == 61
         oracle = sequential_errors(tr, topologies, cfg, np.zeros(2 * n))[:, [0]]
         assert np.abs(run.residuals - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        alarm = detect(run.times, run.residuals, cfg)
+        alarm = detect(tr.times, run.residuals, cfg)
         assert alarm is not None and alarm > atk.rho
         assert alarm == detect(tr.times, oracle, cfg)
 
@@ -392,8 +391,7 @@ class TestChainAndFill:
         n = tr.n
         run = run_observer(tr, cfg, xhat0=tr.states[0, :n] + e0[:n], vhat0=tr.states[0, n:] + e0[n:])
         oracle = sequential_errors(tr, topologies, cfg, e0)
-        est = np.hstack([run.xhat, run.vhat]) - tr.states
-        assert np.abs(est - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.abs(run.error - oracle).max() <= 1e-12 * np.abs(oracle).max()
         idx = [i - 1 for i in cfg.observed]
         assert np.abs(run.residuals - oracle[:, idx]).max() <= 1e-12 * np.abs(oracle).max()
         return actions
@@ -405,8 +403,7 @@ class TestChainAndFill:
         sc = scenario.load_scenario(doc)
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
-        tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt,
-                                 observed=sc.observed)
+        tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt)
         assert (len(tr.times), len(tr.segments)) == (8638, 239)
         e0 = np.array(sc.initial_x + sc.initial_v) - z0
         assert self.check(tr, sc.topologies, sc.observer_cfg, e0, monkeypatch) == []
@@ -427,7 +424,7 @@ class TestChainAndFill:
         atk = attacks.ZdaAttack(eta=0.2, rho=12.0, g0=np.array([1.0, -0.5]),
                                 delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3))
         tr = simulation.simulate(topologies, sched, rng.uniform(0.5, 4.5, 2 * n), attack=atk,
-                                 dt=0.05, observed=(1,))
+                                 dt=0.05)
         cfg = ObserverConfig(observed=(1, 5), psi=(1.0, 0.5), theta=(1.0, 2.0))
         actions = self.check(tr, topologies, cfg, 1e-2 * rng.normal(size=2 * n), monkeypatch)
         assert 0 < len(actions) < 2 * len(tr.segments)
@@ -458,6 +455,20 @@ class TestChainAndFill:
         self.check(tr, [topo1, topo2], cfg, np.array([0.5, 0, 0, -0.5, 0, 0.5, 0, 0]))
 
 
+def test_residuals_are_the_error_on_the_observed_positions():
+    """``residuals`` is ``error[:, observed - 1]`` bit for bit, on the stealth
+    scenario with two agents observed, listed out of order."""
+    sc = scenario.load_scenario(stealth_doc(
+        observed=[2, 1], observer={"psi": [3, 1], "theta": [0.5, 2], "threshold": 1e-6, "window": 5}))
+    atk, _ = scenario.synthesize_for(sc)
+    z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+    tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt)
+    run = run_observer(tr, sc.observer_cfg, xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+    assert run.error.shape == tr.states.shape
+    assert np.abs(run.error).max() > 0.0
+    assert np.array_equal(run.residuals, run.error[:, [0, 1]])
+
+
 class TestStealthErrorClosedForm:
     @pytest.mark.parametrize("dwell", [None, 40.0], ids=["test-dwell", "long-dwell"])
     def test_error_is_minus_the_attack_response(self, dwell):
@@ -472,13 +483,13 @@ class TestStealthErrorClosedForm:
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
         tr = simulation.simulate(
-            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt, observed=sc.observed
+            sc.topologies, sc.schedule, z0, attack=atk, dt=sc.dt
         )
         run = run_observer(tr, sc.observer_cfg,
                            xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
-        e = np.hstack([run.xhat, run.vhat]) - tr.states
+        e = run.error
         response = simulation.simulate(
-            sc.topologies, sc.schedule, atk.delta_z0, attack=atk, dt=sc.dt, observed=sc.observed
+            sc.topologies, sc.schedule, atk.delta_z0, attack=atk, dt=sc.dt
         ).states
         assert np.all(np.abs(e + response).max(axis=1) <= 1e-10 * np.abs(e).max(axis=1))
 

@@ -379,6 +379,21 @@ class TestExitCodes:
             (stealth_doc(observer=_observer(window=2.5)), []),
             (stealth_doc(observer=_observer(window=True)), []),
             (stealth_doc(schema=True), []),
+            (stealth_doc(dt=True), []),
+            (stealth_doc(dt="0.05"), []),
+            (stealth_doc(horizon=True, attack=_directive(rho=0.5)), []),
+            (stealth_doc(dwell_params={"alpha": True}), []),
+            (stealth_doc(dwell_params={"alpha": 0.1, "tau_hat_max": True}), []),
+            (stealth_doc(observer=_observer(threshold=True)), []),
+            (stealth_doc(observer=_observer(psi=[True])), []),
+            (stealth_doc(observer=_observer(theta=[True])), []),
+            (stealth_doc(initial={"x": [True, 2, 3, 4], "v": [1, 2, 3, 4]}), []),
+            (stealth_doc(reported_initial={"x": [1, 2, 3, 4], "v": [1, 2, 3, False]}), []),
+            (stealth_doc(dwell={"1": True, "2": TAU}), []),
+            (stealth_doc(attack=_directive(rho=True)), []),
+            (stealth_doc(attack=_directive(eta_target=True)), []),
+            (stealth_doc(**{"topologies": [{"id": 1, "n": 4, "edges": [[1, 2, True], [2, 3, 1], [3, 4, 1]]},
+                                           stealth_doc()["topologies"][1]]}), []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
@@ -386,7 +401,10 @@ class TestExitCodes:
              "dwell-m-not-number", "stealth-set-unknown-id", "rho-nan", "rho-null",
              "rho-past-horizon", "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
              "initial-nan", "reported-initial-short", "reported-initial-nan", "dwell-m-fraction",
-             "dwell-m-bool", "dwell-kappa-fraction", "window-fraction", "window-bool", "schema-bool"],
+             "dwell-m-bool", "dwell-kappa-fraction", "window-fraction", "window-bool", "schema-bool",
+             "dt-bool", "dt-string", "horizon-bool", "alpha-bool", "tau-hat-max-bool",
+             "threshold-bool", "psi-bool", "theta-bool", "initial-bool", "reported-initial-bool",
+             "dwell-time-bool", "rho-bool", "eta-target-bool", "edge-weight-bool"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
         path = tmp_path / "scenario.json"
@@ -947,3 +965,56 @@ class TestInformationBarrier:
                     assert "attacks" not in (node.module or "")
             if isinstance(node, ast.Attribute):
                 assert node.attr not in forbidden_attrs
+
+
+def _n64_doc(seed: int) -> dict:
+    """A document shaped like the scale benchmark: two random connected
+    64-agent topologies scaled to a largest weighted degree of 32, agent 1
+    observed from the true initial state plus 1e-3 on x1, and an
+    exponential attack on agents 2 and 3 from t = 26.25."""
+    from conftest import random_connected_topology
+
+    rng = np.random.default_rng(seed)
+    n, topologies = 64, []
+    for tid in (1, 2):
+        a = random_connected_topology(rng, n).adjacency
+        a = a * ((n / 2) / a.sum(axis=1).max())
+        edges = [[i + 1, j + 1, float(a[i, j])] for i in range(n) for j in range(i + 1, n) if a[i, j]]
+        topologies.append({"id": tid, "n": n, "edges": edges})
+    x, v = rng.uniform(0.5, 4.5, (2, n)).tolist()
+    delta = [1e-3] + [0.0] * (2 * n - 1)
+    attack = {"eta": {"re": 0.1, "im": 0.0}, "rho": 26.25, "g0": {"re": [1.0, -0.5], "im": [0.0, 0.0]},
+              "delta_z0": delta, "attacked": [2, 3]}
+    return stealth_doc(id="n64", topologies=topologies, horizon=52.5, initial={"x": x, "v": v},
+                       reported_initial={"x": [x[0] + 1e-3] + x[1:], "v": v}, attacked=[2, 3],
+                       attack=attack, observer=_observer(psi=[1.0], theta=[1.0]))
+
+
+def test_plant_columns_do_not_depend_on_blas_threads(tmp_path):
+    """The reproducibility contract at n = 64: one document run at one and
+    at two OpenBLAS threads, each set before numpy loads, writes the same
+    plant columns (t, topology, x*, v*, y*, attack*) byte for byte and the
+    same alarm time.  The residual columns r* may differ at the rounding
+    level, since threaded BLAS products round differently and the
+    residual's rounding floor is not yet defined; they are held to 1e-10 of
+    the largest residual."""
+    path = tmp_path / "n64.json"
+    path.write_text(json.dumps(_n64_doc(100)))
+    cols, alarms = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "zdalab.cli", "run", "--scenario", str(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = (out / "n64_trace.csv").read_text().splitlines()
+        cols.append(dict(zip(header.split(","), zip(*(row.split(",") for row in rows)))))
+        alarms.append(json.loads((out / "n64_alarm.json").read_text())["alarm_time"])
+    one, two = cols
+    assert one.keys() == two.keys() and "r1" in one and len(one["t"]) > 1000
+    assert {k for k in one if one[k] != two[k]} <= {"r1"}
+    r1, r2 = (np.array(c["r1"], dtype=float) for c in cols)
+    assert np.abs(r1 - r2).max() <= 1e-10 * np.abs(r1).max()
+    assert alarms[0] == alarms[1] and alarms[0] > 26.25

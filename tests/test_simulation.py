@@ -654,7 +654,7 @@ class TestLattice:
         sched = scenario.build_schedule(sc)
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
-        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt, observed=sc.observed)
+        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt)
         observer.run_observer(tr, sc.observer_cfg)
         bound = 2 * len(tr.segments) + 4
         assert calls.get("zdalab.simulation", 0) == 0
@@ -818,15 +818,15 @@ def one_process(monkeypatch, tmp_path):
 @pytest.fixture(scope="module")
 def stealth_trace():
     """A 3,001-row run of the stealth scenario, with residuals a billionth
-    of its outputs."""
+    of its observed positions."""
     from test_scenario_cli import stealth_doc
 
     sc = scenario.load_scenario(stealth_doc())
     atk, _ = scenario.synthesize_for(sc)
     z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
     sched = scenario.build_schedule(sc)
-    tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02, observed=sc.observed)
-    return tr, tr.outputs * 1e-9
+    tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02)
+    return tr, tr.states[:, [0]] * 1e-9
 
 
 class TestTraceExports:
@@ -834,10 +834,8 @@ class TestTraceExports:
         tr = simulation.Trace(
             times=np.array([0.0]),
             states=np.array([[0.0, 1.0, 0.0, 0.0]]),
-            outputs=np.array([[0.0]]),
             attack_values=np.zeros((1, 0)),
             topology_ids=np.array([1]),
-            observed=(1,),
             attacked=(),
         )
         err = consensus_error(tr)
@@ -851,8 +849,8 @@ class TestTraceExports:
         z0 = np.arange(8.0)
         tr = simulate([topo1, topo2], sched, z0, dt=0.5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        simulation.trace_to_csv(tr, p1)
-        simulation.trace_to_csv(simulate([topo1, topo2], sched, z0, dt=0.5), p2)
+        simulation.trace_to_csv(tr, p1, (1,))
+        simulation.trace_to_csv(simulate([topo1, topo2], sched, z0, dt=0.5), p2, (1,))
         header = p1.read_text().splitlines()[0]
         assert header == "t,topology,x1,x2,x3,x4,v1,v2,v3,v4,y1"
         assert p1.read_bytes() == p2.read_bytes()
@@ -861,13 +859,25 @@ class TestTraceExports:
         """A stealth run of 3,001 rows spans many default blocks; one process
         writes them and leaves no temporary file or descriptor."""
         tr, res = stealth_trace
-        cols = 2 + tr.states.shape[1] + 2 * len(tr.observed) + len(tr.attacked)
+        cols = 2 + tr.states.shape[1] + 2 + len(tr.attacked)
         assert len(tr.times) > 2 * (simulation.ROW_BLOCK_VALUES // cols)
         with closes_its_files():
-            simulation.trace_to_csv(tr, tmp_path / "new.csv", residuals=res)
+            simulation.trace_to_csv(tr, tmp_path / "new.csv", (1,), residuals=res)
         assert not any((tmp_path / "tmp").iterdir())
-        trace_to_csv_oracle(tr, tmp_path / "old.csv", residuals=res)
+        trace_to_csv_oracle(tr, tmp_path / "old.csv", (1,), residuals=res)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_negative_zero_position_prints_alike_in_x_and_y(self, tmp_path, topo1):
+        """A y* cell repeats its x* cell's text: an observed position of
+        exactly -0.0 prints as "-0" in both, where an output matrix product
+        would give +0.0."""
+        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 5.0}, horizon=1.0)
+        tr = simulate([topo1], sched, np.array([-0.0, 2, -0.0, 4, 1, 2, 3, 4]), dt=0.5)
+        simulation.trace_to_csv(tr, tmp_path / "zero.csv", (3, 1))
+        header, row = (line.split(",") for line in (tmp_path / "zero.csv").read_text().splitlines()[:2])
+        cells = dict(zip(header, row))
+        assert (cells["x1"], cells["y1"], cells["x3"], cells["y3"]) == ("-0", "-0", "-0", "-0")
+        assert header[-2:] == ["y1", "y3"]
 
     def test_topology_ids_print_as_integers(self, tmp_path):
         """Every int64 id prints as "%d", also those a float does not hold."""
@@ -875,16 +885,16 @@ class TestTraceExports:
                         -(10**17) + 1, -(10**17), -(10**17) - 1, 2**53 - 1, 2**53, 2**53 + 1,
                         -(2**53) - 1, 0, 1, -1, 7])
         rows = len(ids)
-        tr = simulation.Trace(times=np.zeros(rows), states=np.zeros((rows, 2)), outputs=np.zeros((rows, 1)),
-                              attack_values=np.zeros((rows, 0)), topology_ids=ids, observed=(1,), attacked=())
-        simulation.trace_to_csv(tr, tmp_path / "ids.csv")
+        tr = simulation.Trace(times=np.zeros(rows), states=np.zeros((rows, 2)),
+                              attack_values=np.zeros((rows, 0)), topology_ids=ids, attacked=())
+        simulation.trace_to_csv(tr, tmp_path / "ids.csv", (1,))
         lines = (tmp_path / "ids.csv").read_text().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["%d" % i for i in ids.tolist()]
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_writer_matches_row_writer(self, tmp_path_factory, data):
-        """Byte-identical to the row-at-a-time writer on edge values, output
+        """Byte-identical to the row-at-a-time writer on edge values, observed
         and attack widths, with and without residuals, and on one to many
         blocks of rows, all in one process."""
         value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False),
@@ -898,10 +908,8 @@ class TestTraceExports:
         tr = simulation.Trace(
             times=data.draw(arrays(np.float64, rows, elements=value)),
             states=data.draw(arrays(np.float64, (rows, 2 * n), elements=value)),
-            outputs=data.draw(arrays(np.float64, (rows, width), elements=value)),
             attack_values=data.draw(arrays(np.float64, (rows, len(attacked)), elements=value)),
             topology_ids=data.draw(arrays(np.int64, rows, elements=st.integers(-(2**63), 2**63 - 1))),
-            observed=observed,
             attacked=attacked,
         )
         residuals = None
@@ -912,8 +920,8 @@ class TestTraceExports:
         out = tmp_path_factory.getbasetemp() / "csv"
         out.mkdir(exist_ok=True)
         with mock.patch.object(simulation, "ROW_BLOCK_VALUES", block), mock.patch.object(os, "fork", no_fork):
-            simulation.trace_to_csv(tr, out / "new.csv", residuals=residuals)
-        trace_to_csv_oracle(tr, out / "old.csv", residuals=residuals)
+            simulation.trace_to_csv(tr, out / "new.csv", observed, residuals=residuals)
+        trace_to_csv_oracle(tr, out / "old.csv", observed, residuals=residuals)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
