@@ -2,9 +2,10 @@
 
 An attack is the pair (initial-state discrepancy, injected signal
 g0 * e^{eta (t - rho)}) chosen so the observed output never changes: the
-discrepancy starts in the common unobservable subspace and, from the start
-time on, the pair (discrepancy, -g0) sits in the kernel of the system pencil
-[[eta I - A, B], [-C, 0]] for every topology the attacker expects to face.
+discrepancy starts in the unobservable subspace of the topologies that run
+before the start time and, from the start time on, the pair (discrepancy,
+-g0) sits in the kernel of the system pencil [[eta I - A, B], [-C, 0]] for
+every topology the attacker expects to face.
 Such attacks exist only at that stacked pencil's zeros (at every rate when
 it is rank-deficient).  Synthesis finds the zeros and the kernel in one
 reduced pencil; only the certificate evaluates each topology's full pencil.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RANK_RTOL, agent_set, detection_matrix
+from .graphs import RANK_RTOL, _real, agent_set, detection_matrix
 from .scheduling import SwitchingSchedule
 from .simulation import assemble_A, assemble_C, attack_injection, expm
 
@@ -82,7 +83,8 @@ class StealthCertificate:
 
     ``pencil_residuals`` holds one relative kernel residual per stealth-set
     topology; ``observability_residual`` measures how far the initial
-    discrepancy leaves the common unobservable subspace (zero when rho = 0);
+    discrepancy leaves the unobservable subspace of the topologies that run
+    before the start time (zero when rho = 0);
     ``max_output_gap`` stays None until a verification run measures it.
     """
 
@@ -188,7 +190,7 @@ def _candidate_rates(A, B_K, U, target):
         E, F = P.T @ E @ Y, P.T @ F @ Y
 
 
-def _prefix_propagator(sched: SwitchingSchedule, A_by_id: dict, rho: float) -> np.ndarray:
+def _prefix_propagator(sched: SwitchingSchedule, A_of: dict, rho: float) -> np.ndarray:
     """State-transition matrix of the unattacked plant from 0 to rho under the
     schedule: one whole cycle's propagator raised to the number of whole
     cycles before rho by binary powering, then the dwells of the incomplete
@@ -197,14 +199,14 @@ def _prefix_propagator(sched: SwitchingSchedule, A_by_id: dict, rho: float) -> n
     if rho > sched.horizon:
         raise ValueError(f"attack start {rho:.6g} lies beyond the horizon {sched.horizon:.6g}")
     cycles, rest = divmod(rho, sched.period)
-    whole = [(tid, sched.dwell[tid]) for tid in sched.order] if cycles else []
+    whole = [(t, sched.dwell[t]) for t in sched.order] if cycles else []
     spans, t0 = [], 0.0
-    for tid in sched.order:
-        spans.append((tid, min(sched.dwell[tid], rest - t0)))
-        t0 += sched.dwell[tid]
+    for t in sched.order:
+        spans.append((t, min(sched.dwell[t], rest - t0)))
+        t0 += sched.dwell[t]
         if t0 >= rest:
             break
-    exps = expm(np.array([A_by_id[tid] * d for tid, d in whole + spans]))
+    exps = expm(np.array([A_of[t] * d for t, d in whole + spans]))
     cycle = np.eye(exps.shape[-1])
     for E in exps[: len(whole)]:
         cycle = E @ cycle
@@ -227,12 +229,12 @@ def synthesize(
     The state part w = (x, v) of every kernel vector (w, -g) lies in
     U = blkdiag(X ker(N X), X): C w = 0 and (A_r - A_1) w = 0 put x in the
     kernel of N = ``detection_matrix(S_stealth, M)``, the pencil fixes
-    v = eta x, and X = I at ``rho = 0``.  For ``rho > 0`` and a
-    ``schedule_prefix`` running only ``S_stealth`` topologies, X spans the
-    position half of ``unobservable_subspace``, which every dwell maps onto
-    itself, and the offset at t = 0 is Re(Phi^-1 w) for the prefix
-    propagator Phi, real or complex rate alike.  An empty ker(N X) admits
-    no attack.  Otherwise the rates of
+    v = eta x, and X = I at ``rho = 0``.  For ``rho > 0``, X spans the
+    position half of the ``unobservable_subspace`` of the topologies of
+    ``schedule_prefix`` that start before rho within one cycle, which every
+    dwell before rho maps onto itself, and the offset at t = 0 is
+    Re(Phi^-1 w) for the prefix propagator Phi, real or complex rate alike.
+    An empty ker(N X) admits no attack.  Otherwise the rates of
     ``_candidate_rates`` are tried in turn: the target ``eta_target``
     (0.05 when None), then the reduced pencil's zeros, which may be complex.
     Each rate's kernel comes from the reduced pencil [eta U - A_1 U, B_K],
@@ -248,8 +250,8 @@ def synthesize(
     if not K:
         raise SynthesisError("no attack channels: attacked set is empty")
     n = S_stealth[0].n
-    A_by_id = {t.id: assemble_A(t.L) for t in S_stealth}
-    A_list = [A_by_id[t.id] for t in S_stealth]
+    A_of = {t: assemble_A(t.L) for t in S_stealth}
+    A_list = [A_of[t] for t in S_stealth]
     C = assemble_C(M, n)
     B_K = attack_injection(K, n)
 
@@ -258,10 +260,14 @@ def synthesize(
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
-        unhidden = sorted(set(schedule_prefix.order) - set(A_by_id))
-        if unhidden:
-            raise ValueError(f"rho > 0: scheduled topologies {unhidden} are not in the stealth set")
-        V = unobservable_subspace([t.L for t in S_stealth], M)
+        prefix, t0 = [], 0.0  # the topologies that start before rho, within one cycle
+        for t in schedule_prefix.order:
+            if t0 >= rho:
+                break
+            prefix.append(t)
+            t0 += schedule_prefix.dwell[t]
+        A_of.update((t, assemble_A(t.L)) for t in schedule_prefix.order if t not in A_of)
+        V = unobservable_subspace([t.L for t in dict.fromkeys(prefix)], M)
         if V.shape[1] == 0:
             raise SynthesisError("no stealthy prefix possible: "
                                  "common unobservable subspace is trivial")
@@ -271,7 +277,7 @@ def synthesize(
         return None
     U = np.block([[XH, np.zeros_like(X)], [np.zeros_like(XH), X]])
     if rho > 0.0:
-        Phi = _prefix_propagator(schedule_prefix, A_by_id, rho)
+        Phi = _prefix_propagator(schedule_prefix, A_of, rho)
     target = 0.05 if eta_target is None else eta_target
     seen: list[complex] = []
 
@@ -341,15 +347,18 @@ def attack_to_json(atk: ZdaAttack, cert: StealthCertificate | None = None) -> st
     return json.dumps(d, indent=2)
 
 
-def attack_from_json(text: str) -> ZdaAttack:
-    d = json.loads(text)
-    g0 = np.array(d["g0"]["re"], dtype=float) + 1j * np.array(d["g0"]["im"], dtype=float)
+def attack_from_json(d) -> ZdaAttack:
+    """The attack of ``attack_to_json``'s text, or of the object it parses
+    to; ValueError for a JSON boolean or string where a number belongs."""
+    d = json.loads(d) if isinstance(d, str) else d
+    real, imag = (np.array([_real(v, "attack g0") for v in d["g0"][k]]) for k in ("re", "im"))
+    g0 = real + 1j * imag
     if np.all(g0.imag == 0.0):
         g0 = g0.real
     return ZdaAttack(
-        eta=complex(d["eta"]["re"], d["eta"]["im"]),
-        rho=float(d["rho"]),
+        eta=complex(_real(d["eta"]["re"], "attack eta"), _real(d["eta"]["im"], "attack eta")),
+        rho=_real(d["rho"], "attack rho"),
         g0=g0,
-        delta_z0=np.array(d["delta_z0"], dtype=float),
+        delta_z0=np.array([_real(v, "attack delta_z0") for v in d["delta_z0"]]),
         attacked=tuple(d["attacked"]),
     )

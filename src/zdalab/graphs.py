@@ -138,6 +138,13 @@ def _is_id(i) -> bool:
     return hasattr(i, "__index__") and not isinstance(i, bool)
 
 
+def _real(v, what: str) -> float:
+    """v as a float; ValueError for a JSON boolean or string, which float() takes."""
+    if isinstance(v, (bool, str)):
+        raise ValueError(f"{what} must be a number, not {v!r}")
+    return float(v)
+
+
 def agent_set(S, n: int, what: str) -> tuple:
     """The agent ids S (1-based) in ascending order; GraphError naming the
     set unless it is nonempty and its ids are distinct integers within 1..n

@@ -9,7 +9,8 @@ the observer); the plant state itself never enters.  The alarm fires when
 the residual stays above threshold for a full window of samples.
 
 This module never sees the attacked agents or the attack start; it consumes
-only the trace's samples and exact per-segment Laplacians, drifts and steps.
+only the trace's samples, its attack mode's drift and gain, and the exact
+per-segment topologies, modes and steps.
 """
 from __future__ import annotations
 
@@ -102,8 +103,8 @@ def run_observer(
 
     Per dwell segment, the estimation error e = zhat - z and the segment's
     exogenous mode are propagated jointly and exactly by the drift J of its
-    (topology, attack active) pair, so the correction terms see the
-    continuous plant output rather than a sampled approximation.  Per block
+    topology (e alone, by their error blocks, where the mode is zero), so
+    the correction terms see the continuous plant output.  Per block
     of segments whose new propagators hold at most EXPM_BLOCK_VALUES values,
     a first pass exponentiates each drift's distinct partial (first and
     last) steps, and once per run its steady step ``dt``, in one stack.  A
@@ -131,20 +132,26 @@ def run_observer(
         vhat0 = tr.states[0, n:]
     zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
 
-    times, dt = tr.times, tr.dt
-    # one row per sample: the segment's mode (two columns at most, flush against e, else 0), then e
-    work = np.zeros((len(times), 2 + 2 * n))
-    err = work[:, 2:]
+    Eta, G = (np.zeros((0, 0)), np.zeros((2 * n, 0))) if tr.Eta is None else (tr.Eta, tr.G)  # None: no attack
+    times, dt, m = tr.times, tr.dt, len(Eta)
+    # one row per sample: the run's attack mode (zero while it is dormant), then e
+    work = np.zeros((len(times), m + 2 * n))
+    err, d = work[:, m:], work.shape[1]
     err[0] = zhat - tr.states[0]
 
-    segs = [(seg, seg.steps.tolist(), (seg.topology_id, seg.attack_active))
+    # o = m for a segment whose mode is zero: it propagates e alone, columns m on
+    segs = [(seg, seg.steps.tolist(), seg.topology, 0 if any(seg.mode0.tolist()) else m)
             for seg in tr.segments if len(seg.steps)]
-    count = np.array([len(steps) for _, steps, _ in segs])
+    count = np.array([len(steps) for _, steps, *_ in segs], dtype=int)
     first = np.cumsum(np.r_[1, count[:-1]])  # the row of each segment's first sample
-    # per (topology, attack active): the joint (mode, error) drift, its size
-    # and 1-norm, and the powers P, P^2, P^4, ... of its steady propagator
-    drifts: dict[tuple, tuple] = {}
-    size = max(1, EXPM_BLOCK_VALUES // (3 * (2 * n + 2) ** 2))  # 2 partial steps and P per segment
+    # per topology: the joint (mode, error) drift J = [[Eta, 0], [-G, A_obs]]
+    # (the mode enters the plant as G m), its 1-norm, and the powers P, P^2,
+    # P^4, ... of its steady propagator
+    drifts = {}
+    for t in dict.fromkeys(t for _, _, t, _ in segs):
+        J = np.block([[Eta, np.zeros((m, 2 * n))], [-G, assemble_observer_A(t.L, Phi, Theta)]])
+        drifts[t] = J, float(np.abs(J).sum(axis=0).max()), []
+    size = max(1, EXPM_BLOCK_VALUES // (3 * d * d))  # 2 partial steps and P per segment
     for b in range(0, len(segs), size):
         block = segs[b : b + size]
         # first pass.  A segment whose two partial-step propagators would hold
@@ -152,15 +159,8 @@ def run_observer(
         # costs at most one d x d product.  P waits for a whole dt step: a run
         # of one-step segments never needs it, and exp(J 1e308) overflows
         plans, tables = {}, {}  # per drift: each step's Taylor plan (None: stacked)
-        for seg, steps, key in block:
-            if key not in drifts:
-                # the segment's mode m enters the plant as G m, so the joint
-                # (mode, error) drift is [[Eta, 0], [-G, A_obs]]
-                A_obs = assemble_observer_A(seg.L, Phi, Theta)
-                zero = np.zeros((seg.Eta.shape[0], 2 * n))
-                J = np.block([[seg.Eta, zero], [-seg.G, A_obs]])
-                drifts[key] = J, len(J), float(np.abs(J).sum(axis=0).max()), []
-            J, d, norm, pw = drifts[key]
+        for seg, steps, key, _ in block:
+            J, norm, pw = drifts[key]
             budget = d if 2 * d > len(steps) else 0
             new = plans.setdefault(key, {})
             for tau in (steps[0], steps[-1]):
@@ -169,18 +169,21 @@ def run_observer(
             if not pw and (len(steps) > 2 or dt in (steps[0], steps[-1])):
                 new[dt] = None
         for key, new in plans.items():
-            J, d, norm, pw = drifts[key]
+            J, norm, pw = drifts[key]
             taus = [tau for tau, plan in new.items() if plan is None]
             E = expm(J * np.array(taus)[:, None, None]) if taus else np.empty((0, d, d))
+            if not np.isfinite(E[:, m:, m:]).all():  # the squarings carried a mode overflow into e
+                E[:, m:, m:] = expm(J[m:, m:] * np.array(taus)[:, None, None])
             if dt in taus:
                 pw.append(E[taus.index(dt)])
             elif pw:
                 taus, E = taus + [dt], np.concatenate([E, pw[:1]])
             tables[key] = dict(zip(taus, range(len(taus)))), E
 
-        def step(key, tau, v):
+        def step(key, o, tau, v):
             index, E = tables[key]
-            return E[index[tau]] @ v if tau in index else expm_action(drifts[key][0], v, tau, *plans[key][tau])
+            J, plan = drifts[key][0][o:, o:], plans[key].get(tau)
+            return E[index[tau], o:, o:] @ v if tau in index else expm_action(J, v, tau, *plan)
 
         # second pass (i): one chain of segment end errors y = (e, 1).  A
         # segment of c >= 2 samples whose partial steps are both stacked ends
@@ -188,52 +191,51 @@ def run_observer(
         # mode folded in; one stacked product per drift forms them.  Any
         # other segment applies its steps, and P^(c-2) by the powers, to y
         stacked, links = {}, [None] * len(block)
-        for i, (_, steps, key) in enumerate(block):
+        for i, (_, steps, key, o) in enumerate(block):
             if len(steps) > 1 and steps[0] in tables[key][0] and steps[-1] in tables[key][0]:
-                stacked.setdefault(key, []).append(i)
-        for key, pos in stacked.items():
-            (J, d, norm, pw), (index, E), m = drifts[key], tables[key], drifts[key][1] - 2 * n
-            steps, F = [block[i][1] for i in pos], E[[index[block[i][1][0]] for i in pos]]
-            modes = np.array([block[i][0].mode0 for i in pos]).reshape(len(pos), m, 1)
-            stacked[key] = pos, np.concatenate([F[:, :, m:], F[:, :, :m] @ modes], axis=2)  # y -> first sample
-            powers = {c: _times_power(pw, c - 2, np.eye(d)) for c in set(map(len, steps))}
+                stacked.setdefault((key, o), []).append(i)
+        for (key, o), pos in stacked.items():
+            (J, norm, pw), (index, E) = drifts[key], tables[key]
+            steps, F = [block[i][1] for i in pos], E[[index[block[i][1][0]] for i in pos], o:]
+            modes = np.array([block[i][0].mode0[: m - o] for i in pos]).reshape(len(pos), m - o, 1)
+            stacked[key, o] = pos, np.concatenate([F[:, :, m:], F[:, :, : m - o] @ modes], axis=2)  # y -> first sample
+            powers = {c: _times_power(pw, c - 2, np.eye(d - o), m, o) for c in set(map(len, steps))}
             T = np.zeros((len(pos), 2 * n + 1, 2 * n + 1))
-            T[:, :-1], T[:, -1, -1] = (E[[index[s[-1]] for s in steps]] @ np.array(
-                [powers[len(s)] for s in steps]) @ stacked[key][1])[:, m:], 1.0
+            T[:, :-1], T[:, -1, -1] = (E[[index[s[-1]] for s in steps], o:, o:] @ np.array(
+                [powers[len(s)] for s in steps]) @ stacked[key, o][1])[:, m - o :], 1.0
             for i, t in zip(pos, T):
                 links[i] = t
         ys = [np.append(err[first[b] - 1], 1.0)]
-        for (seg, steps, key), t, k in zip(block, links, first[b : b + size].tolist()):
+        for (seg, steps, key, o), t, k in zip(block, links, first[b : b + size].tolist()):
             if t is None:
-                d = drifts[key][1]
-                x = work[k, -d:] = step(key, steps[0], np.concatenate([seg.mode0, ys[-1][:-1]]))
+                x = work[k, o:] = step(key, o, steps[0], np.concatenate([seg.mode0, ys[-1][:-1]])[o:])
                 if len(steps) > 1:
-                    x = step(key, steps[-1], _times_power(drifts[key][3], len(steps) - 2, x))
-                ys.append(np.append(x[d - 2 * n :], 1.0))
+                    x = step(key, o, steps[-1], _times_power(drifts[key][2], len(steps) - 2, x, m, o))
+                ys.append(np.append(x[m - o :], 1.0))
             else:
                 ys.append(np.dot(t, ys[-1]))
         ys = np.array(ys)
-        for pos, F in stacked.values():  # each stacked segment's first sample
-            work[first[b + np.array(pos)], -F.shape[1] :] = (F @ ys[pos, :, None])[..., 0]
+        for (key, o), (pos, F) in stacked.items():  # each stacked segment's first sample
+            work[first[b + np.array(pos)], o:] = (F @ ys[pos, :, None])[..., 0]
         err[first[b : b + size] + count[b : b + size] - 1] = ys[1:, :-1]
 
     # second pass (ii): the samples inside segments.  Row r of a segment,
     # 2^j <= r < 2^(j+1), is P^(2^j) times its row r - 2^j: per power and
-    # drift, one product fills those rows of every segment.  The chain has
-    # formed every power a segment needs
-    ids = dict(zip(drifts, range(len(drifts))))
-    drift = np.array([ids[key] for *_, key in segs])
-    fill = np.argsort(drift, kind="stable")
+    # drift and mode offset, one product fills those rows of every segment.
+    # The chain has formed every power a segment needs
+    ids = {key: i for i, key in enumerate(dict.fromkeys((key, o) for _, _, key, o in segs))}
+    group = np.array([ids[key, o] for _, _, key, o in segs])
+    fill = np.argsort(group, kind="stable")
     fill = fill[count[fill] > 2]
     k, c = first[fill], count[fill] - 1  # c - 1 rows follow each first sample
     p = 1 << np.arange(int(c.max(initial=1) - 1).bit_length())[:, None]
-    rows = np.clip(c - p, 0, p)  # per power and segment, segments in drift order
+    rows = np.clip(c - p, 0, p)  # per power and segment, segments in group order
     dst = np.repeat((k + p).ravel() - np.cumsum(rows) + rows.ravel(), rows.ravel()) + np.arange(rows.sum())
-    cuts = np.searchsorted(drift[fill], range(len(drifts) + 1)) + len(k) * np.arange(len(p))[:, None]
+    cuts = np.searchsorted(group[fill], range(len(ids) + 1)) + len(k) * np.arange(len(p))[:, None]
     for j, cut in enumerate(np.r_[0, np.cumsum(rows)][cuts].tolist()):
-        for (J, d, norm, pw), lo, hi in zip(drifts.values(), cut, cut[1:]):
+        for (key, o), lo, hi in zip(ids, cut, cut[1:]):
             if lo < hi:
-                work[dst[lo:hi], -d:] = work.take(dst[lo:hi] - p[j], axis=0)[:, -d:] @ pw[j].T
+                work[dst[lo:hi], o:] = work.take(dst[lo:hi] - p[j], axis=0)[:, o:] @ drifts[key][2][j][o:, o:].T
 
     if not np.isfinite(work).all():  # a value of e or of a mode is not finite
         finite = np.isfinite(err).all(axis=1)
@@ -242,14 +244,17 @@ def run_observer(
     return ObserverRun(error=err, residuals=err[:, [i - 1 for i in cfg.observed]])
 
 
-def _times_power(pw: list, k: int, X: np.ndarray) -> np.ndarray:
-    """P^k X from the powers pw = [P, P^2, P^4, ...], squaring the last one
-    where k needs more."""
+def _times_power(pw: list, k: int, X: np.ndarray, m: int, o: int) -> np.ndarray:
+    """P^k X on the rows and columns from o, from the powers pw = [P, P^2, ...]
+    of P = [[M, 0], [K, E]] (M m x m), squaring the last where k needs more;
+    a square whose E block an overflowing M or K reached takes E^2 alone."""
     for j in range(k.bit_length()):
         if j == len(pw):
             pw.append(pw[-1] @ pw[-1])
+            if not np.isfinite(pw[-1][m:, m:]).all():
+                pw[-1][m:, m:] = pw[-2][m:, m:] @ pw[-2][m:, m:]
         if k >> j & 1:
-            X = pw[j] @ X
+            X = pw[j][o:, o:] @ X
     return X
 
 

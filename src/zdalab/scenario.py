@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import attacks, graphs, observer, scheduling, simulation
+from .graphs import _real
 
 __all__ = [
     "Scenario",
@@ -67,8 +68,7 @@ class Scenario:
     @functools.cached_property
     def running(self) -> tuple:
         """The topologies of ``order``, each once, in order of first appearance."""
-        by_id = {t.id: t for t in self.topologies}
-        return tuple(by_id[tid] for tid in dict.fromkeys(self.order))
+        return tuple(dict.fromkeys(self.order))
 
     @functools.cached_property
     def schedule(self) -> scheduling.SwitchingSchedule:
@@ -79,9 +79,8 @@ class Scenario:
     def observer_weight(self) -> tuple:
         """The observer matrices in switching order and their Lyapunov weight
         P, None when no mode has one; needs an observer configuration."""
-        by_id = {t.id: t for t in self.topologies}
         Phi, Theta = observer.gain_matrices(self.observer_cfg, self.n)
-        A_list = tuple(observer.assemble_observer_A(by_id[tid].L, Phi, Theta) for tid in self.order)
+        A_list = tuple(observer.assemble_observer_A(t.L, Phi, Theta) for t in self.order)
         try:
             return A_list, scheduling.lyapunov_weight(A_list)
         except scheduling.ScheduleError:
@@ -101,12 +100,6 @@ class Scenario:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ScenarioError(msg)
-
-
-def _real(v, what: str) -> float:
-    """v as a float; ScenarioError for a JSON boolean or string, which float() takes."""
-    _require(not isinstance(v, (bool, str)), f"{what} must be a number, not {v!r}")
-    return float(v)
 
 
 def _state(part, n: int, what: str) -> tuple:
@@ -142,16 +135,16 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError(f"malformed scenario: {what}") from exc
 
 
-def _topology_ids(tids, known, what: str) -> tuple:
-    """``tids`` as a tuple; ScenarioError unless each is an integer id in ``known``."""
+def _topologies(tids, by_id: dict, what: str) -> tuple:
+    """The topologies of the ids ``tids``; ScenarioError unless each is an integer id in ``by_id``."""
     for tid in (tids := tuple(tids)):
-        _require(graphs._is_id(tid) and tid in known, f"{what} holds {tid!r}, which is not a known topology id")
-    return tids
+        _require(graphs._is_id(tid) and tid in by_id, f"{what} holds {tid!r}, which is not a known topology id")
+    return tuple(by_id[tid] for tid in tids)
 
 
 def _directive(order, rho=0.0, stealth_set=None, eta_target=None) -> dict:
     """A synthesize directive as a run reads it; the stealth set defaults to
-    the running topology ids in first-appearance order."""
+    the running topologies in first-appearance order."""
     stealth = dict.fromkeys(order) if stealth_set is None else stealth_set
     return {"rho": _real(rho, "directive rho"), "stealth_set": tuple(stealth),
             "eta_target": None if eta_target is None else _real(eta_target, "directive eta_target")}
@@ -164,11 +157,11 @@ def _parse(d: dict, base: str) -> Scenario:
     topologies = tuple(
         graphs.Topology.from_edges(t["id"], t["n"], t["edges"]) for t in d["topologies"]
     )
-    ids = {t.id for t in topologies}
-    _require(len(ids) == len(topologies), "topology ids must be unique")
+    by_id = {t.id: t for t in topologies}
+    _require(len(by_id) == len(topologies), "topology ids must be unique")
     n = topologies[0].n
     _require(all(t.n == n for t in topologies), "all topologies must have the same size")
-    order = _topology_ids(d["order"], ids, "switching order")
+    order = _topologies(d["order"], by_id, "switching order")
     _require(bool(order), "switching order must be nonempty")
 
     horizon = _real(d["horizon"], "horizon")
@@ -189,10 +182,10 @@ def _parse(d: dict, base: str) -> Scenario:
     dwell_override = None
     if d.get("dwell") is not None:
         keys = [int(k) if isinstance(k, str) else k for k in d["dwell"]]  # JSON keys are strings
-        dwell_override = dict(zip(_topology_ids(keys, ids, "dwell map"),
+        dwell_override = dict(zip(_topologies(keys, by_id, "dwell map"),
                                   (_real(v, "dwell time") for v in d["dwell"].values())))
         _require(
-            all(dwell_override.get(tid, 0.0) > 0.0 for tid in order),
+            all(dwell_override.get(t, 0.0) > 0.0 for t in order),
             "dwell map needs a positive dwell time for every topology in order",
         )
 
@@ -207,9 +200,10 @@ def _parse(d: dict, base: str) -> Scenario:
         _require(rho <= horizon, "directive rho must not exceed the horizon")
         _require(eta is None or math.isfinite(eta), "directive eta_target must be null or finite")
         _require(bool(synth["stealth_set"]), "directive stealth_set must be nonempty")
-        _topology_ids(synth["stealth_set"], ids, "directive stealth_set")
+        if "stealth_set" in a:
+            synth["stealth_set"] = _topologies(a["stealth_set"], by_id, "directive stealth_set")
     elif isinstance(a, dict):
-        attack = attacks.attack_from_json(json.dumps(a))
+        attack = attacks.attack_from_json(a)
     elif isinstance(a, str):
         path = os.path.join(base, a)
         _require(os.path.isfile(path), f"no such attack file: {path}")
@@ -263,7 +257,7 @@ def build_schedule(sc: Scenario) -> scheduling.SwitchingSchedule:
         dwell = {}
         for t in sc.running:
             T_r = scheduling.base_period(t.certificate, t.spectrum.eigenvalues[1])
-            dwell[t.id] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
+            dwell[t] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
     return scheduling.SwitchingSchedule(order=sc.order, dwell=dwell, horizon=sc.horizon)
 
 
@@ -308,7 +302,7 @@ def validate(sc: Scenario) -> ValidationReport:
     if sched is not None and sc.observer_cfg is not None:
         A_list, P = sc.observer_weight
         if P is not None:
-            tau_list = [sched.dwell[tid] for tid in sc.order]
+            tau_list = [sched.dwell[t] for t in sc.order]
             measure_ok = scheduling.measure_condition(A_list, tau_list, P).ok
     checks["averaged contraction of observer error"] = bool(measure_ok)
 
@@ -321,12 +315,10 @@ def synthesize_for(sc: Scenario) -> tuple:
     """Execute the scenario's synthesize directive, or the default one when it
     has none, against its stealth set."""
     directive = sc.synthesize_directive or _directive(sc.order)
-    topo_by_id = {t.id: t for t in sc.topologies}
-    stealth = [topo_by_id[tid] for tid in directive["stealth_set"]]
     rho = directive["rho"]
     sched = sc.schedule if rho > 0.0 else None
     result = attacks.synthesize(
-        stealth,
+        directive["stealth_set"],
         sc.observed,
         sc.attacked,
         rho=rho,
@@ -368,7 +360,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
 
     blowup = None
     try:
-        tr = simulation.simulate(sc.topologies, sc.schedule, z0, attack=atk, dt=dt)
+        tr = simulation.simulate(sched=sc.schedule, z0=z0, attack=atk, dt=dt)
     except simulation.SimulationError as exc:
         if not hasattr(exc, "trace"):
             raise

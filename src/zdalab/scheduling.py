@@ -92,14 +92,14 @@ class SwitchingSchedule:
     def __post_init__(self):
         if not self.order:
             raise ScheduleError("switching order must be nonempty")
-        for tid in self.order:
-            if not 0.0 < self.dwell.get(tid, 0.0) < math.inf:
-                raise ScheduleError(f"dwell for topology {tid} must be positive and finite")
+        for t in self.order:
+            if not 0.0 < self.dwell.get(t, 0.0) < math.inf:
+                raise ScheduleError(f"dwell for topology {t.id} must be positive and finite")
         if not self.horizon > 0.0:
             raise ScheduleError("horizon must be positive")
         # switch k of cycle c is at c * period + the prefix sum of the dwells
         # up to k, so no rounding drift accumulates over the cycles
-        prefix = np.cumsum([self.dwell[tid] for tid in self.order])
+        prefix = np.cumsum([self.dwell[t] for t in self.order])
         count = len(self.order) * self.horizon / prefix[-1]
         if count > MAX_SWITCHES:
             raise ScheduleError(f"{count:.3g} switches exceed the cap of {MAX_SWITCHES}")
@@ -110,14 +110,14 @@ class SwitchingSchedule:
         object.__setattr__(self, "switch_times", tuple(times.tolist()))
 
     def intervals(self):
-        """Yield (t_start, t_end, topology_id) covering [0, horizon]."""
+        """Yield (t_start, t_end, topology) covering [0, horizon]."""
         bounds = (0.0,) + self.switch_times + (self.horizon,)
         for k in range(len(bounds) - 1):
             yield bounds[k], bounds[k + 1], self.order[k % len(self.order)]
 
     @property
     def period(self) -> float:
-        return sum(self.dwell[tid] for tid in self.order)
+        return sum(self.dwell[t] for t in self.order)
 
 
 def xi(spectra) -> float:

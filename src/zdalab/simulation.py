@@ -222,20 +222,14 @@ def attack_injection(K, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of a simulation over [t0, t1] under the Laplacian ``L`` of
-    ``topology_id``, one array per topology.  While the attack is active, its
-    real exponential mode m obeys dm/dt = Eta m, enters the plant as
-    dz/dt = A z + G m and is ``mode0`` at t0; while it is dormant all three
-    are empty.  ``steps`` holds the step reaching each of the segment's
-    samples; every step between lattice points is exactly the trace's dt."""
+    """One stretch of a simulation over [t0, t1] under ``topology``.  The
+    attack's mode is ``mode0`` at t0, zero while the attack is dormant.
+    ``steps`` holds the step reaching each of the segment's samples; every
+    step between lattice points is exactly the trace's dt."""
 
     t0: float
     t1: float
-    topology_id: int
-    attack_active: bool
-    L: np.ndarray
-    Eta: np.ndarray
-    G: np.ndarray
+    topology: Topology
     mode0: np.ndarray
     steps: np.ndarray
 
@@ -246,9 +240,11 @@ class Trace:
 
     ``states`` holds the plant state per sample; ``attack_values`` the injected
     signal per channel (zero while the attack is dormant).  ``segments``
-    carries the exact per-interval Laplacians, drifts and steps, one step per
-    sample after the first, so the observer integrates against the
-    continuous-time plant under the schedule it ran, with no other input.
+    carries the exact per-interval topologies, modes and steps, one step per
+    sample after the first, and the attack's real exponential mode m obeys
+    dm/dt = Eta m and enters the plant as dz/dt = A z + G m (both empty
+    without an attack; None reads as none), so the observer integrates
+    against the continuous-time plant under the schedule it ran.
     ``dt`` is the lattice spacing of the samples.
     """
 
@@ -259,6 +255,8 @@ class Trace:
     attacked: tuple
     segments: tuple = field(repr=False, default=())
     dt: float | None = None
+    Eta: np.ndarray | None = field(repr=False, default=None)
+    G: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -292,37 +290,35 @@ def _propagator(t: Topology, Eta: np.ndarray, G: np.ndarray):
     nu = Q^T v move freely as xi0 cos(omega t) + nu0 sin(omega t) / omega,
     and the mode value mu0 e^{eta t} adds Re(c mu0 e^{eta t}), where
     c_i = (Q^T B g0)_i / (eta^2 + lam_i).  A resonant drift (RES_TOL) has no
-    such c; each state is expm(A_aug t) (z0, m0) instead."""
+    such c: the mode's response is read from expm(A_aug t) instead.  A zero
+    mode value adds nothing, however far its exponential would overflow."""
     L, lam, Q = t.L, t.spectrum.eigenvalues, t.spectrum.eigenvectors
     n, d = L.shape[0], Eta.shape[0]
     w = _W[:d]
     eta = Eta[:, 0] @ w if d else 0.0
     den = eta**2 + lam
-    if d and np.any(np.abs(den) <= RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam))):
+    omega = np.sqrt(np.maximum(lam, 0.0))
+    still = omega == 0.0  # sin(omega t) / omega -> t
+    inv, swap = 1.0 / np.where(still, 1.0, omega), np.stack([np.ones(n), -lam])
+    resonant = d and np.any(np.abs(den) <= RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam)))
+    if resonant:
         # the drift augmented with the mode (Van Loan, IEEE TAC 1978)
         A_aug = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
         size = max(1, EXPM_BLOCK_VALUES // A_aug.size)
 
-        def flow(tau):  # the plant rows of expm(A_aug t) for each t in tau
-            return np.concatenate([expm(A_aug * tau[k : k + size, None, None])[:, : 2 * n]
-                                   for k in range(0, len(tau), size)])
+        def forced(M, tau):  # the plant rows of expm(A_aug t) (0, m), in modal coordinates
+            R = np.concatenate([expm(A_aug * tau[k : k + size, None, None])[:, : 2 * n, 2 * n :]
+                                for k in range(0, len(tau), size)])
+            F = np.where(M.any(axis=1)[:, None], (R @ M[..., None])[..., 0], 0.0)
+            return (F.reshape(-1, n) @ Q).reshape(-1, 2, n)
+    else:
+        c = Q.T @ (G[n:] @ w.conj()) / den if d else np.zeros(n)
+        cp = np.stack([c, c * eta]).ravel()  # particular (xi, nu) per unit mode value,
+        cp = np.stack([cp.real, -cp.imag])  # applied to the value's (Re, Im)
 
-        def ends(M0, tau):
-            E = flow(tau)
-            return (lambda z, i: E[i, :, : 2 * n] @ z), (E[:, :, 2 * n :] @ M0[..., None])[..., 0]
-
-        def fill(Z0, M0):
-            S0 = np.hstack([Z0, M0])[..., None]
-            return lambda j, tau: (flow(tau) @ S0[j])[..., 0]
-
-        return fill, ends
-
-    omega = np.sqrt(np.maximum(lam, 0.0))
-    still = omega == 0.0  # sin(omega t) / omega -> t
-    inv, swap = 1.0 / np.where(still, 1.0, omega), np.stack([np.ones(n), -lam])
-    c = Q.T @ (G[n:] @ w.conj()) / den if d else np.zeros(n)
-    cp = np.stack([c, c * eta]).ravel()  # particular (xi, nu) per unit mode value,
-    cp = np.stack([cp.real, -cp.imag])  # applied to the value's (Re, Im)
+        def forced(M, tau):  # modal particular solution of each mode value
+            mu = M @ w
+            return (np.where(mu == 0, 0, mu * np.exp(eta * tau)).view(float).reshape(-1, 2) @ cp).reshape(-1, 2, n)
 
     def rotation(tau):  # per offset, (xi, nu) turns into X * C + X[..., ::-1, :] * S
         wt = tau[:, None] * omega
@@ -330,16 +326,12 @@ def _propagator(t: Topology, Eta: np.ndarray, G: np.ndarray):
         sin[:, still] = tau[:, None]
         return np.cos(wt)[:, None], sin[:, None] * swap
 
-    def forced(mu, tau):  # modal particular solution of each mode value
-        return ((mu * np.exp(eta * tau)).view(float).reshape(-1, 2) @ cp).reshape(-1, 2, n)
-
     def fill(Z0, M0):
-        mu = M0 @ w
-        X0 = (Z0.reshape(-1, n) @ Q).reshape(-1, 2, n) - forced(mu, 0.0)
+        X0 = (Z0.reshape(-1, n) @ Q).reshape(-1, 2, n) - (0.0 if resonant else forced(M0, 0.0))
 
         def sample(j, tau):
             (C, S), X = rotation(tau), X0[j]
-            Y = X * C + X[:, ::-1] * S + (forced(mu[j], tau) if d else 0.0)
+            Y = X * C + X[:, ::-1] * S + (forced(M0[j], tau) if d else 0.0)
             return (Y.reshape(-1, n) @ Q.T).reshape(len(tau), 2 * n)
 
         return sample
@@ -361,13 +353,7 @@ def check_sample_count(span: float, dt: float) -> None:
         raise ValueError(f"{span / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
 
 
-def simulate(
-    topologies,
-    sched: SwitchingSchedule,
-    z0: np.ndarray,
-    attack=None,
-    dt: float = 0.01,
-) -> Trace:
+def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 0.01) -> Trace:
     """Run the switched network over the schedule horizon.
 
     The attack (if any) is dormant before its start time and injects
@@ -375,12 +361,12 @@ def simulate(
     afterwards; the start instant is inserted as a sample so activation is
     sharp.  The samples are the points k*dt more than _TIME_EPS from every
     span bound, then the bounds.  One pass takes each span's end sample from
-    its start sample; each (topology, attack active) drift then fills the
-    samples inside its spans in blocks of about ROW_BLOCK_VALUES values.
+    its start sample; each topology's drift, with the attack's mode held at
+    zero while it is dormant, then fills the samples inside its spans in
+    blocks of about ROW_BLOCK_VALUES values.
     Raises SimulationError carrying the blow-up time if the state overflows,
     with the trace before the first non-finite sample as ``.trace``.
     """
-    by_id = {t.id: t for t in topologies}
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
     attacked = attack.attacked if attack is not None else ()
@@ -389,11 +375,11 @@ def simulate(
 
     # the schedule's intervals, the one holding the attack start cut there
     spans = []
-    for a, b, tid in sched.intervals():
+    for a, b, t in sched.intervals():
         cuts = (a, rho, b) if a < rho < b else (a, b)
-        spans += [(s, e, tid) for s, e in zip(cuts, cuts[1:]) if e - s > _TIME_EPS]
+        spans += [(s, e, t) for s, e in zip(cuts, cuts[1:]) if e - s > _TIME_EPS]
     a, b = np.array([s[:2] for s in spans]).reshape(-1, 2).T
-    tids, active = [s[2] for s in spans], a >= rho - _TIME_EPS
+    tops, active = [s[2] for s in spans], a >= rho - _TIME_EPS
     # the lattice points inside each span, then a row for the span's end
     lattice = np.arange(1, math.ceil(b[-1] / dt) + 1 if spans else 1) * dt
     span = np.minimum(np.searchsorted(b, lattice), len(spans) - 1)
@@ -407,44 +393,42 @@ def simulate(
     steps[last] = b - times[last - 1]
     steps[start + 1] = times[start + 1] - a
     # sample 0 carries the topology active just after t = 0, every later one that of the segment it closes
-    topology_ids = np.repeat([(tids or sched.order)[0], *tids], np.r_[1, last - start])
+    topology_ids = np.repeat([t.id for t in [(tops or sched.order)[0], *tops]], np.r_[1, last - start])
 
-    modes = np.zeros((len(spans), 2))  # each span's mode: (Re, -Im) of e^{eta (t0 - rho)}
-    if attack is not None:
-        modes[active] = np.exp(complex(attack.eta) * (a[active] - rho)).view(float).reshape(-1, 2) * [1, -1]
-    # per (topology, attack active) drift: its spans, Eta, G and fill
-    index = {key: k for k, key in enumerate(dict.fromkeys(zip(tids, active.tolist())))}
-    kind = np.array([index[key] for key in zip(tids, active.tolist())], dtype=int)
+    Eta, G = _attack_mode(attack, n)
+    modes = np.zeros((len(spans), 2))  # each span's mode: (Re, -Im) of e^{eta (t0 - rho)}, 0 while dormant
+    # per topology: its spans and fill
+    index = {t: k for k, t in enumerate(dict.fromkeys(tops))}
+    kind = np.array([index[t] for t in tops], dtype=int)
     states, plan, drifts = np.empty((total, 2 * n)), [None] * len(spans), []
     states[0] = state = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for D, (tid, on) in enumerate(index):
+        if attack is not None:
+            modes[active] = np.exp(complex(attack.eta) * (a[active] - rho)).view(float).reshape(-1, 2) * [1, -1]
+        modes = modes[:, : len(Eta)]
+        for D, t in enumerate(index):
             js = np.flatnonzero(kind == D)
-            Eta, G = _attack_mode(attack if on else None, n)
-            fill, ends = _propagator(by_id[tid], Eta, G)
-            step, g = ends(modes[js, : len(Eta)], b[js] - a[js])
+            fill, ends = _propagator(t, Eta, G)
+            step, g = ends(modes[js], b[js] - a[js])
             for i, k in enumerate(js.tolist()):
                 plan[k] = step, i, g[i]
-            drifts.append((js, Eta, G, fill))
+            drifts.append((js, fill))
         for r, (step, i, g) in zip(last.tolist(), plan):
             state = states[r] = step(state, i) + g
         # the samples inside spans, up to the first span whose end is not finite
         ok = np.isfinite(states[last]).all(axis=1)
         stop = total if ok.all() else int(last[np.argmin(ok)]) + 1
         size = max(1, ROW_BLOCK_VALUES // (2 * n))
-        for D, (js, Eta, G, fill) in enumerate(drifts):
+        for D, (js, fill) in enumerate(drifts):
             mine = (kind[span] == D) & (rows < stop)
             j, tau = np.searchsorted(js, span[mine]), lattice[mine] - a[span[mine]]
-            sample, at = fill(states[start[js]], modes[js, : len(Eta)]), rows[mine]
+            sample, at = fill(states[start[js]], modes[js]), rows[mine]
             for k in range(0, len(at), size):
                 states[at[k : k + size]] = sample(j[k : k + size], tau[k : k + size])
     finite = np.isfinite(states[1:stop])
     cut = total if finite.all() else 1 + int(np.argmin(finite.all(axis=1)))
-    segments = []
-    for k, (t0, t1, tid) in enumerate(spans[: np.searchsorted(last, cut) + 1]):
-        Eta, G = drifts[kind[k]][1:3]
-        segments.append(Segment(t0, t1, tid, bool(active[k]), by_id[tid].L, Eta, G,
-                                modes[k, : len(Eta)], steps[start[k] + 1 : min(last[k], cut - 1) + 1]))
+    segments = tuple(Segment(t0, t1, t, modes[k], steps[start[k] + 1 : min(last[k], cut - 1) + 1])
+                     for k, (t0, t1, t) in enumerate(spans[: np.searchsorted(last, cut) + 1]))
     blowup = float(times[cut]) if cut < total else None
     times, states, topology_ids = times[:cut], states[:cut], topology_ids[:cut]
 
@@ -459,8 +443,10 @@ def simulate(
         attack_values=vals,
         topology_ids=topology_ids,
         attacked=attacked,
-        segments=tuple(segments),
+        segments=segments,
         dt=dt,
+        Eta=Eta,
+        G=G,
     )
     if blowup is not None:
         err = SimulationError(f"instability overflow at t={blowup:.6g}", blowup_time=blowup)

@@ -30,27 +30,26 @@ def no_leaked_children():
     pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
 
 
+TOPO1 = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
+TOPO2 = graphs.Topology.from_edges(
+    2, 4, [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 0.5), (1, 3, 1.0), (1, 4, 1.0)]
+)
+TOPO3 = graphs.Topology.from_edges(3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.0), (3, 4, 1.0)])
+
+
 @pytest.fixture(scope="session")
 def topo1():
-    return graphs.Topology.from_edges(
-        1, 4, [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
-    )
+    return TOPO1
 
 
 @pytest.fixture(scope="session")
 def topo2():
-    return graphs.Topology.from_edges(
-        2,
-        4,
-        [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 0.5), (1, 3, 1.0), (1, 4, 1.0)],
-    )
+    return TOPO2
 
 
 @pytest.fixture(scope="session")
 def topo3():
-    return graphs.Topology.from_edges(
-        3, 4, [(1, 2, 1.0), (2, 3, 2.0), (2, 4, 1.0), (3, 4, 1.0)]
-    )
+    return TOPO3
 
 
 # Weighted complete 4-agent graph with Laplacian spectrum {0, 1, 4, 9}:

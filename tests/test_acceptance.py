@@ -142,16 +142,14 @@ def _stealth_family():
 def _stealth_attack_and_run():
     t1, t2, _ = _stealth_family()
     tau = np.pi / 2 + 0.2
-    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=420.0)
+    sched = scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: tau, t2: tau}, horizon=420.0)
     rho = 110.0
     atk, cert = attacks.synthesize(
         [t1, t2], (1,), (1, 2, 3, 4), rho=rho, schedule_prefix=sched, eta_target=0.05
     )
     z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-    clean = simulation.simulate([t1, t2], sched, z0, dt=0.05)
-    attacked = simulation.simulate(
-        [t1, t2], sched, z0 + atk.delta_z0, attack=atk, dt=0.05
-    )
+    clean = simulation.simulate(sched, z0, dt=0.05)
+    attacked = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.05)
     return t1, t2, sched, rho, atk, z0, clean, attacked
 
 
@@ -182,7 +180,7 @@ def test_criterion_4_detection_with_third_topology():
     same attack within two switching periods of its start."""
     t1, t2, t3 = _stealth_family()
     tau = np.pi / 2 + 0.2
-    pair_sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=420.0)
+    pair_sched = scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: tau, t2: tau}, horizon=420.0)
     rho = 110.0
     atk, _ = attacks.synthesize(
         [t1, t2], (1,), (1, 2, 3, 4), rho=rho, schedule_prefix=pair_sched, eta_target=0.05
@@ -190,10 +188,10 @@ def test_criterion_4_detection_with_third_topology():
     assert graphs.detectability([t1, t2, t3], (1,)).ok
 
     sched = scheduling.SwitchingSchedule(
-        order=(1, 2, 3), dwell={1: tau, 2: tau, 3: tau}, horizon=130.0
+        order=(t1, t2, t3), dwell={t1: tau, t2: tau, t3: tau}, horizon=130.0
     )
     z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-    tr = simulation.simulate([t1, t2, t3], sched, z0 + atk.delta_z0, attack=atk, dt=0.01)
+    tr = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.01)
     cfg = observer.ObserverConfig(
         observed=(1,), psi=(1e-6,), theta=(1e-6,), alarm_threshold=1e-6, alarm_window=5
     )
@@ -233,11 +231,11 @@ def test_criterion_5_switched_consensus():
         spec = spectra[t.id]
         cert = graphs.rational_ratio_certificate(spec)
         T_r = scheduling.base_period(cert, spec.eigenvalues[1])
-        dwell[t.id] = scheduling.dwell_time(params, T_r, xi_val)
-    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell=dwell, horizon=500.0)
+        dwell[t] = scheduling.dwell_time(params, T_r, xi_val)
+    sched = scheduling.SwitchingSchedule(order=(ta, tb), dwell=dwell, horizon=500.0)
 
     z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-    tr = simulation.simulate([ta, tb], sched, z0, dt=0.05)
+    tr = simulation.simulate(sched, z0, dt=0.05)
 
     n = 4
     # orthonormal basis of the disagreement subspace (positions and velocities
@@ -249,9 +247,9 @@ def test_criterion_5_switched_consensus():
     flows = {}
     for t in (ta, tb):
         A = simulation.assemble_A(t.L)
-        H = Qb.T @ scipy.linalg.expm(A * (dwell[t.id] - params.tau_hat_max)) @ Qb
+        H = Qb.T @ scipy.linalg.expm(A * (dwell[t] - params.tau_hat_max)) @ Qb
         handover = max(handover, float(np.abs(H @ H - np.eye(2 * n - 2)).max()))
-        Phi = scipy.linalg.expm(A * dwell[t.id])
+        Phi = scipy.linalg.expm(A * dwell[t])
         symplectic = max(symplectic, float(np.abs(Phi.T @ J @ Phi - J).max()))
         flows[t.id] = Qb.T @ Phi @ Qb
     M = flows[2] @ flows[1]
@@ -307,9 +305,9 @@ def test_criterion_6_observer_tracking_small_gains():
     measure = scheduling.measure_condition(A_list, [tau, tau], P)
     assert measure.ok
 
-    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=5e8)
+    sched = scheduling.SwitchingSchedule(order=(ga, gb), dwell={ga: tau, gb: tau}, horizon=5e8)
     z0 = np.array([1, 2, 3, 4, 1, 2, -1, -2], float)
-    tr = simulation.simulate([ga, gb], sched, z0, dt=1e6)
+    tr = simulation.simulate(sched, z0, dt=1e6)
     run = observer.run_observer(
         tr, cfg, xhat0=np.array([1, 1, 3, 5.0]), vhat0=np.array([1, 1, 0, -1.0])
     )
@@ -371,16 +369,14 @@ def test_criterion_8_closed_form_predictor():
     """After the start time, the attacked state equals the clean state plus
     the start-time discrepancy scaled by the attack exponential."""
     t1, _, _ = _stealth_family()
-    sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=300.0)
+    sched = scheduling.SwitchingSchedule(order=(t1,), dwell={t1: 1e9}, horizon=300.0)
     rho = 50.0
     atk, _ = attacks.synthesize(
         [t1], (1,), (1, 2, 3, 4), rho=rho, schedule_prefix=sched, eta_target=0.05
     )
     z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-    clean = simulation.simulate([t1], sched, z0, dt=0.05)
-    attacked = simulation.simulate(
-        [t1], sched, z0 + atk.delta_z0, attack=atk, dt=0.05
-    )
+    clean = simulation.simulate(sched, z0, dt=0.05)
+    attacked = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.05)
     i0 = int(np.argmin(np.abs(clean.times - rho)))
     disc = attacked.states[i0] - clean.states[i0]
     worst = 0.0

@@ -19,6 +19,9 @@ from zdalab.attacks import (
 from zdalab.simulation import assemble_A, assemble_C, attack_injection
 
 from conftest import (
+    TOPO1,
+    TOPO2,
+    TOPO3,
     _invariant_zero_candidates,
     pairwise_uncovered,
     predicted_state,
@@ -179,7 +182,7 @@ class TestObservability:
 
     def test_delayed_synthesis_on_the_swap_pair_has_no_hidden_prefix(self):
         pair = self.swap_pair()
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=tuple(pair), dwell=dict.fromkeys(pair, 1.0), horizon=20.0)
         with pytest.raises(SynthesisError):
             synthesize(pair, (1,), (2, 3, 4, 5), rho=7.0, schedule_prefix=sched)
 
@@ -251,7 +254,7 @@ class TestSynthesize:
         one, without a floating-point warning on the way: the kernel's state
         part shrinks like 1/|eta| and vanishes in double precision."""
         tau = np.pi / 2 + 0.2
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=60.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo2), dwell={topo1: tau, topo2: tau}, horizon=60.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=rho,
@@ -273,12 +276,10 @@ class TestSynthesize:
         assert abs(atk.eta.real) < 1e-12
 
         # the real parts of discrepancy and signal stay hidden under switching
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: 1.3, t2: 0.7}, horizon=20.0)
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        clean = simulation.simulate([t1, t2], sched, z0, dt=0.05)
-        attacked = simulation.simulate(
-            [t1, t2], sched, z0 + atk.delta_z0, attack=atk, dt=0.05
-        )
+        clean = simulation.simulate(sched, z0, dt=0.05)
+        attacked = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.05)
         assert np.max(np.abs(attacked.states - clean.states)) > 1e-3
         assert np.max(np.abs(attacked.states[:, 0] - clean.states[:, 0])) < 1e-10
 
@@ -292,7 +293,7 @@ class TestSynthesize:
         t1 = graphs.Topology(id=1, n=4, adjacency=a.copy())
         a[2, 3] = a[3, 2] = 2.0  # topology 2 adds link 3-4
         t2 = graphs.Topology(id=2, n=4, adjacency=a)
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: 1.3, t2: 0.7}, horizon=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             atk, cert = synthesize([t1, t2], (1,), (1, 2, 4), rho=rho, schedule_prefix=sched)
@@ -300,10 +301,8 @@ class TestSynthesize:
         assert abs(atk.eta.real) < 1e-12 and abs(abs(atk.eta.imag) - np.sqrt(7.0)) < 1e-10
         assert np.isrealobj(atk.delta_z0)
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        clean = simulation.simulate([t1, t2], sched, z0, dt=0.01)
-        attacked = simulation.simulate(
-            [t1, t2], sched, z0 + atk.delta_z0, attack=atk, dt=0.01
-        )
+        clean = simulation.simulate(sched, z0, dt=0.01)
+        attacked = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.01)
         assert np.max(np.abs(attacked.states[:, 0] - clean.states[:, 0])) < 1e-10
         after = attacked.times > rho
         assert np.max(np.abs(attacked.states - clean.states)[after]) > 1e-3
@@ -343,14 +342,14 @@ class TestSynthesize:
     def test_rho_beyond_horizon_rejected(self, topo1, topo2):
         # the prefix propagator would stop at the horizon and certify the
         # attack for the wrong start time
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo2), dwell={topo1: 1.0, topo2: 1.0}, horizon=20.0)
         with pytest.raises(ValueError, match="horizon"):
             synthesize([topo1, topo2], (1,), (1, 2, 3, 4), rho=1e308, schedule_prefix=sched)
 
     def test_positive_rho_needs_hidden_subspace(self, topo1, topo3):
         # the pair {1, 3} covers every changed component, so nothing can hide
         # before the start time
-        sched = scheduling.SwitchingSchedule(order=(1, 3), dwell={1: 1.0, 3: 1.0}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo3), dwell={topo1: 1.0, topo3: 1.0}, horizon=20.0)
         with pytest.raises(SynthesisError):
             synthesize([topo1, topo3], (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched)
 
@@ -367,18 +366,22 @@ class TestSynthesize:
             raise AssertionError("the prefix propagator ran")
 
         monkeypatch.setattr(attacks, "_prefix_propagator", refuse)
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
+        sched = scheduling.SwitchingSchedule(order=tuple(pair), dwell=dict.fromkeys(pair, 1.0), horizon=20.0)
         assert synthesize(pair, (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched) is None
 
-    def test_positive_rho_needs_every_scheduled_topology_in_the_stealth_set(self, topo1, topo2):
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1.0}, horizon=20.0)
-        with pytest.raises(ValueError, match=r"\[2\]") as info:
-            synthesize([topo1], (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched)
-        assert not isinstance(info.value, SynthesisError)
+    def test_positive_rho_hides_from_topologies_outside_the_stealth_set(self, topo1, topo2):
+        """Before rho the discrepancy hides from every topology that runs,
+        also one the stealth set leaves out: it lies in their common
+        unobservable subspace, while the certificate covers the stealth set."""
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo2), dwell={topo1: 1.0, topo2: 1.0}, horizon=20.0)
+        atk, cert = synthesize([topo1], (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched)
+        assert cert.valid and len(cert.pencil_residuals) == 1
+        V = unobservable_subspace([topo1.L, topo2.L], (1,))
+        np.testing.assert_allclose(V @ (V.T @ atk.delta_z0), atk.delta_z0, atol=1e-14)
 
     def test_delayed_attack_discrepancy_stays_hidden(self, topo1, topo2):
         tau = np.pi / 2 + 0.2
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=200.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo2), dwell={topo1: tau, topo2: tau}, horizon=200.0)
         atk, cert = synthesize(
             [topo1, topo2], (1,), (1, 2, 3, 4), rho=50.0, schedule_prefix=sched
         )
@@ -482,27 +485,27 @@ class TestCandidateRates:
         assert zeros >= 10 and no_rate >= 10
 
 
-def interval_product(sched, A_by_id, rho):
+def interval_product(sched, A_of, rho):
     """Oracle: scipy's exponential of every schedule interval before rho,
     multiplied one at a time."""
     Phi = np.eye(8)
-    for t0, t1, tid in sched.intervals():
+    for t0, t1, topo in sched.intervals():
         if t0 >= rho:
             break
-        Phi = scipy.linalg.expm(A_by_id[tid] * (min(t1, rho) - t0)) @ Phi
+        Phi = scipy.linalg.expm(A_of[topo] * (min(t1, rho) - t0)) @ Phi
     return Phi
 
 
 class TestPrefixPropagator:
     @pytest.fixture
-    def A_by_id(self, topo1, topo2, topo3):
-        return {t.id: assemble_A(t.L) for t in (topo1, topo2, topo3)}
+    def A_of(self, topo1, topo2, topo3):
+        return {t: assemble_A(t.L) for t in (topo1, topo2, topo3)}
 
-    TWO = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.7}, horizon=1000.0)
+    TWO = scheduling.SwitchingSchedule(order=(TOPO1, TOPO2), dwell={TOPO1: 1.3, TOPO2: 0.7}, horizon=1000.0)
     THREE = scheduling.SwitchingSchedule(
-        order=(3, 1, 2), dwell={1: 1.1, 2: 0.6, 3: 0.9}, horizon=200.0
+        order=(TOPO3, TOPO1, TOPO2), dwell={TOPO1: 1.1, TOPO2: 0.6, TOPO3: 0.9}, horizon=200.0
     )
-    ENDLESS = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 1e308}, horizon=60.0)
+    ENDLESS = scheduling.SwitchingSchedule(order=(TOPO1, TOPO2), dwell={TOPO1: 1.0, TOPO2: 1e308}, horizon=60.0)
 
     @pytest.mark.parametrize(
         "sched, rho",
@@ -522,9 +525,9 @@ class TestPrefixPropagator:
         ids=["first-dwell", "switch-instant", "whole-periods", "many-cycles", "three-topologies",
              "three-switch-instant", "endless-dwell"],
     )
-    def test_matches_interval_by_interval_product(self, A_by_id, sched, rho):
-        Phi = attacks._prefix_propagator(sched, A_by_id, rho)
-        oracle = interval_product(sched, A_by_id, rho)
+    def test_matches_interval_by_interval_product(self, A_of, sched, rho):
+        Phi = attacks._prefix_propagator(sched, A_of, rho)
+        oracle = interval_product(sched, A_of, rho)
         assert np.linalg.norm(Phi - oracle) <= 1e-11 * np.linalg.norm(oracle)
 
 
@@ -542,8 +545,8 @@ class TestSignalsAndPrediction:
         """The trace's injected signal at the sample taken at time t, from a
         run of ``make()``'s attack that ends 100 s after its start."""
         atk = self.make()
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=atk.rho + 100.0)
-        tr = simulation.simulate([topo], sched, np.ones(8), attack=atk, dt=10.0)
+        sched = scheduling.SwitchingSchedule(order=(topo,), dwell={topo: 1e9}, horizon=atk.rho + 100.0)
+        tr = simulation.simulate(sched, np.ones(8), attack=atk, dt=10.0)
         (i,) = np.flatnonzero(tr.times == t)
         return tr.attack_values[i], tr.attack_values[tr.times < atk.rho]
 
@@ -572,15 +575,13 @@ class TestSignalsAndPrediction:
         )
 
     def test_prediction_matches_simulation(self, topo1):
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e9}, horizon=300.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 1e9}, horizon=300.0)
         atk, _ = synthesize(
             [topo1], (1,), (1, 2, 3, 4), rho=50.0, schedule_prefix=sched, eta_target=0.05
         )
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
-        clean = simulation.simulate([topo1], sched, z0, dt=0.5)
-        attacked = simulation.simulate(
-            [topo1], sched, z0 + atk.delta_z0, attack=atk, dt=0.5
-        )
+        clean = simulation.simulate(sched, z0, dt=0.5)
+        attacked = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.5)
         i0 = int(np.argmin(np.abs(clean.times - atk.rho)))
         disc = attacked.states[i0] - clean.states[i0]
         worst = 0.0

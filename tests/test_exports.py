@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import sys
@@ -8,6 +9,9 @@ import sys
 import pytest
 
 import zdalab
+from zdalab import cli
+
+from test_scenario_cli import _inline_attack_doc
 
 MODULES = ["zdalab"] + [f"zdalab.{m.name}" for m in pkgutil.iter_modules(zdalab.__path__)]
 
@@ -34,14 +38,43 @@ def test_exported_callables_are_defined_in_their_module(name):
     assert foreign == []
 
 
-def test_benchmark_tracer_hooks_resolve(monkeypatch):
-    """The benchmark's tracer wraps public zdalab attributes; a hook whose
-    target is gone is reported as missing, and the per-layer metrics it feeds
-    silently drop out of every traced run."""
+def bench_tracing(monkeypatch):
+    """The benchmark's ``bench/tracing.py`` module."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    """The benchmark's tracer wraps public zdalab attributes; a hook whose
+    target is gone is reported as missing, and the per-layer metrics it feeds
+    silently drop out of every traced run."""
+    tracing = bench_tracing(monkeypatch)
     missing = [(m, a) for m, a, *_ in tracing.HOOKS if not callable(getattr(getattr(zdalab, m), a, None))]
     assert tracing.HOOKS and missing == []
+
+
+def test_benchmark_tracer_hooks_collect_their_metrics(monkeypatch, tmp_path, capsys):
+    """A hook that reads its call's arguments or result reports its metrics
+    missing when they change shape.  One traced in-process ``run`` of an
+    attacked document with an observer feeds every work counter."""
+    tracing = bench_tracing(monkeypatch)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_inline_attack_doc(0.05)))
+    tracer = tracing.Tracer(zdalab)
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        tracer.end_op(0)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == set()
+    metrics = tracer.metrics()
+    for name in ("simulation.samples", "simulation.segments", "scheduling.switches",
+                 "observer.expm_calls", "simulation.csv_bytes"):
+        assert metrics[name] > 0, name

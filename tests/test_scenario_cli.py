@@ -57,10 +57,11 @@ def stealth_doc(**overrides):
 class TestLoadScenario:
     def test_round_trip_fields(self):
         sc = load_scenario(stealth_doc())
-        assert sc.n == 4
-        assert sc.order == (1, 2)
+        t1, t2 = sc.topologies
+        assert sc.n == 4 and (t1.id, t2.id) == (1, 2)
+        assert sc.order == (t1, t2)
         assert sc.attacked == (1, 2, 3, 4)
-        assert sc.synthesize_directive == {"rho": 20.0, "stealth_set": (1, 2), "eta_target": 0.05}
+        assert sc.synthesize_directive == {"rho": 20.0, "stealth_set": (t1, t2), "eta_target": 0.05}
         assert (sc.reported_x, sc.reported_v) == (sc.initial_x, sc.initial_v)
         assert sc.observer_cfg.alarm_window == 5
 
@@ -96,7 +97,8 @@ class TestLoadScenario:
 
     def test_explicit_stealth_set_kept_as_given(self):
         sc = load_scenario(stealth_doc(attack={"synthesize": True, "stealth_set": [2, 1]}))
-        assert sc.synthesize_directive == {"rho": 0.0, "stealth_set": (2, 1), "eta_target": None}
+        t1, t2 = sc.topologies
+        assert sc.synthesize_directive == {"rho": 0.0, "stealth_set": (t2, t1), "eta_target": None}
 
     def test_relative_path_starting_with_a_brace(self, tmp_path, monkeypatch, capsys):
         """A scenario argument is a path, whatever its first character."""
@@ -335,6 +337,16 @@ def _observer(**keys):
     return {"psi": [1e-6], "theta": [1e-6], "threshold": 1e-6, "window": 5, **keys}
 
 
+def _inline_attack_doc(rate, **attack):
+    """The README stealth pair under an inline attack object on agents 2 and
+    3 from rho = 1, with g0 = (1, -0.5) and delta_z0 = 1e-3 on x4, observed
+    with unit gains."""
+    attack = {"eta": {"re": rate, "im": 0.0}, "rho": 1.0, "g0": {"re": [1.0, -0.5], "im": [0.0, 0.0]},
+              "delta_z0": [0, 0, 0, 1e-3, 0, 0, 0, 0], "attacked": [2, 3], **attack}
+    return stealth_doc(dwell={"1": 1.7708, "2": 1.7708}, attacked=[2, 3], attack=attack,
+                       observer=_observer(psi=[1.0], theta=[1.0]))
+
+
 def _topology_ids(*ids):
     """The stealth document's topologies under the given ids."""
     return {"topologies": [dict(t, id=tid) for t, tid in zip(stealth_doc()["topologies"], ids)]}
@@ -394,6 +406,11 @@ class TestExitCodes:
             (stealth_doc(attack=_directive(eta_target=True)), []),
             (stealth_doc(**{"topologies": [{"id": 1, "n": 4, "edges": [[1, 2, True], [2, 3, 1], [3, 4, 1]]},
                                            stealth_doc()["topologies"][1]]}), []),
+            (_inline_attack_doc(0.05, rho=True), []),
+            (_inline_attack_doc(0.05, rho="1.0"), []),
+            (_inline_attack_doc(0.05, eta={"re": True, "im": 0.0}), []),
+            (_inline_attack_doc(0.05, g0={"re": [True, -0.5], "im": [0.0, 0.0]}), []),
+            (_inline_attack_doc(0.05, delta_z0=[0, 0, 0, True, 0, 0, 0, 0]), []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
@@ -404,7 +421,9 @@ class TestExitCodes:
              "dwell-m-bool", "dwell-kappa-fraction", "window-fraction", "window-bool", "schema-bool",
              "dt-bool", "dt-string", "horizon-bool", "alpha-bool", "tau-hat-max-bool",
              "threshold-bool", "psi-bool", "theta-bool", "initial-bool", "reported-initial-bool",
-             "dwell-time-bool", "rho-bool", "eta-target-bool", "edge-weight-bool"],
+             "dwell-time-bool", "rho-bool", "eta-target-bool", "edge-weight-bool",
+             "attack-rho-bool", "attack-rho-string", "attack-eta-bool", "attack-g0-bool",
+             "attack-delta-z0-bool"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
         path = tmp_path / "scenario.json"
@@ -712,14 +731,17 @@ class TestNeverATraceback:
 
     @pytest.mark.parametrize("verb", ["run", "synthesize"])
     def test_delayed_directive_leaving_out_a_scheduled_topology(self, tmp_path, capsys, verb):
-        """Before rho the discrepancy must hide from every topology that runs,
-        so a stealth set without topology 2 is an input error."""
+        """Before rho the discrepancy hides from every topology that runs, so
+        a stealth set without topology 2 is a valid directive.  On this pair
+        the hidden subspace also holds the attack after rho: no alarm."""
         doc = stealth_doc(attack={"synthesize": True, "rho": 20.0, "stealth_set": [1]})
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and "[2]" in err
+        assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        if verb == "run":
+            assert capsys.readouterr().out.splitlines()[0].endswith(", no alarm")
+        else:
+            assert json.loads((tmp_path / "out" / "stealth_attack.json").read_text())["certificate"]["valid"]
 
 
 class TestAgentSets:
@@ -864,6 +886,78 @@ def _delayed_attack_doc():
         {"id": 2, "n": 4, "edges": _symmetric_k4(3.2)},
     ]
     return doc
+
+
+def _prefix_doc(rho):
+    """The stealth pair, then the topology that makes the set detectable
+    (``test_third_topology_restores_detectability``), each for tau, under an
+    attack synthesized against the pair that starts at rho."""
+    third = {"id": 3, "n": 4, "edges": [[1, 2, 1.0], [2, 3, 2.0], [2, 4, 1.3], [3, 4, 1.0]]}
+    return stealth_doc(topologies=stealth_doc()["topologies"] + [third], order=[1, 2, 3],
+                       dwell={"1": TAU, "2": TAU, "3": TAU}, horizon=6.0, dt=0.01,
+                       attack={"synthesize": True, "rho": rho, "stealth_set": [1, 2]},
+                       observer=_observer(psi=[1.0], theta=[1.0]))
+
+
+@pytest.mark.parametrize("rho, alarm", [(1.0, 3.9), (2.5, 3.91)], ids=["under-1", "under-2"])
+def test_delayed_attack_hides_until_a_topology_outside_the_stealth_set_runs(tmp_path, rho, alarm):
+    """An attack against the pair {1, 2} starting while topology 1 (rho = 1)
+    or topology 2 (rho = 2.5) runs hides its discrepancy from the topologies
+    that run before rho: the residual stays at the rounding level until
+    topology 3 first runs, at 2 tau = 3.54, and the alarm fires in that dwell."""
+    sc = load_scenario(_prefix_doc(rho))
+    atk, cert = scenario.synthesize_for(sc)
+    assert atk.eta == 0.05 and cert.valid and max(cert.pencil_residuals) < 1e-15
+    result = scenario.run(sc, str(tmp_path))
+    trace = np.genfromtxt(result.trace_path, delimiter=",", names=True)
+    third = sc.schedule.switch_times[1]
+    assert third == pytest.approx(2 * TAU)
+    assert np.abs(trace["r1"][trace["t"] <= third]).max() < 1e-14
+    assert third < result.alarm_time < third + TAU
+    assert result.alarm_time == pytest.approx(alarm, abs=1e-9)
+
+
+@pytest.mark.parametrize("observed, summary", [(True, "unstable (overflow at t=18.75), alarm at t=0.65"),
+                                                (False, "unstable (overflow at t=18.75)")],
+                         ids=["observer", "no-observer"])
+def test_plant_overflow_is_reported_without_a_warning(tmp_path, capsys, observed, summary):
+    """An attack growing like e^{40 t} overflows the plant at t = 18.75: the
+    run exits 0, reports the overflow, and writes the finite rows before it,
+    with no floating-point warning on the way."""
+    doc = _inline_attack_doc(40.0)
+    if not observed:
+        del doc["observer"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == summary
+    rows = np.loadtxt(tmp_path / "out" / "stealth_trace.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and rows[-1, 0] == pytest.approx(18.7)
+
+
+@pytest.mark.parametrize(
+    "rate, rho, one_topology, summary, last",
+    [(15.0, 50.0, True, "unstable (disagreement grew to 1.37e+64), alarm at t=0.65", 60.0),
+     (4e4, 5.0, False, "unstable (overflow at t=5.05), alarm at t=0.65", 5.0),
+     (4e4, 0.0, False, "unstable (overflow at t=0.05), no alarm", 0.0)],
+    ids=["long-dormant-span", "overflow-within-one-step", "overflow-at-the-first-step"])
+def test_a_fast_attack_runs_to_its_overflow_or_the_horizon(tmp_path, capsys, rate, rho, one_topology,
+                                                           summary, last):
+    """The attack's mode is zero while it is dormant, however far its
+    exponential would overflow: a rate-15 attack from rho = 50, under one
+    topology for the whole run, leaves the trace finite to the horizon, and
+    a rate-4e4 attack, whose mode overflows within one dt step, ends the
+    trace at its overflow after rho, or at t = 0 when rho = 0.  The observer
+    follows the trace that far, and each run exits 0."""
+    doc = _inline_attack_doc(rate, rho=rho)
+    if one_topology:
+        doc.update(topologies=doc["topologies"][:1], order=[1], dwell={"1": 1e9})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == summary
+    rows = np.loadtxt(tmp_path / "out" / "stealth_trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.isfinite(rows).all() and rows[-1, 0] == last
 
 
 class TestRunPlan:

@@ -12,6 +12,9 @@ from zdalab.scheduling import DwellParams, ScheduleError, SwitchingSchedule
 
 from conftest import random_connected_topology
 
+# topologies that serve only as a schedule's labels
+T1, T2, T3, T4 = (graphs.Topology.from_edges(k, 2, [(1, 2, 1.0)]) for k in range(1, 5))
+
 
 class TestDwellParams:
     def test_defaults_are_admissible(self):
@@ -37,23 +40,23 @@ class TestDwellParams:
 
 class TestSwitchingSchedule:
     def test_switch_times_and_intervals(self):
-        s = SwitchingSchedule(order=(1, 2), dwell={1: 1.0, 2: 2.0}, horizon=7.0)
+        s = SwitchingSchedule(order=(T1, T2), dwell={T1: 1.0, T2: 2.0}, horizon=7.0)
         assert s.switch_times == (1.0, 3.0, 4.0, 6.0)
         spans = list(s.intervals())
-        assert spans[0] == (0.0, 1.0, 1)
-        assert spans[-1] == (6.0, 7.0, 1)
+        assert spans[0] == (0.0, 1.0, T1)
+        assert spans[-1] == (6.0, 7.0, T1)
         assert spans[-1][1] == s.horizon
         assert s.period == 3.0
 
     def test_missing_dwell_rejected(self):
-        with pytest.raises(ScheduleError):
-            SwitchingSchedule(order=(1, 2), dwell={1: 1.0}, horizon=5.0)
+        with pytest.raises(ScheduleError, match="dwell for topology 2 "):
+            SwitchingSchedule(order=(T1, T2), dwell={T1: 1.0}, horizon=5.0)
 
     @pytest.mark.parametrize(
         "dwell, horizon",
         [
-            ({1: 0.2 + 20000 * np.pi, 2: 0.2 + 20000 * np.pi}, 5e8),
-            ({1: 0.2 + 3 * np.pi, 2: 0.2 + 4.5 * np.pi, 3: 0.7}, 1e5),
+            ({T1: 0.2 + 20000 * np.pi, T2: 0.2 + 20000 * np.pi}, 5e8),
+            ({T1: 0.2 + 3 * np.pi, T2: 0.2 + 4.5 * np.pi, T3: 0.7}, 1e5),
         ],
     )
     def test_switch_instants_match_exact_sums(self, dwell, horizon):
@@ -69,12 +72,12 @@ class TestSwitchingSchedule:
 
     def test_switch_count_capped_before_computing(self):
         with pytest.raises(ScheduleError, match="cap"):
-            SwitchingSchedule(order=(1, 2), dwell={1: 1e-300, 2: 1e-300}, horizon=60.0)
+            SwitchingSchedule(order=(T1, T2), dwell={T1: 1e-300, T2: 1e-300}, horizon=60.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_dwell_rejected(self, bad):
         with pytest.raises(ScheduleError):
-            SwitchingSchedule(order=(1,), dwell={1: bad}, horizon=10.0)
+            SwitchingSchedule(order=(T1,), dwell={T1: bad}, horizon=10.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -85,7 +88,7 @@ class TestSwitchingSchedule:
         """The intervals tile [0, horizon]: at each switch instant the
         incoming topology's interval starts, and it lasts until the next
         switch; the interval ending at the instant holds the outgoing one."""
-        order = tuple(range(1, len(dwells) + 1))
+        order = (T1, T2, T3, T4)[: len(dwells)]
         s = SwitchingSchedule(
             order=order, dwell=dict(zip(order, dwells)), horizon=cycles * sum(dwells)
         )

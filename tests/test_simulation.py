@@ -32,8 +32,8 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e
 
 
 def topology_before(sched, t):
-    """The topology the schedule runs just before time t > 0."""
-    return next(tid for t0, t1, tid in sched.intervals() if t0 < t <= t1)
+    """The id of the topology the schedule runs just before time t > 0."""
+    return next(topo.id for t0, t1, topo in sched.intervals() if t0 < t <= t1)
 
 
 def rk4(f, z0, t0, t1, steps):
@@ -89,18 +89,17 @@ def augmented_oracle(A, atk, z0, offsets):
 
 def run_interval(topo, z0, dt, duration, attack=None):
     """``simulate`` over one dwell interval of ``topo`` lasting ``duration``."""
-    sched = scheduling.SwitchingSchedule(order=(topo.id,), dwell={topo.id: 1e9}, horizon=duration)
-    return simulate([topo], sched, z0, attack=attack, dt=dt)
+    sched = scheduling.SwitchingSchedule(order=(topo,), dwell={topo: 1e9}, horizon=duration)
+    return simulate(sched, z0, attack=attack, dt=dt)
 
 
 def run_split(topo, z0, dt, splits, duration, attack=None):
     """``simulate`` over ``duration`` with copies of ``topo`` (identical
     weights, ids 1, 2, ...) handing over at each of the ascending ``splits``."""
-    ids = tuple(range(1, len(splits) + 2))
-    dwell = dict(zip(ids, np.diff([0.0, *splits]).tolist() + [1e9]))
-    copies = [graphs.Topology(id=k, n=topo.n, adjacency=topo.adjacency) for k in ids]
-    sched = scheduling.SwitchingSchedule(order=ids, dwell=dwell, horizon=duration)
-    return simulate(copies, sched, z0, attack=attack, dt=dt)
+    copies = tuple(graphs.Topology(id=k, n=topo.n, adjacency=topo.adjacency) for k in range(1, len(splits) + 2))
+    dwell = dict(zip(copies, np.diff([0.0, *splits]).tolist() + [1e9]))
+    sched = scheduling.SwitchingSchedule(order=copies, dwell=dwell, horizon=duration)
+    return simulate(sched, z0, attack=attack, dt=dt)
 
 
 def count_expm(monkeypatch) -> list:
@@ -353,7 +352,7 @@ class TestPropagateInterval:
         dormant = run_interval(topo1, z0, 0.1, 2.0, attack=late)
         np.testing.assert_allclose(plain.states, dormant.states, atol=0.0)
         assert not dormant.attack_values.any()
-        assert not any(seg.attack_active for seg in dormant.segments)
+        assert not any(seg.mode0.any() for seg in dormant.segments)
 
     def test_invalid_steps_rejected(self, topo1):
         with pytest.raises(scheduling.ScheduleError, match="horizon"):
@@ -433,6 +432,23 @@ class TestPropagateInterval:
         dis = consensus_error(tr)["pos_disagreement"]
         assert dis[tr.times >= 50.0].max() > 4.0 * dis[tr.times <= 10.0].max()
 
+    def test_dormant_resonant_attack_forces_nothing(self):
+        """A resonant attack with a growing envelope, eta = 0.004 + 1e4 i on
+        the star scaled to lam = 1e8, is dormant for 2e5 s, over which
+        e^{eta t} would overflow: the trace stays finite to the horizon, and
+        each row before rho is the attack-free run's."""
+        star, _ = star_resonant_attack()
+        star = graphs.Topology(id=1, n=4, adjacency=star.adjacency * 1e8)
+        atk = attacks.ZdaAttack(eta=complex(4e-3, 1e4), rho=2e5, g0=np.array([0.05 + 0.02j]),
+                                delta_z0=np.eye(8)[0], attacked=(2,))
+        sched = scheduling.SwitchingSchedule(order=(star,), dwell={star: 1e9}, horizon=2.01e5)
+        z0 = np.concatenate([np.arange(1.0, 5.0), np.zeros(4)])
+        tr, free = simulate(sched, z0, attack=atk, dt=97.3), simulate(sched, z0, dt=97.3)
+        assert tr.times[-1] == sched.horizon and np.isfinite(tr.states).all()
+        before = int(np.sum(tr.times < atk.rho))
+        np.testing.assert_array_equal(tr.times[:before], free.times[:before])
+        assert row_gap(tr.states[:before], free.states[:before]) <= 1e-15
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -452,7 +468,7 @@ class TestPropagateInterval:
         s = split * T
         direct = run_interval(topo, z0, T, T, attack=atk)
         halves = run_split(topo, z0, T, [s], T, attack=atk)
-        assert [seg.attack_active for seg in halves.segments] == [True, True]
+        assert all(seg.mode0.any() for seg in halves.segments)
         mu = np.exp(atk.eta * s)
         mode = [mu.real, -mu.imag][: 1 + complex_rate]
         np.testing.assert_allclose(halves.segments[1].mode0, mode)
@@ -472,9 +488,9 @@ class TestPropagateInterval:
 
 
 class TestSimulate:
-    def make_schedule(self, horizon=10.0):
+    def make_schedule(self, t1, t2, horizon=10.0):
         tau = np.pi / 2 + 0.2
-        return scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
+        return scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: tau, t2: tau}, horizon=horizon)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -506,9 +522,9 @@ class TestSimulate:
         assert rel.max() <= 1e-12
 
     def test_consensus_manifold_invariant(self, topo1, topo2):
-        sched = self.make_schedule()
+        sched = self.make_schedule(topo1, topo2)
         z0 = np.concatenate([2.0 * np.ones(4), 0.5 * np.ones(4)])
-        tr = simulate([topo1, topo2], sched, z0, dt=0.1)
+        tr = simulate(sched, z0, dt=0.1)
         err = consensus_error(tr)
         assert err["pos_disagreement"].max() < 1e-10
         assert err["vel_disagreement"].max() < 1e-10
@@ -516,13 +532,13 @@ class TestSimulate:
         np.testing.assert_allclose(tr.states[-1, :4], 2.0 + 0.5 * tr.times[-1], atol=1e-8)
 
     def test_grid_contains_switches_and_attack_start(self, topo1, topo2):
-        sched = self.make_schedule()
+        sched = self.make_schedule(topo1, topo2)
         rng = np.random.default_rng(2)
         atk = make_attack(rng, 4)
         atk = attacks.ZdaAttack(
             eta=atk.eta, rho=3.33, g0=atk.g0, delta_z0=atk.delta_z0, attacked=atk.attacked
         )
-        tr = simulate([topo1, topo2], sched, np.zeros(8) + 1.0, attack=atk, dt=0.25)
+        tr = simulate(sched, np.zeros(8) + 1.0, attack=atk, dt=0.25)
         for s in sched.switch_times:
             assert np.min(np.abs(tr.times - s)) < 1e-9
         assert np.min(np.abs(tr.times - 3.33)) < 1e-9
@@ -532,29 +548,29 @@ class TestSimulate:
         np.testing.assert_allclose(tr.attack_values[i], np.real(atk.g0), atol=1e-14)
 
     def test_topology_marks_follow_schedule(self, topo1, topo2):
-        sched = self.make_schedule()
-        tr = simulate([topo1, topo2], sched, np.ones(8), dt=0.3)
+        sched = self.make_schedule(topo1, topo2)
+        tr = simulate(sched, np.ones(8), dt=0.3)
         # a sample taken exactly at a switch instant closes the segment that
         # produced it, so it carries the outgoing topology's id
         for t, tid in zip(tr.times[1:], tr.topology_ids[1:]):
             assert tid == topology_before(sched, t)
 
     def test_average_velocity_invariant_without_attack(self, topo1, topo2):
-        sched = self.make_schedule(horizon=30.0)
+        sched = self.make_schedule(topo1, topo2, horizon=30.0)
         rng = np.random.default_rng(11)
         z0 = rng.normal(size=8)
-        tr = simulate([topo1, topo2], sched, z0, dt=0.05)
+        tr = simulate(sched, z0, dt=0.05)
         mean_v = tr.states[:, 4:].mean(axis=1)
         assert np.abs(mean_v - mean_v[0]).max() < 1e-9
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_instability_overflow_reported_with_time(self, topo1):
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e4}, horizon=1000.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 1e4}, horizon=1000.0)
         atk = attacks.ZdaAttack(
             eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
         )
         with pytest.raises(SimulationError) as err:
-            simulate([topo1], sched, np.ones(8), attack=atk, dt=5.0)
+            simulate(sched, np.ones(8), attack=atk, dt=5.0)
         assert err.value.blowup_time is not None
         assert 0.0 < err.value.blowup_time <= 1000.0
         partial = err.value.trace
@@ -564,16 +580,16 @@ class TestSimulate:
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_step_rejected(self, topo1, topo2, dt):
         with pytest.raises(ValueError, match="dt"):
-            simulate([topo1, topo2], self.make_schedule(), np.ones(8), dt=dt)
+            simulate(self.make_schedule(topo1, topo2), np.ones(8), dt=dt)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_partial_trace_topology_marks_follow_schedule(self, topo1, topo2):
-        sched = self.make_schedule(horizon=1000.0)
+        sched = self.make_schedule(topo1, topo2, horizon=1000.0)
         atk = attacks.ZdaAttack(
             eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
         )
         with pytest.raises(SimulationError) as err:
-            simulate([topo1, topo2], sched, np.ones(8), attack=atk, dt=0.3)
+            simulate(sched, np.ones(8), attack=atk, dt=0.3)
         partial = err.value.trace
         assert partial.times[-1] < err.value.blowup_time
         assert len(partial.topology_ids) == len(partial.times)
@@ -597,15 +613,15 @@ class TestLattice:
         for bit, over random dwells, steps and attack starts, with switches
         and starts on, or 5e-11 either side of, a lattice point."""
         path = graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)])
-        copies = [graphs.Topology(id=k, n=2, adjacency=path.adjacency) for k in (1, 2)]
-        dwell = {k: (m + frac) * dt for k, (m, frac) in zip((1, 2), dwells)}
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell=dwell, horizon=cycles * (dwell[1] + dwell[2]))
+        copies = tuple(graphs.Topology(id=k, n=2, adjacency=path.adjacency) for k in (1, 2))
+        dwell = {t: (m + frac) * dt for t, (m, frac) in zip(copies, dwells)}
+        sched = scheduling.SwitchingSchedule(order=copies, dwell=dwell, horizon=cycles * sum(dwell.values()))
         if isinstance(rho, tuple):
             rho = rho[0] * dt + rho[1]
         atk = None
         if rho is not None:
             atk = attacks.ZdaAttack(eta=0.1, rho=rho, g0=np.array([1e-2]), delta_z0=np.ones(4), attacked=(2,))
-        tr = simulate(copies, sched, np.ones(4), attack=atk, dt=dt)
+        tr = simulate(sched, np.ones(4), attack=atk, dt=dt)
         spans = []
         for a, b, _ in sched.intervals():
             cuts = (a, rho, b) if atk is not None and a < rho < b else (a, b)
@@ -625,22 +641,21 @@ class TestLattice:
     @pytest.mark.parametrize("offset", [-5e-11, 5e-11])
     def test_switch_near_lattice_point_is_one_sample(self, topo1, topo2, offset):
         sched = scheduling.SwitchingSchedule(
-            order=(1, 2), dwell={1: 1.0 + offset, 2: 2.0}, horizon=5.0
+            order=(topo1, topo2), dwell={topo1: 1.0 + offset, topo2: 2.0}, horizon=5.0
         )
-        tr = simulate([topo1, topo2], sched, np.ones(8), dt=0.25)
+        tr = simulate(sched, np.ones(8), dt=0.25)
         near = tr.times[np.abs(tr.times - 1.0) < 1e-9]
         assert near.tolist() == [sched.switch_times[0]]
 
     def test_sample_count_capped_before_allocating(self, topo1):
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 1e4}, horizon=420.0)
+        sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 1e4}, horizon=420.0)
         with pytest.raises(ValueError, match="samples"):
-            simulate([topo1], sched, np.ones(8), dt=1e-12)
+            simulate(sched, np.ones(8), dt=1e-12)
 
     def test_expm_calls_bounded_by_segments(self, monkeypatch):
         """The plant is evaluated in closed modal form, with no exponential;
-        the observer builds one steady propagator per (topology, attack
-        active) drift, and only the partial first and last step of a segment
-        need their own."""
+        the observer builds one steady propagator per topology's drift, and
+        only the partial first and last step of a segment need their own."""
         from test_scenario_cli import stealth_doc
 
         calls = {}
@@ -654,7 +669,7 @@ class TestLattice:
         sched = scenario.build_schedule(sc)
         atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
-        tr = simulate(sc.topologies, sched, z0, attack=atk, dt=sc.dt)
+        tr = simulate(sched, z0, attack=atk, dt=sc.dt)
         observer.run_observer(tr, sc.observer_cfg)
         bound = 2 * len(tr.segments) + 4
         assert calls.get("zdalab.simulation", 0) == 0
@@ -662,20 +677,20 @@ class TestLattice:
 
     def test_segments_carry_the_mode_in_closed_form(self, topo1, topo2):
         """Each active segment starts its attack mode at e^{eta (t0 - rho)}
-        in the mode's real form; dormant segments carry empty blocks."""
+        in the mode's real form; a dormant segment holds the mode at zero."""
         rng = np.random.default_rng(4)
         atk = make_attack(rng, 4, eta=complex(0.05, 0.7))
         atk = attacks.ZdaAttack(atk.eta, 3.1, atk.g0, atk.delta_z0, atk.attacked)
-        sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 1.3, 2: 0.9}, horizon=9.0)
-        tr = simulate([topo1, topo2], sched, np.ones(8), attack=atk, dt=0.2)
+        sched = scheduling.SwitchingSchedule(order=(topo1, topo2), dwell={topo1: 1.3, topo2: 0.9}, horizon=9.0)
+        tr = simulate(sched, np.ones(8), attack=atk, dt=0.2)
+        np.testing.assert_allclose(tr.Eta, [[0.05, 0.7], [-0.7, 0.05]])
+        assert tr.G.shape == (8, 2)
         for seg in tr.segments:
-            if not seg.attack_active:
-                assert seg.Eta.shape == (0, 0) and seg.G.shape == (8, 0)
-                assert seg.mode0.shape == (0,)
+            if seg.t0 < atk.rho:
+                assert seg.mode0.tolist() == [0.0, 0.0]
                 continue
             mu = np.exp(atk.eta * (seg.t0 - atk.rho))
             np.testing.assert_allclose(seg.mode0, [mu.real, -mu.imag], rtol=1e-14)
-            np.testing.assert_allclose(seg.Eta, [[0.05, 0.7], [-0.7, 0.05]])
 
 
 def closed_form_oracle(tr) -> np.ndarray:
@@ -683,27 +698,29 @@ def closed_form_oracle(tr) -> np.ndarray:
     the trace, one segment and one sample at a time: in the modal closed form
     of the segment's Laplacian and mode, or for a resonant drift as the
     augmented exponential."""
+    Eta, G = tr.Eta, tr.G
     n, out, row = tr.n, tr.states.copy(), 0
     for seg in tr.segments:
         rows = np.arange(row + 1, row + 1 + len(seg.steps))
         z0, m0, d = tr.states[row], seg.mode0, len(seg.mode0)
-        lam, Q = np.linalg.eigh(seg.L)
-        eta = complex(seg.Eta[0, 0], -seg.Eta[1, 0] if d == 2 else 0.0) if d else 0.0
+        L = seg.topology.L
+        lam, Q = np.linalg.eigh(L)
+        eta = complex(Eta[0, 0], -Eta[1, 0] if d == 2 else 0.0) if d else 0.0
         if d and np.any(np.abs(eta**2 + lam) <= simulation.RES_TOL * np.maximum(1.0, np.maximum(abs(eta) ** 2, lam))):
-            A = np.block([[assemble_A(seg.L), seg.G], [np.zeros((d, 2 * n)), seg.Eta]])
+            A = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
             s0 = np.concatenate([z0, m0])
             for r in rows:
                 out[r] = (scipy.linalg.expm(A * (tr.times[r] - seg.t0)) @ s0)[: 2 * n]
         else:
             mu0 = m0[0] - 1j * m0[1] if d == 2 else (m0[0] if d else 0.0)
-            c = Q.T @ (seg.G[n:] @ np.array([1.0, 1j])[:d]) / (eta**2 + lam) if d else np.zeros(n)
+            c = Q.T @ (G[n:] @ np.array([1.0, 1j])[:d]) / (eta**2 + lam) if d else np.zeros(n)
             omega = np.sqrt(np.maximum(lam, 0.0))
             xi0, nu0 = Q.T @ z0[:n] - np.real(c * mu0), Q.T @ z0[n:] - np.real(c * eta * mu0)
             for r in rows:
                 t = tr.times[r] - seg.t0
                 sin = np.array([math.sin(w * t) / w if w > 0.0 else t for w in omega])
                 cos = np.cos(omega * t)
-                forced = c * mu0 * np.exp(eta * t)
+                forced = c * mu0 * np.exp(eta * t) if mu0 else np.zeros(n)
                 out[r, :n] = Q @ (xi0 * cos + nu0 * sin + np.real(forced))
                 out[r, n:] = Q @ (nu0 * cos - lam * xi0 * sin + np.real(forced * eta))
         row += len(rows)
@@ -716,21 +733,21 @@ def row_gap(X, Y) -> float:
 
 
 def fill_cases():
-    """(name, topologies, schedule, z0, attack, dt) runs whose segments
-    differ in topology, attack activity, mode and duration."""
+    """(name, schedule, z0, attack, dt) runs whose segments differ in
+    topology, attack activity, mode and duration."""
     from test_scenario_cli import stealth_doc
 
     sc = scenario.load_scenario(stealth_doc())
     atk, _ = scenario.synthesize_for(sc)
-    yield "stealth-n4", sc.topologies, sc.schedule, np.array(sc.initial_x + sc.initial_v) + atk.delta_z0, atk, sc.dt
+    yield "stealth-n4", sc.schedule, np.array(sc.initial_x + sc.initial_v) + atk.delta_z0, atk, sc.dt
 
     rng = np.random.default_rng(17)
-    topologies = [random_connected_topology(rng, 4, id=k) for k in (1, 2, 3)]
-    sched = scheduling.SwitchingSchedule(order=(1, 2, 3), dwell={1: 1.3, 2: 0.9, 3: 2.05}, horizon=40.0)
+    topologies = tuple(random_connected_topology(rng, 4, id=k) for k in (1, 2, 3))
+    sched = scheduling.SwitchingSchedule(order=topologies, dwell=dict(zip(topologies, (1.3, 0.9, 2.05))), horizon=40.0)
     atk = make_attack(rng, 4, eta=complex(0.04, 0.9))
     g0 = atk.g0 + 1j * rng.uniform(-1.0, 1.0, len(atk.g0)) * 1e-2
     atk = attacks.ZdaAttack(atk.eta, 13.37, g0, atk.delta_z0, atk.attacked)
-    yield "complex-n4", topologies, sched, rng.normal(size=8), atk, 0.07
+    yield "complex-n4", sched, rng.normal(size=8), atk, 0.07
 
     rng = np.random.default_rng(64)
     n, horizon = 64, 52.5
@@ -740,15 +757,15 @@ def fill_cases():
         a = a * ((n / 2) / a.sum(axis=1).max())
         topologies.append(graphs.Topology(id=tid, n=n, adjacency=a))
     tau = np.pi / 2 + 0.2
-    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: tau, 2: tau}, horizon=horizon)
+    sched = scheduling.SwitchingSchedule(order=tuple(topologies), dwell=dict.fromkeys(topologies, tau), horizon=horizon)
     atk = attacks.ZdaAttack(eta=0.1, rho=horizon / 2, g0=np.array([1.0, -0.5]),
                             delta_z0=1e-3 * np.eye(2 * n)[0], attacked=(2, 3))
-    yield "n64", topologies, sched, rng.uniform(0.5, 4.5, 2 * n), atk, 0.05
+    yield "n64", sched, rng.uniform(0.5, 4.5, 2 * n), atk, 0.05
 
     star, atk = star_resonant_attack()
-    copies = [graphs.Topology(id=k, n=4, adjacency=star.adjacency) for k in (1, 2)]
-    sched = scheduling.SwitchingSchedule(order=(1, 2), dwell={1: 3.3, 2: 4.1}, horizon=30.0)
-    yield "resonant", copies, sched, np.concatenate([np.full(4, 0.3), np.full(4, -0.1)]), atk, 0.5
+    copies = tuple(graphs.Topology(id=k, n=4, adjacency=star.adjacency) for k in (1, 2))
+    sched = scheduling.SwitchingSchedule(order=copies, dwell=dict(zip(copies, (3.3, 4.1))), horizon=30.0)
+    yield "resonant", sched, np.concatenate([np.full(4, 0.3), np.full(4, -0.1)]), atk, 0.5
 
 
 FILL_CASES = ("stealth-n4", "complex-n4", "n64", "resonant")
@@ -765,7 +782,7 @@ class TestBatchedFill:
     @pytest.mark.parametrize("case", FILL_CASES)
     def test_states_match_per_segment_closed_form(self, case):
         tr = simulate(*fill_case(case))
-        assert len({(seg.topology_id, seg.attack_active) for seg in tr.segments}) >= 2
+        assert len({seg.topology for seg in tr.segments}) >= 2
         assert row_gap(tr.states, closed_form_oracle(tr)) <= 1e-13
 
     @pytest.mark.parametrize("case, tol", [("stealth-n4", 1e-15), ("complex-n4", 1e-15),
@@ -825,7 +842,7 @@ def stealth_trace():
     atk, _ = scenario.synthesize_for(sc)
     z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
     sched = scenario.build_schedule(sc)
-    tr = simulate(sc.topologies, sched, z0, attack=atk, dt=0.02)
+    tr = simulate(sched, z0, attack=atk, dt=0.02)
     return tr, tr.states[:, [0]] * 1e-9
 
 
@@ -844,13 +861,13 @@ class TestTraceExports:
 
     def test_csv_header_and_determinism(self, tmp_path, topo1, topo2):
         sched = scheduling.SwitchingSchedule(
-            order=(1, 2), dwell={1: 2.0, 2: 2.0}, horizon=6.0
+            order=(topo1, topo2), dwell={topo1: 2.0, topo2: 2.0}, horizon=6.0
         )
         z0 = np.arange(8.0)
-        tr = simulate([topo1, topo2], sched, z0, dt=0.5)
+        tr = simulate(sched, z0, dt=0.5)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         simulation.trace_to_csv(tr, p1, (1,))
-        simulation.trace_to_csv(simulate([topo1, topo2], sched, z0, dt=0.5), p2, (1,))
+        simulation.trace_to_csv(simulate(sched, z0, dt=0.5), p2, (1,))
         header = p1.read_text().splitlines()[0]
         assert header == "t,topology,x1,x2,x3,x4,v1,v2,v3,v4,y1"
         assert p1.read_bytes() == p2.read_bytes()
@@ -871,8 +888,8 @@ class TestTraceExports:
         """A y* cell repeats its x* cell's text: an observed position of
         exactly -0.0 prints as "-0" in both, where an output matrix product
         would give +0.0."""
-        sched = scheduling.SwitchingSchedule(order=(1,), dwell={1: 5.0}, horizon=1.0)
-        tr = simulate([topo1], sched, np.array([-0.0, 2, -0.0, 4, 1, 2, 3, 4]), dt=0.5)
+        sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 5.0}, horizon=1.0)
+        tr = simulate(sched, np.array([-0.0, 2, -0.0, 4, 1, 2, 3, 4]), dt=0.5)
         simulation.trace_to_csv(tr, tmp_path / "zero.csv", (3, 1))
         header, row = (line.split(",") for line in (tmp_path / "zero.csv").read_text().splitlines()[:2])
         cells = dict(zip(header, row))
