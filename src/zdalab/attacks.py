@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RANK_RTOL, _real, agent_set, detection_matrix
+from .graphs import RANK_RTOL, _rank, _real, agent_set, detection_matrix
 from .scheduling import SwitchingSchedule
 from .simulation import assemble_A, assemble_C, attack_injection, expm
 
@@ -94,16 +94,11 @@ class StealthCertificate:
     max_output_gap: float | None = None
 
 
-def _rank(s: np.ndarray) -> int:
-    """Number of singular values above RANK_RTOL relative to max(s_max, 1)."""
-    return int(np.count_nonzero(s > RANK_RTOL * s.max(initial=1.0)))
-
-
-def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis by singular-value thresholding."""
+def _nullspace(M: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Orthonormal kernel basis: the right singular vectors past ``rank``, by default ``_rank``'s."""
     # a tall M needs only the thin V^H; a fat one needs all of V^H for its kernel
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    return Vh[_rank(s):].conj().T
+    return Vh[_rank(s) if rank is None else rank :].conj().T
 
 
 def _spaces(M: np.ndarray):
@@ -112,6 +107,13 @@ def _spaces(M: np.ndarray):
     Q, s, Vh = np.linalg.svd(M)
     r = _rank(s)
     return Q[:, :r], Q[:, r:], Vh[:r].T, Vh[r:].T
+
+
+def _blkdiag(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix [[P, 0], [0, Q]]."""
+    B = np.zeros((len(P) + len(Q), P.shape[1] + Q.shape[1]))
+    B[: len(P), : P.shape[1]], B[len(P) :, P.shape[1] :] = P, Q
+    return B
 
 
 def unobservable_subspace(L_list, M) -> np.ndarray:
@@ -133,7 +135,7 @@ def unobservable_subspace(L_list, M) -> np.ndarray:
         new = _spaces(Z)[0]
         Q = np.hstack([Q, new])
     X = _nullspace(Q.T)
-    return np.block([[X, np.zeros_like(X)], [np.zeros_like(X), X]])
+    return _blkdiag(X, X)
 
 
 def rosenbrock_pencil(A: np.ndarray, B_K: np.ndarray, C: np.ndarray, eta: complex) -> np.ndarray:
@@ -234,11 +236,12 @@ def synthesize(
     ``schedule_prefix`` that start before rho within one cycle, which every
     dwell before rho maps onto itself, and the offset at t = 0 is
     Re(Phi^-1 w) for the prefix propagator Phi, real or complex rate alike.
-    An empty ker(N X) admits no attack.  Otherwise the rates of
-    ``_candidate_rates`` are tried in turn: the target ``eta_target``
-    (0.05 when None), then the reduced pencil's zeros, which may be complex.
-    Each rate's kernel comes from the reduced pencil [eta U - A_1 U, B_K],
-    and its certificate from every topology's full pencil.
+    An empty ker(N X) admits no attack: the singular values of N X alone
+    tell, by ``detectability``'s rank rule, before anything else is formed.
+    Otherwise the rates of ``_candidate_rates`` are tried in turn: the target
+    ``eta_target`` (0.05 when None), then the reduced pencil's zeros, which
+    may be complex.  Each rate's kernel comes from the reduced pencil
+    [eta U - A_1 U, B_K], and its certificate from every topology's full pencil.
 
     Returns (ZdaAttack, StealthCertificate) for the first certified rate, or
     None when there is none (the detectability condition of the topology
@@ -250,12 +253,8 @@ def synthesize(
     if not K:
         raise SynthesisError("no attack channels: attacked set is empty")
     n = S_stealth[0].n
-    A_of = {t: assemble_A(t.L) for t in S_stealth}
-    A_list = [A_of[t] for t in S_stealth]
-    C = assemble_C(M, n)
-    B_K = attack_injection(K, n)
-
-    N = detection_matrix(S_stealth, M)
+    observed, attacked = agent_set(M, n, "observed"), agent_set(K, n, "attacked")
+    N = detection_matrix(S_stealth, observed)
     X = np.eye(n)
     if rho > 0.0:
         if schedule_prefix is None:
@@ -266,17 +265,22 @@ def synthesize(
                 break
             prefix.append(t)
             t0 += schedule_prefix.dwell[t]
-        A_of.update((t, assemble_A(t.L)) for t in schedule_prefix.order if t not in A_of)
         V = unobservable_subspace([t.L for t in dict.fromkeys(prefix)], M)
         if V.shape[1] == 0:
             raise SynthesisError("no stealthy prefix possible: "
                                  "common unobservable subspace is trivial")
         X = V[:n, : V.shape[1] // 2]
-    XH = X @ _nullspace(N @ X)
-    if XH.shape[1] == 0:
+        N = N @ X
+    r = _rank(np.linalg.svd(N, compute_uv=False))
+    if r == X.shape[1]:
         return None
-    U = np.block([[XH, np.zeros_like(X)], [np.zeros_like(XH), X]])
+    U = _blkdiag(X @ _nullspace(N, r), X)
+    A_of = {t: assemble_A(t.L) for t in S_stealth}
+    A_list = [A_of[t] for t in S_stealth]
+    C = assemble_C(M, n)
+    B_K = attack_injection(K, n)
     if rho > 0.0:
+        A_of.update((t, assemble_A(t.L)) for t in schedule_prefix.order if t not in A_of)
         Phi = _prefix_propagator(schedule_prefix, A_of, rho)
     target = 0.05 if eta_target is None else eta_target
     seen: list[complex] = []
@@ -321,7 +325,7 @@ def synthesize(
         )
         if not cert.valid:
             continue
-        atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=agent_set(K, n, "attacked"))
+        atk = ZdaAttack(eta=eta, rho=float(rho), g0=g0, delta_z0=delta_z0, attacked=attacked)
         return atk, cert
     return None
 

@@ -145,6 +145,11 @@ def _real(v, what: str) -> float:
     return float(v)
 
 
+def _rank(s: np.ndarray) -> int:
+    """Number of singular values above RANK_RTOL relative to max(s_max, 1)."""
+    return int(np.count_nonzero(s > RANK_RTOL * s.max(initial=1.0)))
+
+
 def agent_set(S, n: int, what: str) -> tuple:
     """The agent ids S (1-based) in ascending order; GraphError naming the
     set unless it is nonempty and its ids are distinct integers within 1..n
@@ -177,13 +182,13 @@ def detection_matrix(S, M) -> np.ndarray:
 def detectability(S, M) -> DetectabilityReport:
     """Exact detectability of the switching set S from the observed agents M
     when every agent may be attacked: a stealthy attack exists exactly when
-    ``detection_matrix(S, M)`` has a nontrivial kernel, so ``ok`` needs its
-    smallest singular value (``margin``) above RANK_RTOL * max(sigma_max, 1)."""
+    ``detection_matrix(S, M)`` has a nontrivial kernel, so ``ok`` needs full
+    column rank by ``_rank``; ``margin`` is the smallest singular value."""
     S = list(S)
     if len(S) < 2:
         raise GraphError("detectability needs at least two topologies")
     s = np.linalg.svd(detection_matrix(S, M), compute_uv=False)
-    return DetectabilityReport(ok=bool(s[-1] > RANK_RTOL * max(s[0], 1.0)), margin=float(s[-1]))
+    return DetectabilityReport(ok=_rank(s) == S[0].n, margin=float(s[-1]))
 
 
 def has_distinct_eigenvalues(spec: LaplacianSpectrum) -> bool:

@@ -346,7 +346,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     """Simulate the scenario, run the observer when configured, and write
     trace CSV, alarm JSON, and a report.  Deterministic for a fixed scenario."""
     dt = sc.dt if dt is None else dt
-    simulation.check_sample_count(sc.horizon, dt)
+    simulation.check_sample_count(sc.horizon, dt, sc.n)
     os.makedirs(out_dir, exist_ok=True)
     report = validate(sc)
 

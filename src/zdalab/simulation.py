@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-9
-# most samples one run or interval may hold, checked before allocating
-MAX_SAMPLES = 10_000_000
+# most state values (2n per sample) one run may hold, checked before allocating
+MAX_STATE_VALUES = 80_000_000
 # a drift resonates when |eta^2 + lam_i| <= RES_TOL * max(1, |eta|^2, lam_i)
 # for some mode i, where its modal particular solution fails
 RES_TOL = 1e-6
@@ -205,7 +205,9 @@ def assemble_A(L: np.ndarray) -> np.ndarray:
     """Drift matrix [[0, I], [-L, 0]] of the position-coupled network."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    return np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
+    A = np.eye(2 * n, k=n)
+    A[n:, :n] = -L
+    return A
 
 
 def assemble_C(M, n: int) -> np.ndarray:
@@ -344,13 +346,13 @@ def _propagator(t: Topology, Eta: np.ndarray, G: np.ndarray):
     return fill, ends
 
 
-def check_sample_count(span: float, dt: float) -> None:
-    """Raise ValueError unless dt is positive and sampling ``span`` every
-    ``dt`` stays within MAX_SAMPLES samples."""
+def check_sample_count(span: float, dt: float, n: int) -> None:
+    """Raise ValueError unless dt is positive and sampling ``span`` every ``dt``
+    stores at most MAX_STATE_VALUES values, the 2n states of n agents a sample."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if span / dt > MAX_SAMPLES:
-        raise ValueError(f"{span / dt:.3g} samples exceed the cap of {MAX_SAMPLES}")
+    if span / dt * (2 * n) > MAX_STATE_VALUES:
+        raise ValueError(f"{span / dt:.3g} samples of {2 * n} values exceed the cap of {MAX_STATE_VALUES}")
 
 
 def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 0.01) -> Trace:
@@ -371,7 +373,7 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
     n = z0.shape[0] // 2
     attacked = attack.attacked if attack is not None else ()
     rho = attack.rho if attack is not None else math.inf
-    check_sample_count(sched.horizon, dt)
+    check_sample_count(sched.horizon, dt, n)
 
     # the schedule's intervals, the one holding the attack start cut there
     spans = []

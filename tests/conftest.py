@@ -145,16 +145,23 @@ def pairwise_uncovered(S, M):
 
 # The scan oracles' own kernel test and zero candidates, kept apart from the
 # synthesis code they check.
-def stacked_pencil_has_attack(A_list, B_K, C, eta) -> bool:
-    """Whether the kernel of the stacked pencil [[eta I - A_r, B_K], [-C, 0]]
-    over every A_r in the list holds a vector with a nonzero signal part."""
-    n2 = A_list[0].shape[0]
+def stacked_pencil(A_list, B_K, C, eta, V) -> np.ndarray:
+    """The stacked pencil [[eta V - A_r V, B_K], [-C V, 0]] over every A_r in
+    the list, its state held to the range of V."""
     rows = []
     for A in A_list:
-        rows.append(np.hstack([eta * np.eye(n2) - A, B_K]))
-        rows.append(np.hstack([-C, np.zeros((C.shape[0], B_K.shape[1]))]))
-    Z = scipy.linalg.null_space(np.vstack(rows))
-    return Z.shape[1] > 0 and np.linalg.norm(Z[n2:], 2) > 1e-8
+        rows.append(np.hstack([eta * V - A @ V, B_K]))
+        rows.append(np.hstack([-C @ V, np.zeros((C.shape[0], B_K.shape[1]))]))
+    return np.vstack(rows)
+
+
+def stacked_pencil_has_attack(A_list, B_K, C, eta, V=None) -> bool:
+    """Whether the kernel of the stacked pencil [[eta I - A_r, B_K], [-C, 0]]
+    over every A_r in the list, its state held to the range of V when V is
+    given, holds a vector with a nonzero signal part."""
+    V = np.eye(A_list[0].shape[0]) if V is None else V
+    Z = scipy.linalg.null_space(stacked_pencil(A_list, B_K, C, eta, V))
+    return Z.shape[1] > 0 and np.linalg.norm(Z[V.shape[1]:], 2) > 1e-8
 
 
 def _invariant_zero_candidates(A_list, B_K, C) -> list:

@@ -27,6 +27,7 @@ from conftest import (
     predicted_state,
     random_connected_topology,
     random_topology_set,
+    stacked_pencil,
     stacked_pencil_has_attack,
 )
 
@@ -58,6 +59,62 @@ def symmetric_topology(rng, n, tid, swaps):
     return graphs.Topology(id=tid, n=n, adjacency=(a + a[np.ix_(p, p)]) / 2)
 
 
+def swap_family(rng, n, count):
+    """``count`` topologies on n agents that commute with the agent swap
+    (2 3) and, in three of five draws at n = 5, with (4 5) too.  The
+    positions the swaps negate hide from agent 1 and from every agent the
+    swaps fix.  Each later topology keeps one direction of that subspace on
+    which every Laplacian difference vanishes, or, in about one draw of
+    three, none.
+    - One swap: a later topology relinks the agents the swap fixes; in one
+      draw of three it also adds one weight to a fixed agent's links to 2
+      and 3, which shifts the eigenvalue of e2 - e3.
+    - Two swaps, on a complete graph with one weight in [1.5, 2.5] per swap
+      orbit: on u = e2 - e3 and w = e4 - e5 the Laplacian reads
+      [[deg 2 + a23, a25 - a24], [a25 - a24, deg 4 + a45]].  Adding d1 to
+      the orbit (1 2)(1 3), d4 to (1 4)(1 5) and e to (2 5)(3 4) adds
+      [[d1 + e, e], [e, d4 + e]].  With e = mu p q, d1 = mu p^2 - e and
+      d4 = mu q^2 - e that is mu (p, q)(p, q)^T, which vanishes on the
+      drawn direction (-q, p)."""
+    if n == 5 and rng.random() < 0.6:
+        a = np.zeros((5, 5))
+        orbits = [[(0, 1), (0, 2)], [(0, 3), (0, 4)], [(1, 4), (2, 3)], [(1, 3), (2, 4)], [(1, 2)], [(3, 4)]]
+        for orbit in orbits:
+            w = rng.uniform(1.5, 2.5)
+            for i, j in orbit:
+                a[i, j] = a[j, i] = w
+        p, q = np.cos(theta := rng.uniform(0.0, np.pi)), np.sin(theta)
+        adjs = [a]
+        for _ in range(count - 1):
+            mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)
+            e = mu * p * q
+            d1, d4 = mu * p * p - e, mu * q * q - e
+            if rng.random() < 1 / 3:
+                d1, d4, e = rng.uniform(-0.6, 0.6, 3)
+            b = a.copy()
+            for orbit, d in zip(orbits, (d1, d4, e)):
+                for i, j in orbit:
+                    b[i, j] += d
+                    b[j, i] += d
+            adjs.append(b)
+    else:
+        a = symmetric_topology(rng, n, 1, [(2, 3)]).adjacency
+        fixed = [i for i in range(n) if i not in (1, 2)]
+        adjs = [a]
+        for _ in range(count - 1):
+            b = a.copy()
+            for x, i in enumerate(fixed):
+                for j in fixed[x + 1:]:
+                    if rng.random() < 0.6:
+                        b[i, j] = b[j, i] = rng.uniform(0.2, 2.0)
+            if rng.random() < 1 / 3:
+                i, d = rng.choice(fixed), rng.uniform(0.2, 1.0)
+                b[i, 1:3] += d
+                b[1:3, i] += d
+            adjs.append(b)
+    return [graphs.Topology(id=k, n=n, adjacency=b) for k, b in enumerate(adjs, 1)]
+
+
 def _kernel(A, tol=1e-10):
     _, s, Vh = np.linalg.svd(A)
     return Vh[int(np.sum(s > tol)):].T
@@ -87,17 +144,27 @@ def leaves(X, L):
     return np.linalg.norm(L @ X - X @ (X.T @ (L @ X)))
 
 
-def eta_scan_oracle(topos, M, K, grid_points=100):
+def eta_scan_oracle(topos, M, K, grid_points=100, V=None):
     """Brute-force existence test: scan candidate rates and check that the
-    stacked pencil kernel carries a nonzero signal component."""
+    stacked pencil kernel carries a nonzero signal component.  With V (a
+    delayed attack's hidden subspace, or the identity at rho = 0) the state
+    is held to the range of V, and the candidates add every finite zero of
+    that restricted pencil, real or complex, below 1e3 in modulus: scipy's
+    generalized eigenvalues of a random square compression of it, which
+    keeps every zero of the tall pencil and adds spurious ones."""
     n = topos[0].n
     A_list = [assemble_A(t.L) for t in topos]
     C = assemble_C(M, n)
     B = attack_injection(K, n)
     candidates = list(np.linspace(0.01, 2.0, grid_points))
     candidates += _invariant_zero_candidates(A_list, B, C)
+    if V is not None:
+        P0, P1 = (stacked_pencil(A_list, B, C, eta, V) for eta in (0.0, 1.0))
+        R = np.random.default_rng(0).standard_normal(P0.shape[::-1])
+        zeros = scipy.linalg.eigvals(-R @ P0, R @ (P1 - P0))
+        candidates += [complex(z) for z in zeros if abs(z) < 1e3]
     for eta in candidates:
-        if stacked_pencil_has_attack(A_list, B, C, eta):
+        if stacked_pencil_has_attack(A_list, B, C, eta, V):
             return True
     return False
 
@@ -428,6 +495,48 @@ class TestSynthesize:
         assert (synth is not None) == oracle
         assert (synth is not None) == (not detect_ok)
 
+    def test_existence_at_any_start_time_agrees_with_the_hidden_subspace_oracle(self):
+        """Seeded pairs and triples of ``swap_family`` on 3 to 5 agents, with
+        random attacked sets, under a schedule that may add a random
+        topology outside the stealth set, at start times across the first
+        switching cycle.  The oracle holds the state to the unobservable
+        subspace of the topologies with an interval starting before rho (the
+        whole state at rho = 0) and scans real and complex rates; synthesis
+        finds an attack exactly when the oracle does, and raises
+        SynthesisError exactly when that subspace is trivial.  Every kind of
+        verdict occurs: attacks at real and at complex rates, and none for
+        want of a hidden subspace, of ker N X, or of a rate."""
+        rng = np.random.default_rng(2028)
+        seen = dict.fromkeys(("real", "complex", "no subspace", "no ker N X", "no rate"), 0)
+        for _ in range(80):
+            n = int(rng.integers(3, 6))
+            topos = swap_family(rng, n, int(rng.integers(2, 4)))
+            M = (1,) if n == 5 or rng.random() < 0.5 else (1, n)
+            K = tuple(sorted(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)))
+            order = topos + [random_connected_topology(rng, n, id=9)] * int(rng.random() < 0.4)
+            sched = scheduling.SwitchingSchedule(
+                order=tuple(order), dwell={t: float(rng.uniform(0.5, 1.5)) for t in order}, horizon=50.0
+            )
+            for rho in sched.period * np.array([0.0, 0.3, 0.6, 0.9]):
+                V = np.eye(2 * n)
+                if rho > 0.0:
+                    prefix = dict.fromkeys(t for a, _, t in sched.intervals() if a < rho)
+                    V = unobservable_subspace([t.L for t in prefix], M)
+                try:
+                    found = synthesize(topos, M, K, rho=rho, schedule_prefix=sched)
+                except SynthesisError:
+                    assert V.shape[1] == 0
+                    seen["no subspace"] += 1
+                    continue
+                assert V.shape[1] > 0
+                assert (found is not None) == eta_scan_oracle(topos, M, K, V=V), (n, M, K, rho)
+                if found is not None:
+                    seen["complex" if found[0].eta.imag else "real"] += 1
+                else:
+                    NX = graphs.detection_matrix(topos, M) @ V[:n, : V.shape[1] // 2]
+                    seen["no rate" if scipy.linalg.null_space(NX).shape[1] else "no ker N X"] += 1
+        assert min(seen.values()) >= 10, seen
+
 
 class TestCandidateRates:
     def test_detectable_pair_skips_the_staircase(self, monkeypatch):
@@ -447,6 +556,33 @@ class TestCandidateRates:
         assert graphs.detectability(pair, (1,)).ok
         assert synthesize(pair, (1,), (2, 3)) is None
         assert calls == []
+
+    def test_detectable_pair_returns_before_building_anything(self, monkeypatch):
+        # The same pair.  The singular values of N X alone decide that no
+        # attack exists, so no drift, kernel basis or pencil is formed: at
+        # rho = 0, and at rho > 0 after a topology that commutes with the
+        # swap (2 3), which hides e2 - e3 from agent 1 while N X stays of
+        # full column rank.  That hidden subspace is found before the
+        # refusals go in, as its closure takes a kernel basis of its own.
+        # The agent sets are still checked first.
+        rng = np.random.default_rng(64)
+        pair = [random_connected_topology(rng, 64, id=k) for k in (1, 2)]
+        swap = symmetric_topology(rng, 64, 3, [(2, 3)])
+        sched = scheduling.SwitchingSchedule(order=(swap, *pair), dwell=dict.fromkeys((swap, *pair), 1.0),
+                                             horizon=20.0)
+        V = unobservable_subspace([swap.L], (1,))
+        assert V.shape[1] == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis built a matrix after an empty-kernel verdict")
+
+        for name in ("assemble_A", "_nullspace", "rosenbrock_pencil"):
+            monkeypatch.setattr(attacks, name, refuse)
+        monkeypatch.setattr(attacks, "unobservable_subspace", lambda L_list, M: V)
+        assert synthesize(pair, (1,), (2, 3)) is None
+        assert synthesize(pair, (1,), (2, 3), rho=0.5, schedule_prefix=sched) is None
+        with pytest.raises(graphs.GraphError, match="attacked set"):
+            synthesize(pair, (1,), (65,))
 
     def test_tall_pencil_without_zeros_evaluates_no_pencil(self):
         # The same pair's first topology on the velocity subspace, which a

@@ -1112,3 +1112,23 @@ def test_plant_columns_do_not_depend_on_blas_threads(tmp_path):
     r1, r2 = (np.array(c["r1"], dtype=float) for c in cols)
     assert np.abs(r1 - r2).max() <= 1e-10 * np.abs(r1).max()
     assert alarms[0] == alarms[1] and alarms[0] > 26.25
+
+
+def test_n64_document_past_the_state_value_cap_exits_two(tmp_path, monkeypatch, capsys):
+    """The sample cap counts stored state values, 2n a sample: 700,000
+    samples stay within it at n = 4 and pass it at n = 64, whose run exits
+    2 before any stage runs, so nothing of its size is allocated."""
+    scenario.simulation.check_sample_count(52.5, 7.5e-5, 4)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("stage ran before the sample cap was checked")
+
+    for stage in ("build_schedule", "validate", "synthesize_for"):
+        monkeypatch.setattr(scenario, stage, unreachable)
+    monkeypatch.setattr(scenario.simulation, "simulate", unreachable)
+    path = tmp_path / "n64.json"
+    path.write_text(json.dumps(dict(_n64_doc(100), dt=7.5e-5)))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "7e+05 samples of 128 values exceed the cap" in err
+    assert not (tmp_path / "out").exists()
