@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _is_id, agent_set
-from .simulation import EXPM_BLOCK_VALUES, SimulationError, Trace, expm, expm_action, taylor_plan
+from .simulation import EXPM_BLOCK_VALUES, SimulationError, Trace, assemble_A, expm, expm_action, taylor_plan
 
 __all__ = [
     "ObserverConfig",
@@ -85,11 +85,10 @@ def gain_matrices(cfg: ObserverConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def assemble_observer_A(L: np.ndarray, Phi: np.ndarray, Theta: np.ndarray) -> np.ndarray:
     """Error-dynamics matrix [[0, I], [-L - Phi, -Theta]]."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    return np.block(
-        [[np.zeros((n, n)), np.eye(n)], [-(L + np.asarray(Phi)), -np.asarray(Theta)]]
-    )
+    A = assemble_A(np.add(L, Phi))
+    n = len(A) // 2
+    A[n:, n:] = -np.asarray(Theta)
+    return A
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -120,8 +119,6 @@ def run_observer(
     not finite.
     """
     n = tr.n
-    if not tr.segments:
-        raise ValueError("trace carries no propagation segments")
     if sum(len(seg.steps) for seg in tr.segments) != len(tr.times) - 1:
         raise ValueError("trace segments do not step through every sample")
     Phi, Theta = gain_matrices(cfg, n)

@@ -339,7 +339,6 @@ class RunResult:
     trace_path: str
     alarm_path: str
     report_path: str
-    blowup_time: float | None = None
 
 
 def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
@@ -358,15 +357,7 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     if atk is not None:
         z0 = z0 + atk.delta_z0
 
-    blowup = None
-    try:
-        tr = simulation.simulate(sched=sc.schedule, z0=z0, attack=atk, dt=dt)
-    except simulation.SimulationError as exc:
-        if not hasattr(exc, "trace"):
-            raise
-        tr = exc.trace
-        blowup = exc.blowup_time
-
+    tr = simulation.simulate(sched=sc.schedule, z0=z0, attack=atk, dt=dt)
     residuals = None
     alarm_time = None
     if sc.observer_cfg is not None:
@@ -379,8 +370,8 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     initial_dis, final_dis = np.maximum(err["pos_disagreement"], err["vel_disagreement"])
 
     parts = []
-    if blowup is not None:
-        parts.append(f"unstable (overflow at t={blowup:.6g})")
+    if tr.blowup_time is not None:
+        parts.append(f"unstable (overflow at t={tr.blowup_time:.6g})")
     elif final_dis < 1e-3:
         parts.append("consensus reached")
     elif final_dis > 10.0 * max(initial_dis, 1e-9):
@@ -416,5 +407,4 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
         trace_path=trace_path,
         alarm_path=alarm_path,
         report_path=report_path,
-        blowup_time=blowup,
     )

@@ -78,11 +78,8 @@ _TAYLOR_THETA = dict(zip([*range(1, 31), 35, 40, 45, 50, 55], (
 
 
 class SimulationError(RuntimeError):
-    """Numeric failure during propagation."""
-
-    def __init__(self, message: str, blowup_time: float | None = None):
-        super().__init__(message)
-        self.blowup_time = blowup_time
+    """Numeric failure during propagation: an observer's estimation error
+    that overflows.  A plant that overflows is a trace's ``blowup_time``."""
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -224,13 +221,11 @@ def attack_injection(K, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of a simulation over [t0, t1] under ``topology``.  The
-    attack's mode is ``mode0`` at t0, zero while the attack is dormant.
-    ``steps`` holds the step reaching each of the segment's samples; every
-    step between lattice points is exactly the trace's dt."""
+    """One stretch of a simulation under ``topology``, from the sample before
+    its first.  The attack's mode is ``mode0`` there, zero while the attack is
+    dormant.  ``steps`` holds the step reaching each of the segment's samples;
+    every step between lattice points is exactly the trace's dt."""
 
-    t0: float
-    t1: float
     topology: Topology
     mode0: np.ndarray
     steps: np.ndarray
@@ -247,7 +242,9 @@ class Trace:
     dm/dt = Eta m and enters the plant as dz/dt = A z + G m (both empty
     without an attack; None reads as none), so the observer integrates
     against the continuous-time plant under the schedule it ran.
-    ``dt`` is the lattice spacing of the samples.
+    ``dt`` is the lattice spacing of the samples.  ``blowup_time`` is the
+    time of the first sample whose state is not finite, where the run
+    stopped short of the horizon, or None when it reached the horizon.
     """
 
     times: np.ndarray
@@ -257,6 +254,7 @@ class Trace:
     attacked: tuple
     segments: tuple = field(repr=False, default=())
     dt: float | None = None
+    blowup_time: float | None = None
     Eta: np.ndarray | None = field(repr=False, default=None)
     G: np.ndarray | None = field(repr=False, default=None)
 
@@ -365,9 +363,8 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
     span bound, then the bounds.  One pass takes each span's end sample from
     its start sample; each topology's drift, with the attack's mode held at
     zero while it is dormant, then fills the samples inside its spans in
-    blocks of about ROW_BLOCK_VALUES values.
-    Raises SimulationError carrying the blow-up time if the state overflows,
-    with the trace before the first non-finite sample as ``.trace``.
+    blocks of about ROW_BLOCK_VALUES values.  A state that overflows ends
+    the trace before its first non-finite sample, at ``blowup_time``.
     """
     z0 = np.array(z0, dtype=float)
     n = z0.shape[0] // 2
@@ -417,20 +414,19 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
             drifts.append((js, fill))
         for r, (step, i, g) in zip(last.tolist(), plan):
             state = states[r] = step(state, i) + g
-        # the samples inside spans, up to the first span whose end is not finite
-        ok = np.isfinite(states[last]).all(axis=1)
-        stop = total if ok.all() else int(last[np.argmin(ok)]) + 1
+        # the samples inside spans, past an overflow too: the cut below drops them
         size = max(1, ROW_BLOCK_VALUES // (2 * n))
         for D, (js, fill) in enumerate(drifts):
-            mine = (kind[span] == D) & (rows < stop)
+            mine = kind[span] == D
             j, tau = np.searchsorted(js, span[mine]), lattice[mine] - a[span[mine]]
             sample, at = fill(states[start[js]], modes[js]), rows[mine]
             for k in range(0, len(at), size):
                 states[at[k : k + size]] = sample(j[k : k + size], tau[k : k + size])
-    finite = np.isfinite(states[1:stop])
-    cut = total if finite.all() else 1 + int(np.argmin(finite.all(axis=1)))
-    segments = tuple(Segment(t0, t1, t, modes[k], steps[start[k] + 1 : min(last[k], cut - 1) + 1])
-                     for k, (t0, t1, t) in enumerate(spans[: np.searchsorted(last, cut) + 1]))
+    # the trace ends before its first sample that is not finite
+    finite = np.isfinite(states[1:]).all(axis=1)
+    cut = total if finite.all() else 1 + int(np.argmin(finite))
+    segments = tuple(Segment(t, modes[k], steps[start[k] + 1 : min(last[k], cut - 1) + 1])
+                     for k, t in enumerate(tops[: np.searchsorted(last, cut) + 1]))
     blowup = float(times[cut]) if cut < total else None
     times, states, topology_ids = times[:cut], states[:cut], topology_ids[:cut]
 
@@ -439,7 +435,7 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
         post = times >= rho - _TIME_EPS
         e = np.exp(complex(attack.eta) * (times[post] - rho))
         vals[post] = np.real(np.outer(e, np.asarray(attack.g0)))
-    tr = Trace(
+    return Trace(
         times=times,
         states=states,
         attack_values=vals,
@@ -447,14 +443,10 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
         attacked=attacked,
         segments=segments,
         dt=dt,
+        blowup_time=blowup,
         Eta=Eta,
         G=G,
     )
-    if blowup is not None:
-        err = SimulationError(f"instability overflow at t={blowup:.6g}", blowup_time=blowup)
-        err.trace = tr
-        raise err
-    return tr
 
 
 def consensus_error(tr: Trace) -> dict:

@@ -57,13 +57,15 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     assert tracing.HOOKS and missing == []
 
 
-def test_benchmark_tracer_hooks_collect_their_metrics(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("rate", [0.05, 40.0], ids=["stable", "overflow"])
+def test_benchmark_tracer_hooks_collect_their_metrics(monkeypatch, tmp_path, capsys, rate):
     """A hook that reads its call's arguments or result reports its metrics
     missing when they change shape.  One traced in-process ``run`` of an
-    attacked document with an observer feeds every work counter."""
+    attacked document with an observer feeds every work counter, also when
+    the plant overflows (rate 40) and the run ends with a partial trace."""
     tracing = bench_tracing(monkeypatch)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(_inline_attack_doc(0.05)))
+    path.write_text(json.dumps(_inline_attack_doc(rate)))
     tracer = tracing.Tracer(zdalab)
     tracer.install()
     try:

@@ -276,7 +276,7 @@ class TestCli:
         path = self.write(tmp_path, stealth_doc())
 
         def boom(*args, **kwargs):
-            raise scenario.simulation.SimulationError("overflow", blowup_time=1.0)
+            raise scenario.simulation.SimulationError("overflow")
 
         monkeypatch.setattr(scenario, "run", boom)
         assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 4
@@ -958,6 +958,21 @@ def test_a_fast_attack_runs_to_its_overflow_or_the_horizon(tmp_path, capsys, rat
     assert capsys.readouterr().out.splitlines()[0] == summary
     rows = np.loadtxt(tmp_path / "out" / "stealth_trace.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.isfinite(rows).all() and rows[-1, 0] == last
+
+
+@pytest.mark.parametrize("horizon", [1e-10, 5e-10, 1e-9])
+def test_a_horizon_within_the_merge_tolerance_runs_one_sample(tmp_path, capsys, horizon):
+    """A horizon of at most 1e-9, the tolerance within which samples merge,
+    holds no propagation segment: the trace is the initial sample alone,
+    which the observer follows, and the run exits 0."""
+    doc = _inline_attack_doc(0.05)
+    doc["horizon"] = horizon
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "final disagreement 3, no alarm"
+    rows = np.loadtxt(tmp_path / "out" / "stealth_trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == 1 and rows[0, 0] == 0.0
 
 
 class TestRunPlan:

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from zdalab import attacks, graphs, observer, scenario, scheduling, simulation
 from zdalab.simulation import (
-    SimulationError,
     assemble_A,
     assemble_C,
     attack_injection,
@@ -569,11 +568,10 @@ class TestSimulate:
         atk = attacks.ZdaAttack(
             eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
         )
-        with pytest.raises(SimulationError) as err:
-            simulate(sched, np.ones(8), attack=atk, dt=5.0)
-        assert err.value.blowup_time is not None
-        assert 0.0 < err.value.blowup_time <= 1000.0
-        partial = err.value.trace
+        partial = simulate(sched, np.ones(8), attack=atk, dt=5.0)
+        assert partial.blowup_time is not None
+        assert 0.0 < partial.blowup_time <= 1000.0
+        assert partial.times[-1] < partial.blowup_time
         assert len(partial.times) > 1
         assert np.all(np.isfinite(partial.states))
 
@@ -588,10 +586,8 @@ class TestSimulate:
         atk = attacks.ZdaAttack(
             eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
         )
-        with pytest.raises(SimulationError) as err:
-            simulate(sched, np.ones(8), attack=atk, dt=0.3)
-        partial = err.value.trace
-        assert partial.times[-1] < err.value.blowup_time
+        partial = simulate(sched, np.ones(8), attack=atk, dt=0.3)
+        assert partial.times[-1] < partial.blowup_time
         assert len(partial.topology_ids) == len(partial.times)
         assert partial.topology_ids[0] == 1
         for t, tid in zip(partial.times[1:], partial.topology_ids[1:]):
@@ -630,13 +626,19 @@ class TestLattice:
         np.testing.assert_array_equal(tr.times, np.concatenate([[0.0]] + [t for t, _ in per_span]))
         np.testing.assert_array_equal(np.concatenate([seg.steps for seg in tr.segments]),
                                       np.concatenate([steps for _, steps in per_span]))
-        assert [(seg.t0, seg.t1) for seg in tr.segments] == spans
+        # one segment per span, from the sample before its first, which is
+        # the span's start unless a span within _TIME_EPS was dropped, to
+        # the span's end
+        bounds = np.cumsum([0] + [len(seg.steps) for seg in tr.segments])
+        assert len(tr.segments) == len(spans) and tr.blowup_time is None
+        assert tr.times[bounds[1:]].tolist() == [b for _, b in spans]
+        assert np.abs(tr.times[bounds[:-1]] - [a for a, _ in spans]).max() <= simulation._TIME_EPS
         # strictly increasing, each sample more than the merge tolerance past
         # the one before it, and every step between lattice points exactly dt
         assert np.all(np.diff(tr.times) > simulation._TIME_EPS)
-        for seg in tr.segments:
+        for seg, (a, b) in zip(tr.segments, spans):
             assert np.all(seg.steps[1:-1] == dt)
-            assert abs(math.fsum(seg.steps) - (seg.t1 - seg.t0)) <= 4 * np.spacing(seg.t1)
+            assert abs(math.fsum(seg.steps) - (b - a)) <= 4 * np.spacing(b)
 
     @pytest.mark.parametrize("offset", [-5e-11, 5e-11])
     def test_switch_near_lattice_point_is_one_sample(self, topo1, topo2, offset):
@@ -685,11 +687,13 @@ class TestLattice:
         tr = simulate(sched, np.ones(8), attack=atk, dt=0.2)
         np.testing.assert_allclose(tr.Eta, [[0.05, 0.7], [-0.7, 0.05]])
         assert tr.G.shape == (8, 2)
-        for seg in tr.segments:
-            if seg.t0 < atk.rho:
+        row = 0
+        for seg in tr.segments:  # each starts at the sample before its first
+            t0, row = tr.times[row], row + len(seg.steps)
+            if t0 < atk.rho:
                 assert seg.mode0.tolist() == [0.0, 0.0]
                 continue
-            mu = np.exp(atk.eta * (seg.t0 - atk.rho))
+            mu = np.exp(atk.eta * (t0 - atk.rho))
             np.testing.assert_allclose(seg.mode0, [mu.real, -mu.imag], rtol=1e-14)
 
 
@@ -697,12 +701,12 @@ def closed_form_oracle(tr) -> np.ndarray:
     """Every sample of the trace evaluated from its segment's start sample in
     the trace, one segment and one sample at a time: in the modal closed form
     of the segment's Laplacian and mode, or for a resonant drift as the
-    augmented exponential."""
+    augmented exponential.  A segment starts at the sample before its first."""
     Eta, G = tr.Eta, tr.G
     n, out, row = tr.n, tr.states.copy(), 0
     for seg in tr.segments:
         rows = np.arange(row + 1, row + 1 + len(seg.steps))
-        z0, m0, d = tr.states[row], seg.mode0, len(seg.mode0)
+        t0, z0, m0, d = tr.times[row], tr.states[row], seg.mode0, len(seg.mode0)
         L = seg.topology.L
         lam, Q = np.linalg.eigh(L)
         eta = complex(Eta[0, 0], -Eta[1, 0] if d == 2 else 0.0) if d else 0.0
@@ -710,14 +714,14 @@ def closed_form_oracle(tr) -> np.ndarray:
             A = np.block([[assemble_A(L), G], [np.zeros((d, 2 * n)), Eta]])
             s0 = np.concatenate([z0, m0])
             for r in rows:
-                out[r] = (scipy.linalg.expm(A * (tr.times[r] - seg.t0)) @ s0)[: 2 * n]
+                out[r] = (scipy.linalg.expm(A * (tr.times[r] - t0)) @ s0)[: 2 * n]
         else:
             mu0 = m0[0] - 1j * m0[1] if d == 2 else (m0[0] if d else 0.0)
             c = Q.T @ (G[n:] @ np.array([1.0, 1j])[:d]) / (eta**2 + lam) if d else np.zeros(n)
             omega = np.sqrt(np.maximum(lam, 0.0))
             xi0, nu0 = Q.T @ z0[:n] - np.real(c * mu0), Q.T @ z0[n:] - np.real(c * eta * mu0)
             for r in rows:
-                t = tr.times[r] - seg.t0
+                t = tr.times[r] - t0
                 sin = np.array([math.sin(w * t) / w if w > 0.0 else t for w in omega])
                 cos = np.cos(omega * t)
                 forced = c * mu0 * np.exp(eta * t) if mu0 else np.zeros(n)
