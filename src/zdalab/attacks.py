@@ -12,6 +12,7 @@ reduced pencil; only the certificate evaluates each topology's full pencil.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .graphs import RANK_RTOL, _rank, _real, agent_set, detection_matrix
 from .scheduling import SwitchingSchedule
-from .simulation import assemble_A, assemble_C, attack_injection, expm
+from .simulation import assemble_A, assemble_C, attack_injection, schedule_transition
 
 __all__ = [
     "SynthesisError",
@@ -192,32 +193,6 @@ def _candidate_rates(A, B_K, U, target):
         E, F = P.T @ E @ Y, P.T @ F @ Y
 
 
-def _prefix_propagator(sched: SwitchingSchedule, A_of: dict, rho: float) -> np.ndarray:
-    """State-transition matrix of the unattacked plant from 0 to rho under the
-    schedule: one whole cycle's propagator raised to the number of whole
-    cycles before rho by binary powering, then the dwells of the incomplete
-    last cycle, all from one stacked exponential of the dwells before rho.
-    Raises ValueError when rho lies beyond the schedule's horizon."""
-    if rho > sched.horizon:
-        raise ValueError(f"attack start {rho:.6g} lies beyond the horizon {sched.horizon:.6g}")
-    cycles, rest = divmod(rho, sched.period)
-    whole = [(t, sched.dwell[t]) for t in sched.order] if cycles else []
-    spans, t0 = [], 0.0
-    for t in sched.order:
-        spans.append((t, min(sched.dwell[t], rest - t0)))
-        t0 += sched.dwell[t]
-        if t0 >= rest:
-            break
-    exps = expm(np.array([A_of[t] * d for t, d in whole + spans]))
-    cycle = np.eye(exps.shape[-1])
-    for E in exps[: len(whole)]:
-        cycle = E @ cycle
-    Phi = np.linalg.matrix_power(cycle, int(cycles))
-    for E in exps[len(whole) :]:
-        Phi = E @ Phi
-    return Phi
-
-
 def synthesize(
     S_stealth,
     M,
@@ -232,10 +207,11 @@ def synthesize(
     U = blkdiag(X ker(N X), X): C w = 0 and (A_r - A_1) w = 0 put x in the
     kernel of N = ``detection_matrix(S_stealth, M)``, the pencil fixes
     v = eta x, and X = I at ``rho = 0``.  For ``rho > 0``, X spans the
-    position half of the ``unobservable_subspace`` of the topologies of
-    ``schedule_prefix`` that start before rho within one cycle, which every
-    dwell before rho maps onto itself, and the offset at t = 0 is
-    Re(Phi^-1 w) for the prefix propagator Phi, real or complex rate alike.
+    position half of the ``unobservable_subspace`` of the topologies whose
+    intervals of ``schedule_prefix`` start before rho within one cycle, which
+    every dwell before rho maps onto itself, and the offset at t = 0 is
+    Re(Phi^-1 w) for Phi = ``schedule_transition`` to rho, real or complex
+    rate alike; a rho beyond the schedule's horizon raises ValueError.
     An empty ker(N X) admits no attack: the singular values of N X alone
     tell, by ``detectability``'s rank rule, before anything else is formed.
     Otherwise the rates of ``_candidate_rates`` are tried in turn: the target
@@ -259,12 +235,10 @@ def synthesize(
     if rho > 0.0:
         if schedule_prefix is None:
             raise ValueError("rho > 0 requires the switching schedule before rho")
-        prefix, t0 = [], 0.0  # the topologies that start before rho, within one cycle
-        for t in schedule_prefix.order:
-            if t0 >= rho:
-                break
-            prefix.append(t)
-            t0 += schedule_prefix.dwell[t]
+        if rho > schedule_prefix.horizon:
+            raise ValueError(f"attack start {rho:.6g} lies beyond the horizon {schedule_prefix.horizon:.6g}")
+        within = min(rho, schedule_prefix.period)  # the intervals that start before rho, within one cycle
+        prefix = [t for a, _, t in itertools.takewhile(lambda iv: iv[0] < within, schedule_prefix.intervals())]
         V = unobservable_subspace([t.L for t in dict.fromkeys(prefix)], M)
         if V.shape[1] == 0:
             raise SynthesisError("no stealthy prefix possible: "
@@ -281,7 +255,7 @@ def synthesize(
     B_K = attack_injection(K, n)
     if rho > 0.0:
         A_of.update((t, assemble_A(t.L)) for t in schedule_prefix.order if t not in A_of)
-        Phi = _prefix_propagator(schedule_prefix, A_of, rho)
+        Phi = schedule_transition(schedule_prefix, A_of, rho)
     target = 0.05 if eta_target is None else eta_target
     seen: list[complex] = []
 

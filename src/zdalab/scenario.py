@@ -280,7 +280,9 @@ def validate(sc: Scenario) -> ValidationReport:
     """Check the admissibility conditions the switching design relies on:
     rational modal-period ratios, a distinct-eigenvalue member, dwell-time
     construction, the averaged contraction condition, and detectability of
-    the running topology set."""
+    the running topology set.  That line tests N with every agent attacked,
+    so it can FAIL for a scenario whose own attacked set admits no attack
+    at any rate, where ``attacks.synthesize`` returns None."""
     checks: dict = {}
     try:
         rational_ok = all(t.certificate.ok for t in sc.running)

@@ -7,6 +7,7 @@ average contraction of the switched observer-error dynamics.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -110,10 +111,10 @@ class SwitchingSchedule:
         object.__setattr__(self, "switch_times", tuple(times.tolist()))
 
     def intervals(self):
-        """Yield (t_start, t_end, topology) covering [0, horizon]."""
-        bounds = (0.0,) + self.switch_times + (self.horizon,)
-        for k in range(len(bounds) - 1):
-            yield bounds[k], bounds[k + 1], self.order[k % len(self.order)]
+        """Yield (t_start, t_end, topology) covering [0, horizon], copying no bounds."""
+        bounds = itertools.chain((0.0,), self.switch_times, (self.horizon,))
+        for k, (a, b) in enumerate(itertools.pairwise(bounds)):
+            yield a, b, self.order[k % len(self.order)]
 
     @property
     def period(self) -> float:

@@ -10,6 +10,7 @@ form from their start samples, with no discretization error and no stepping.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ __all__ = [
     "check_sample_count",
     "expm",
     "expm_action",
+    "schedule_transition",
     "simulate",
     "consensus_error",
     "taylor_plan",
@@ -115,6 +117,21 @@ def expm(A: np.ndarray) -> np.ndarray:
     if s == math.inf:  # the powers overflowed: no scaling is known
         return np.full(shape, np.nan)
     return _pade(A, P, m, s).reshape(shape)
+
+
+def schedule_transition(sched: SwitchingSchedule, A_of: dict, t: float) -> np.ndarray:
+    """State-transition matrix of dz/dt = A_of[topology] z from 0 to t <= horizon
+    under the schedule: one whole cycle's transition raised to the number of
+    whole cycles before t by binary powering, then the intervals of
+    ``sched.intervals()`` starting in the incomplete last cycle, all from one
+    stacked exponential of the dwells before t (a zero matrix at t = 0)."""
+    cycles, rest = divmod(t, sched.period)
+    whole = [(r, sched.dwell[r]) for r in sched.order] if cycles else []
+    spans = [(r, min(sched.dwell[r], rest - a))
+             for a, _, r in itertools.takewhile(lambda iv: iv[0] < rest, sched.intervals())]
+    exps = expm(np.array([A_of[r] * d for r, d in whole + spans] or [A_of[sched.order[0]] * 0.0]))
+    cycle = functools.reduce(lambda P, E: E @ P, exps[: len(whole)], np.eye(exps.shape[-1]))
+    return functools.reduce(lambda P, E: E @ P, exps[len(whole) :], np.linalg.matrix_power(cycle, int(cycles)))
 
 
 def taylor_plan(norm: float, budget: int) -> tuple[int, int] | None:
@@ -372,12 +389,14 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
     rho = attack.rho if attack is not None else math.inf
     check_sample_count(sched.horizon, dt, n)
 
-    # the schedule's intervals, the one holding the attack start cut there
+    # the schedule's intervals, the one holding the attack start cut there; a span
+    # within _TIME_EPS holds no sample, and its time joins the next (at the end, the last) span
     spans = []
     for a, b, t in sched.intervals():
         cuts = (a, rho, b) if a < rho < b else (a, b)
         spans += [(s, e, t) for s, e in zip(cuts, cuts[1:]) if e - s > _TIME_EPS]
     a, b = np.array([s[:2] for s in spans]).reshape(-1, 2).T
+    a[1:], a[:1], b[-1:] = b[:-1], 0.0, sched.horizon  # the kept spans tile [0, horizon]
     tops, active = [s[2] for s in spans], a >= rho - _TIME_EPS
     # the lattice points inside each span, then a row for the span's end
     lattice = np.arange(1, math.ceil(b[-1] / dt) + 1 if spans else 1) * dt

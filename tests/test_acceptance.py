@@ -177,24 +177,24 @@ def test_criterion_3_stealthiness():
 
 def test_criterion_4_detection_with_third_topology():
     """Adding a topology that makes the switching set detectable raises an
-    alarm on the pair's attack no later than two switching periods after
-    its start.  The alarm comes long before the start: it fires at
-    t = 3.97 against rho = 110, as soon as topology 3 sees the falsified
-    initial state, which the pair keeps hidden and the triple does not (its
-    hidden subspace is trivial).  The test measures that deadline only; it
-    does not show that the injected signal is what gets detected."""
+    alarm on an attack that is stealthy against the undetecting pair, no
+    later than two switching periods after its start.  The attack starts at
+    rho = 1.0 under the triple's own schedule (1, 2, 3), before topology 3
+    first runs at 2 tau = 3.542, and is synthesized against the topologies
+    that run before rho: its residual stays at rounding level until
+    topology 3 runs, and the alarm comes after that, so it is the injected
+    attack that the third topology exposes."""
     t1, t2, t3 = _stealth_family()
     tau = np.pi / 2 + 0.2
-    pair_sched = scheduling.SwitchingSchedule(order=(t1, t2), dwell={t1: tau, t2: tau}, horizon=420.0)
-    rho = 110.0
-    atk, _ = attacks.synthesize(
-        [t1, t2], (1,), (1, 2, 3, 4), rho=rho, schedule_prefix=pair_sched, eta_target=0.05
-    )
-    assert graphs.detectability([t1, t2, t3], (1,)).ok
-
     sched = scheduling.SwitchingSchedule(
         order=(t1, t2, t3), dwell={t1: tau, t2: tau, t3: tau}, horizon=130.0
     )
+    rho = 1.0
+    atk, cert = attacks.synthesize(
+        [t1, t2], (1,), (1, 2, 3, 4), rho=rho, schedule_prefix=sched, eta_target=0.05
+    )
+    assert cert.valid and graphs.detectability([t1, t2, t3], (1,)).ok
+
     z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
     tr = simulation.simulate(sched, z0 + atk.delta_z0, attack=atk, dt=0.01)
     cfg = observer.ObserverConfig(
@@ -202,13 +202,16 @@ def test_criterion_4_detection_with_third_topology():
     )
     run = observer.run_observer(tr, cfg, xhat0=z0[:4], vhat0=z0[4:])
     alarm = observer.detect(tr.times, run.residuals, cfg)
+    exposed = 2.0 * tau  # topology 3 first runs
+    silent = float(np.max(np.abs(run.residuals[tr.times < exposed])))
     deadline = rho + 2.0 * sched.period
 
-    ok = alarm is not None and alarm <= deadline
+    ok = silent < 1e-12 and alarm is not None and exposed < alarm <= deadline
     report(4, "detecting set raises the alarm within two periods of the start",
-           ok, f"alarm at t={alarm}, deadline {deadline:.1f}")
+           ok, f"residual {silent:.2e} before t={exposed:.3f}, alarm at t={alarm}, deadline {deadline:.2f}")
+    assert silent < 1e-12
     assert alarm is not None
-    assert alarm <= deadline
+    assert exposed < alarm <= deadline
 
 
 def test_criterion_5_switched_consensus():

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from zdalab import attacks, graphs, scheduling, simulation
 from zdalab.attacks import (
@@ -432,7 +434,7 @@ class TestSynthesize:
         def refuse(*args):
             raise AssertionError("the prefix propagator ran")
 
-        monkeypatch.setattr(attacks, "_prefix_propagator", refuse)
+        monkeypatch.setattr(attacks, "schedule_transition", refuse)
         sched = scheduling.SwitchingSchedule(order=tuple(pair), dwell=dict.fromkeys(pair, 1.0), horizon=20.0)
         assert synthesize(pair, (1,), (1, 2, 3, 4), rho=5.0, schedule_prefix=sched) is None
 
@@ -662,9 +664,61 @@ class TestPrefixPropagator:
              "three-switch-instant", "endless-dwell"],
     )
     def test_matches_interval_by_interval_product(self, A_of, sched, rho):
-        Phi = attacks._prefix_propagator(sched, A_of, rho)
+        Phi = simulation.schedule_transition(sched, A_of, rho)
         oracle = interval_product(sched, A_of, rho)
         assert np.linalg.norm(Phi - oracle) <= 1e-11 * np.linalg.norm(oracle)
+
+    @seed(30)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(2, 3),
+        dwells=st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3),
+        where=st.sampled_from(["inside-a-dwell", "switch-instant", "cycles-in"]),
+        k=st.integers(0, 40),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_one_walk_matches_the_oracle_on_random_schedules(self, count, dwells, where, k, frac):
+        """The whole-cycle power and the incomplete cycle read from
+        ``intervals()`` agree with the interval-by-interval product, for a
+        start inside a dwell, on a switch instant, and several cycles in."""
+        topos = (TOPO1, TOPO2, TOPO3)[:count]
+        A_of = {t: assemble_A(t.L) for t in topos}
+        sched = scheduling.SwitchingSchedule(
+            order=topos, dwell=dict(zip(topos, dwells)), horizon=50.0 * sum(dwells[:count])
+        )
+        if where == "inside-a-dwell":
+            a, b, _ = list(sched.intervals())[k]
+            rho = a + frac * (b - a)
+        elif where == "switch-instant":
+            rho = sched.switch_times[k]
+        else:
+            rho = (2 + k % 9 + frac) * sched.period
+        Phi = simulation.schedule_transition(sched, A_of, rho)
+        oracle = interval_product(sched, A_of, rho)
+        assert np.linalg.norm(Phi - oracle) <= 1e-11 * np.linalg.norm(oracle)
+
+    def test_walks_only_the_intervals_of_its_incomplete_cycle(self, monkeypatch):
+        """The incomplete cycle is read from the first intervals alone, and
+        the walk stops at the first one starting past it, so a long schedule
+        is not walked to its end (copies of one topology keep the flow of
+        50,000 cycles finite)."""
+        taken = []
+        walk = scheduling.SwitchingSchedule.intervals
+
+        def counted(sched):
+            for iv in walk(sched):
+                taken.append(iv)
+                yield iv
+
+        monkeypatch.setattr(scheduling.SwitchingSchedule, "intervals", counted)
+        copies = tuple(graphs.Topology(id=k, n=4, adjacency=TOPO1.adjacency) for k in (1, 2))
+        sched = scheduling.SwitchingSchedule(order=copies, dwell=dict.fromkeys(copies, 1.0), horizon=1e5)
+        Phi = simulation.schedule_transition(sched, {t: assemble_A(t.L) for t in copies}, 1e5 - 0.5)
+        assert np.isfinite(Phi).all()
+        assert [(a, b) for a, b, _ in taken] == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+
+    def test_zero_time_is_the_identity(self, A_of):
+        assert np.array_equal(simulation.schedule_transition(self.THREE, A_of, 0.0), np.eye(8))
 
 
 class TestSignalsAndPrediction:

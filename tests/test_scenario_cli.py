@@ -176,6 +176,38 @@ class TestValidate:
         assert "PASS  averaged contraction of observer error" in out
         assert "FAIL  some topology has distinct eigenvalues" in out
 
+    def test_detectability_line_assumes_every_agent_attacked(self, tmp_path, capsys):
+        """The line tests N with every agent attacked, so it FAILs on a
+        scenario whose own attacked set admits no attack at any rate: the
+        fifth draw of ``random_topology_set`` from seed 11, with as many
+        attacked agents as observed ones, as the candidate-rate test draws."""
+        from conftest import random_topology_set
+
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            topos, M, _ = random_topology_set(rng)
+            n = topos[0].n
+            K = sorted(rng.choice(np.arange(1, n + 1), size=len(M), replace=False).tolist())
+        links = list(zip(*np.triu_indices(n, 1)))
+        doc = stealth_doc(
+            topologies=[{"id": t.id, "n": n, "edges": [[int(i) + 1, int(j) + 1, float(t.adjacency[i, j])]
+                                                      for i, j in links if t.adjacency[i, j]]} for t in topos],
+            order=[t.id for t in topos],
+            dwell={str(t.id): TAU for t in topos},
+            initial={"x": list(range(1, n + 1)), "v": list(range(1, n + 1))},
+            observed=[int(i) for i in M],
+            attacked=K,
+            observer=_observer(psi=[1e-6] * len(M), theta=[1e-6] * len(M)),
+        )
+        del doc["attack"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        assert "FAIL  detectability of running topology set" in capsys.readouterr().out.splitlines()
+        sc = load_scenario(str(path))
+        assert sc.attacked == (4, 5) and len(sc.attacked) < n
+        assert attacks.synthesize(list(sc.topologies), sc.observed, sc.attacked) is None
+
     def test_report_lines_are_pass_fail(self):
         rep = scenario.validate(load_scenario(stealth_doc()))
         for line in rep.lines():

@@ -622,17 +622,19 @@ class TestLattice:
         for a, b, _ in sched.intervals():
             cuts = (a, rho, b) if atk is not None and a < rho < b else (a, b)
             spans += [(s, e) for s, e in zip(cuts, cuts[1:]) if e - s > simulation._TIME_EPS]
+        # the kept spans tile [0, horizon]: each starts where the one before it ended
+        ends = [e for _, e in spans[:-1]] + [sched.horizon]
+        spans = list(zip([0.0] + ends[:-1], ends))
         per_span = [lattice_oracle(a, b, dt) for a, b in spans]
         np.testing.assert_array_equal(tr.times, np.concatenate([[0.0]] + [t for t, _ in per_span]))
         np.testing.assert_array_equal(np.concatenate([seg.steps for seg in tr.segments]),
                                       np.concatenate([steps for _, steps in per_span]))
         # one segment per span, from the sample before its first, which is
-        # the span's start unless a span within _TIME_EPS was dropped, to
-        # the span's end
+        # the span's start, to the span's end
         bounds = np.cumsum([0] + [len(seg.steps) for seg in tr.segments])
         assert len(tr.segments) == len(spans) and tr.blowup_time is None
         assert tr.times[bounds[1:]].tolist() == [b for _, b in spans]
-        assert np.abs(tr.times[bounds[:-1]] - [a for a, _ in spans]).max() <= simulation._TIME_EPS
+        assert tr.times[bounds[:-1]].tolist() == [a for a, _ in spans]
         # strictly increasing, each sample more than the merge tolerance past
         # the one before it, and every step between lattice points exactly dt
         assert np.all(np.diff(tr.times) > simulation._TIME_EPS)
@@ -649,6 +651,37 @@ class TestLattice:
         near = tr.times[np.abs(tr.times - 1.0) < 1e-9]
         assert near.tolist() == [sched.switch_times[0]]
 
+    @pytest.mark.parametrize(
+        "horizon, rho",
+        [(4.0, 1.0 + 5e-10), (4.0, 5e-10), (3.0 + 5e-10, None)],
+        ids=["start-just-past-a-switch", "start-just-past-zero", "switch-just-before-the-horizon"],
+    )
+    def test_spans_tile_the_horizon(self, horizon, rho):
+        """A span within _TIME_EPS holds no sample; its time joins the next
+        span, or at the horizon the one before, so no time goes unpropagated:
+        every segment starts where the one before it ended, the first at 0
+        and the last ends at the horizon, and the steps sum to the horizon."""
+        path = graphs.Topology.from_edges(1, 2, [(1, 2, 1.0)])
+        copies = tuple(graphs.Topology(id=k, n=2, adjacency=path.adjacency) for k in (1, 2))
+        sched = scheduling.SwitchingSchedule(order=copies, dwell=dict.fromkeys(copies, 1.0), horizon=horizon)
+        atk = None
+        if rho is not None:
+            atk = attacks.ZdaAttack(eta=0.1, rho=rho, g0=np.array([1e-2]), delta_z0=np.ones(4), attacked=(2,))
+        tr = simulate(sched, np.ones(4), attack=atk, dt=0.3)
+        steps = [seg.steps for seg in tr.segments]
+        bounds = np.cumsum([0] + [len(s) for s in steps])
+        assert tr.times[0] == 0.0 and tr.times[-1] == horizon
+        # the lattice's rounding, far below the 5e-10 s a dropped span took
+        assert abs(math.fsum(np.concatenate(steps)) - horizon) <= 1e-12
+        for s, a, b in zip(steps, tr.times[bounds[:-1]], tr.times[bounds[1:]]):
+            assert abs(math.fsum(s) - (b - a)) <= 4 * np.spacing(b)
+        # the bounds are the schedule's switches, each a segment's end, with
+        # the dropped span's start time gone
+        assert tr.times[bounds[1:-1]].tolist() == [t for t in sched.switch_times if horizon - t > 1e-9]
+        if rho is not None:  # the attack acts from the segment that held its start
+            first = next(k for k, seg in enumerate(tr.segments) if seg.mode0.any())
+            assert tr.times[bounds[first]] == math.floor(rho)
+
     def test_sample_count_capped_before_allocating(self, topo1):
         sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 1e4}, horizon=420.0)
         with pytest.raises(ValueError, match="samples"):
@@ -660,6 +693,9 @@ class TestLattice:
         only the partial first and last step of a segment need their own."""
         from test_scenario_cli import stealth_doc
 
+        sc = scenario.load_scenario(stealth_doc())
+        sched = scenario.build_schedule(sc)
+        atk, _ = scenario.synthesize_for(sc)  # its schedule transition takes one exponential
         calls = {}
         for mod in (simulation, observer):
             def counted(M, name=mod.__name__, expm=mod.expm):
@@ -667,9 +703,6 @@ class TestLattice:
                 return expm(M)
 
             monkeypatch.setattr(mod, "expm", counted)
-        sc = scenario.load_scenario(stealth_doc())
-        sched = scenario.build_schedule(sc)
-        atk, _ = scenario.synthesize_for(sc)
         z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
         tr = simulate(sched, z0, attack=atk, dt=sc.dt)
         observer.run_observer(tr, sc.observer_cfg)
