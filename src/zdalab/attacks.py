@@ -226,8 +226,6 @@ def synthesize(
     S_stealth = list(S_stealth)
     if not S_stealth:
         raise ValueError("stealth topology set must be nonempty")
-    if not K:
-        raise SynthesisError("no attack channels: attacked set is empty")
     n = S_stealth[0].n
     observed, attacked = agent_set(M, n, "observed"), agent_set(K, n, "attacked")
     N = detection_matrix(S_stealth, observed)

@@ -6,6 +6,7 @@ cannot be written (OSError), 3 no stealthy attack exists, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,17 +43,15 @@ def _positive(text: str) -> float:
     return value
 
 
-def cmd_validate(args) -> int:
-    sc = scenario.load_scenario(args.scenario)
+def cmd_validate(sc, args) -> int:
     report = scenario.validate(sc)
     for line in report.lines():
         print(line)
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    sc = scenario.load_scenario(args.scenario)
-    result = scenario.run(sc, args.out, dt=args.dt)
+def cmd_run(sc, args) -> int:
+    result = scenario.run(sc, args.out)
     print(result.summary)
     print(f"trace: {result.trace_path}")
     print(f"alarm: {result.alarm_path}")
@@ -60,11 +59,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_synthesize(args) -> int:
-    sc = scenario.load_scenario(args.scenario)
-    if not sc.attacked:
-        print("scenario error: no attack channels", file=sys.stderr)
-        return EXIT_INVALID
+def cmd_synthesize(sc, args) -> int:
     atk, cert = scenario.synthesize_for(sc)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{sc.id}_attack.json")
@@ -74,14 +69,13 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    sc = scenario.load_scenario(args.scenario)
+def cmd_sweep(sc, args) -> int:
     table, errors = {}, []
     for m in range(args.m_min, args.m_max + 1):
         try:
             sub = sc.at_multiplier(m)
             switch_count = len(sub.schedule.switch_times)
-            result = scenario.run(sub, os.path.join(args.out, f"m{m}"), dt=args.dt)
+            result = scenario.run(sub, os.path.join(args.out, f"m{m}"))
             table[str(m)] = {
                 "alarm_time": result.alarm_time,
                 "switch_count": switch_count,
@@ -112,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--scenario", required=True, help="scenario JSON path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--dt", type=_positive, default=None, help="sample step override (s)")
+        sp.add_argument("--dt", type=_positive, default=None, help="the plan's sample step (s)")
 
     sp = sub.add_parser("validate", help="check admissibility conditions")
     common(sp)
@@ -139,7 +133,10 @@ def main(argv=None) -> int:
         args = (parser := build_parser()).parse_args(argv)
         if args.command == "sweep" and args.m_min > args.m_max:
             parser.error(f"empty sweep range: --m-min {args.m_min} exceeds --m-max {args.m_max}")
-        return args.func(args)
+        sc = scenario.load_scenario(args.scenario)  # the run plan, each verb's one input
+        if args.dt is not None:
+            sc = dataclasses.replace(sc, dt=args.dt)
+        return args.func(sc, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (simulation.SimulationError, ValueError, OSError) as exc:

@@ -34,6 +34,8 @@ CONNECTED_RTOL = 1e-9
 SEPARATION_RTOL = 1e-9
 # a modal ratio is rational when a convergent lies within RATIO_TOL of it
 RATIO_TOL = 1e-9
+# largest denominator a certified modal ratio may have
+MAX_DENOMINATOR = 10**6
 # continued-fraction terms tried before the last convergent stands
 _MAX_CONVERGENTS = 64
 
@@ -218,9 +220,9 @@ def _first_convergent_within(x: float, tol: float) -> Fraction:
     return Fraction(h1, k1)
 
 
-def rational_ratio_certificate(spec: LaplacianSpectrum, max_den: int = 10**6) -> RatioCertificate:
+def rational_ratio_certificate(spec: LaplacianSpectrum) -> RatioCertificate:
     """Certify that sqrt(lambda_i / lambda_2) is rational (within RATIO_TOL)
-    for every nonzero eigenvalue, with denominators at most ``max_den``.
+    for every nonzero eigenvalue, with denominators at most MAX_DENOMINATOR.
 
     Ratios are anchored to lambda_2; pairwise rationality follows.
     """
@@ -233,7 +235,7 @@ def rational_ratio_certificate(spec: LaplacianSpectrum, max_den: int = 10**6) ->
     for lam in vals[1:]:
         x = math.sqrt(lam / lam2)
         f = _first_convergent_within(x, RATIO_TOL)
-        if f.denominator > max_den or abs(x - float(f)) > RATIO_TOL:
+        if f.denominator > MAX_DENOMINATOR or abs(x - float(f)) > RATIO_TOL:
             ok = False
         ratios.append(f)
     return RatioCertificate(ok=ok, ratios=tuple(ratios))

@@ -92,12 +92,7 @@ def assemble_observer_A(L: np.ndarray, Phi: np.ndarray, Theta: np.ndarray) -> np
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_observer(
-    tr: Trace,
-    cfg: ObserverConfig,
-    xhat0: np.ndarray | None = None,
-    vhat0: np.ndarray | None = None,
-) -> ObserverRun:
+def run_observer(tr: Trace, cfg: ObserverConfig, zhat0: np.ndarray | None = None) -> ObserverRun:
     """Integrate the observer along the plant trace.
 
     Per dwell segment, the estimation error e = zhat - z and the segment's
@@ -114,20 +109,15 @@ def run_observer(
     e keeps the small estimation error away from the rounding floor of the
     O(1) plant state; the run returns e, and the residual is e on the
     observed positions.  The observer starts from the supplied (possibly
-    falsified) initial state, defaulting to the trace's own initial sample.
-    Raises SimulationError naming the first sample whose estimation error is
-    not finite.
+    falsified) initial state zhat0 = [xhat; vhat], defaulting to the trace's
+    own initial sample.  Raises SimulationError naming the first sample whose
+    estimation error is not finite.
     """
     n = tr.n
     if sum(len(seg.steps) for seg in tr.segments) != len(tr.times) - 1:
         raise ValueError("trace segments do not step through every sample")
     Phi, Theta = gain_matrices(cfg, n)
-
-    if xhat0 is None:
-        xhat0 = tr.states[0, :n]
-    if vhat0 is None:
-        vhat0 = tr.states[0, n:]
-    zhat = np.concatenate([np.asarray(xhat0, float), np.asarray(vhat0, float)])
+    zhat = tr.states[0] if zhat0 is None else np.asarray(zhat0, float)
 
     Eta, G = (np.zeros((0, 0)), np.zeros((2 * n, 0))) if tr.Eta is None else (tr.Eta, tr.G)  # None: no attack
     times, dt, m = tr.times, tr.dt, len(Eta)

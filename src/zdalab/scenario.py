@@ -47,8 +47,7 @@ class Scenario:
     topologies: tuple
     order: tuple
     horizon: float
-    initial_x: tuple
-    initial_v: tuple
+    initial: tuple  # the 2n state z(0) = [x; v], positions then velocities
     observed: tuple
     dt: float = 0.01
     dwell_params: scheduling.DwellParams = field(default_factory=scheduling.DwellParams)
@@ -56,8 +55,7 @@ class Scenario:
     attacked: tuple = ()
     attack: attacks.ZdaAttack | None = None
     synthesize_directive: dict | None = None  # as _directive parses it; None without one
-    reported_x: tuple | None = None  # the loader fills both, from initial by default
-    reported_v: tuple | None = None
+    reported: tuple | None = None  # z(0) as reported; the loader fills it, from initial by default
     observer_cfg: observer.ObserverConfig | None = None
     id: str = "scenario"
 
@@ -106,7 +104,7 @@ def _state(part, n: int, what: str) -> tuple:
     x, v = (tuple(_real(a, what) for a in part[k]) for k in "xv")
     _require(len(x) == n and len(v) == n, f"{what} size must match n")
     _require(all(map(math.isfinite, x + v)), f"{what} must be finite")
-    return x, v
+    return x + v
 
 
 def load_scenario(source) -> Scenario:
@@ -166,9 +164,9 @@ def _parse(d: dict, base: str) -> Scenario:
 
     horizon = _real(d["horizon"], "horizon")
     _require(horizon > 0.0, "horizon must be positive")
-    dt = _real(d.get("dt", 0.01), "dt")
+    dt = _real(d.get("dt", Scenario.dt), "dt")
     _require(0.0 < dt < float("inf"), "dt must be positive and finite")
-    x0, v0 = _state(d["initial"], n, "initial condition")
+    initial = _state(d["initial"], n, "initial condition")
     observed = graphs.agent_set(d["observed"], n, "observed")
     attacked = tuple(d.get("attacked", []))
     attacked = graphs.agent_set(attacked, n, "attacked") if attacked else ()
@@ -215,7 +213,7 @@ def _parse(d: dict, base: str) -> Scenario:
         graphs.agent_set(attack.attacked, n, "attacked")
 
     reported = d.get("reported_initial")
-    rx, rv = _state(reported, n, "reported initial condition") if reported else (x0, v0)
+    reported = _state(reported, n, "reported initial condition") if reported else initial
 
     oc = d.get("observer")
     cfg = None
@@ -224,8 +222,8 @@ def _parse(d: dict, base: str) -> Scenario:
             observed=tuple(d["observed"]),  # in the order of psi and theta
             psi=tuple(_real(v, "observer psi") for v in oc["psi"]),
             theta=tuple(_real(v, "observer theta") for v in oc["theta"]),
-            alarm_threshold=_real(oc.get("threshold", 1e-6), "observer threshold"),
-            alarm_window=oc.get("window", 5),
+            alarm_threshold=_real(oc.get("threshold", observer.ObserverConfig.alarm_threshold), "observer threshold"),
+            alarm_window=oc.get("window", observer.ObserverConfig.alarm_window),
         )
 
     return Scenario(
@@ -233,18 +231,16 @@ def _parse(d: dict, base: str) -> Scenario:
         order=order,
         horizon=horizon,
         dt=dt,
-        initial_x=x0,
-        initial_v=v0,
+        initial=initial,
         observed=observed,
         dwell_params=dwell_params,
         dwell_override=dwell_override,
         attacked=attacked,
         attack=attack,
         synthesize_directive=synth,
-        reported_x=rx,
-        reported_v=rv,
+        reported=reported,
         observer_cfg=cfg,
-        id=str(d.get("id", "scenario")),
+        id=str(d.get("id", Scenario.id)),
     )
 
 
@@ -343,11 +339,10 @@ class RunResult:
     report_path: str
 
 
-def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
-    """Simulate the scenario, run the observer when configured, and write
-    trace CSV, alarm JSON, and a report.  Deterministic for a fixed scenario."""
-    dt = sc.dt if dt is None else dt
-    simulation.check_sample_count(sc.horizon, dt, sc.n)
+def run(sc: Scenario, out_dir: str) -> RunResult:
+    """Simulate the scenario every ``sc.dt``, run the observer when configured, and
+    write trace CSV, alarm JSON, and a report.  Deterministic for a fixed scenario."""
+    simulation.check_sample_count(sc.horizon, sc.dt, sc.n)
     os.makedirs(out_dir, exist_ok=True)
     report = validate(sc)
 
@@ -355,17 +350,15 @@ def run(sc: Scenario, out_dir: str, dt: float | None = None) -> RunResult:
     if sc.synthesize_directive is not None:
         atk, _ = synthesize_for(sc)
 
-    z0 = np.array(sc.initial_x + sc.initial_v, dtype=float)
+    z0 = np.array(sc.initial, dtype=float)
     if atk is not None:
         z0 = z0 + atk.delta_z0
 
-    tr = simulation.simulate(sched=sc.schedule, z0=z0, attack=atk, dt=dt)
+    tr = simulation.simulate(sched=sc.schedule, z0=z0, attack=atk, dt=sc.dt)
     residuals = None
     alarm_time = None
     if sc.observer_cfg is not None:
-        residuals = observer.run_observer(
-            tr, sc.observer_cfg, xhat0=np.array(sc.reported_x), vhat0=np.array(sc.reported_v)
-        ).residuals
+        residuals = observer.run_observer(tr, sc.observer_cfg, zhat0=sc.reported).residuals
         alarm_time = observer.detect(tr.times, residuals, sc.observer_cfg)
 
     err = simulation.consensus_error(replace(tr, times=tr.times[[0, -1]], states=tr.states[[0, -1]]))

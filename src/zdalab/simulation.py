@@ -433,10 +433,11 @@ def simulate(sched: SwitchingSchedule, z0: np.ndarray, attack=None, dt: float = 
             drifts.append((js, fill))
         for r, (step, i, g) in zip(last.tolist(), plan):
             state = states[r] = step(state, i) + g
-        # the samples inside spans, past an overflow too: the cut below drops them
+        # the samples inside spans up to the first ending not finite, where the cut falls at the latest
+        stop = np.r_[np.flatnonzero(~np.isfinite(states[last]).all(axis=1)), len(spans)][0]
         size = max(1, ROW_BLOCK_VALUES // (2 * n))
         for D, (js, fill) in enumerate(drifts):
-            mine = kind[span] == D
+            mine = (kind[span] == D) & (span <= stop)
             j, tau = np.searchsorted(js, span[mine]), lattice[mine] - a[span[mine]]
             sample, at = fill(states[start[js]], modes[js]), rows[mine]
             for k in range(0, len(at), size):

@@ -164,7 +164,7 @@ def test_criterion_3_stealthiness():
     pre = err["vel_disagreement"][attacked.times <= rho].max()
     ratio = float(err["vel_disagreement"].max() / pre)
     cfg = observer.ObserverConfig(observed=(1,), psi=(1e-6,), theta=(1e-6,))
-    run = observer.run_observer(attacked, cfg, xhat0=z0[:4], vhat0=z0[4:])
+    run = observer.run_observer(attacked, cfg, zhat0=z0)
     max_residual = float(np.max(np.abs(run.residuals)))
 
     ok = max_residual < 1e-6 and ratio > 10.0 and output_gap < 1e-8
@@ -200,7 +200,7 @@ def test_criterion_4_detection_with_third_topology():
     cfg = observer.ObserverConfig(
         observed=(1,), psi=(1e-6,), theta=(1e-6,), alarm_threshold=1e-6, alarm_window=5
     )
-    run = observer.run_observer(tr, cfg, xhat0=z0[:4], vhat0=z0[4:])
+    run = observer.run_observer(tr, cfg, zhat0=z0)
     alarm = observer.detect(tr.times, run.residuals, cfg)
     exposed = 2.0 * tau  # topology 3 first runs
     silent = float(np.max(np.abs(run.residuals[tr.times < exposed])))
@@ -316,9 +316,7 @@ def test_criterion_6_observer_tracking_small_gains():
     sched = scheduling.SwitchingSchedule(order=(ga, gb), dwell={ga: tau, gb: tau}, horizon=5e8)
     z0 = np.array([1, 2, 3, 4, 1, 2, -1, -2], float)
     tr = simulation.simulate(sched, z0, dt=1e6)
-    run = observer.run_observer(
-        tr, cfg, xhat0=np.array([1, 1, 3, 5.0]), vhat0=np.array([1, 1, 0, -1.0])
-    )
+    run = observer.run_observer(tr, cfg, zhat0=np.array([1, 1, 3, 5.0, 1, 1, 0, -1.0]))
     err = np.linalg.norm(run.error, axis=1)
     ratio = float(err[-1] / err[0])
 

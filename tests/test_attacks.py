@@ -401,7 +401,7 @@ class TestSynthesize:
         assert synthesize([topo1], (1, 2, 3, 4), (1, 2, 3, 4), rho=0.0) is None
 
     def test_empty_attacked_set_rejected(self, topo1):
-        with pytest.raises(SynthesisError):
+        with pytest.raises(graphs.GraphError, match="attacked set must be nonempty"):
             synthesize([topo1], (1,), (), rho=0.0)
 
     def test_positive_rho_requires_schedule(self, topo1, topo2):

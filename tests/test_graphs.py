@@ -326,7 +326,7 @@ class TestSpectralPredicates:
         assert cert.ok
         assert [(f.numerator, f.denominator) for f in cert.ratios] == [(1, 1), (2, 1), (3, 1)]
 
-    def test_irrational_ratio_rejected_with_small_denominator_cap(self):
+    def test_irrational_ratio_rejected_with_small_denominator_cap(self, monkeypatch):
         # sqrt(2) between the nonzero modes: first convergent within 1e-9 has
         # denominator 33461, beyond a cap of 1000
         spec = graphs.LaplacianSpectrum(
@@ -334,7 +334,8 @@ class TestSpectralPredicates:
             eigenvectors=np.eye(3),
             connected=True,
         )
-        cert = graphs.rational_ratio_certificate(spec, max_den=1000)
+        monkeypatch.setattr(graphs, "MAX_DENOMINATOR", 1000)
+        cert = graphs.rational_ratio_certificate(spec)
         assert not cert.ok
 
     def test_disconnected_spectrum_rejected(self):

@@ -103,11 +103,11 @@ class TestRunObserver:
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)
         tr = simulation.simulate(sched, z0, dt=1.0)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
-        xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
-        run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
+        zhat0 = np.array([1, 1, 3, 5.0, 1, 1, 4, 4.0])
+        run = run_observer(tr, cfg, zhat0=zhat0)
         Phi, Theta = gain_matrices(cfg, 4)
         A_err = assemble_observer_A(topo1.L, Phi, Theta)
-        e0 = np.concatenate([xhat0, vhat0]) - z0
+        e0 = zhat0 - z0
         for k, t in enumerate(tr.times):
             e_sim = run.error[k]
             e_exact = scipy.linalg.expm(A_err * t) @ e0
@@ -117,8 +117,9 @@ class TestRunObserver:
         sched, z0, tr = self.setup_run(topo1, topo2)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         bare = dataclasses.replace(tr, Eta=None, G=None)
-        np.testing.assert_array_equal(run_observer(bare, cfg, xhat0=z0[:4] + 0.1).error,
-                                      run_observer(tr, cfg, xhat0=z0[:4] + 0.1).error)
+        zhat0 = np.r_[z0[:4] + 0.1, z0[4:]]
+        np.testing.assert_array_equal(run_observer(bare, cfg, zhat0=zhat0).error,
+                                      run_observer(tr, cfg, zhat0=zhat0).error)
 
     def test_no_attack_never_alarms(self, topo1, topo2):
         sched, z0, tr = self.setup_run(topo1, topo2, horizon=40.0)
@@ -133,7 +134,7 @@ class TestRunObserver:
         z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
         tr = simulation.simulate(sched, z0, dt=0.5)
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
-        run = run_observer(tr, cfg, xhat0=np.array([0, 0, 0, 0.0]), vhat0=np.zeros(4))
+        run = run_observer(tr, cfg, zhat0=np.zeros(8))
         err = np.linalg.norm(run.error, axis=1)
         assert err[-1] < 1e-2 * err[0]
 
@@ -182,7 +183,7 @@ class TestRunObserver:
         tr = simulation.simulate(sched, z0, dt=0.1)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
         e0 = np.array([0.5, 0, 0, -0.5, 0, 0.5, 0, 0])
-        run = run_observer(tr, cfg, xhat0=z0[:4] + e0[:4], vhat0=z0[4:] + e0[4:])
+        run = run_observer(tr, cfg, zhat0=z0 + e0)
         Phi, Theta = gain_matrices(cfg, 4)
         norms = {seg.topology: np.abs(assemble_observer_A(seg.topology.L, Phi, Theta)).sum(axis=0).max()
                  for seg in tr.segments}
@@ -214,10 +215,10 @@ class TestExponentialBlocks:
         monkeypatch.setattr(observer, "EXPM_BLOCK_VALUES", cap)
         sc = scenario.load_scenario(doc)
         atk, _ = scenario.synthesize_for(sc)
-        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        z0 = np.array(sc.initial) + atk.delta_z0
         tr = simulation.simulate(sc.schedule, z0, attack=atk, dt=sc.dt)
         run = run_observer(tr, sc.observer_cfg,
-                           xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+                           zhat0=np.array(sc.initial))
         drifts = {seg.topology for seg in tr.segments}
         return run.residuals, calls, len(drifts), len(tr.segments)
 
@@ -254,10 +255,10 @@ class TestExponentialBlocks:
         tr = simulation.simulate(sched, z0, dt=0.5)
         assert all(seg.steps[0] == tr.dt for seg in tr.segments)
         cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
-        xhat0, vhat0 = np.array([1, 1, 3, 5.0]), np.array([1, 1, 4, 4.0])
-        whole = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0).residuals
+        zhat0 = np.array([1, 1, 3, 5.0, 1, 1, 4, 4.0])
+        whole = run_observer(tr, cfg, zhat0=zhat0).residuals
         monkeypatch.setattr(observer, "EXPM_BLOCK_VALUES", 1)  # one segment per block
-        assert np.array_equal(run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0).residuals, whole)
+        assert np.array_equal(run_observer(tr, cfg, zhat0=zhat0).residuals, whole)
 
 
 class TestObserverUnderAttack:
@@ -283,13 +284,13 @@ class TestObserverUnderAttack:
         z0 = np.array([1, 2, 3, 4, 0.5, 0, -0.5, 0], float)
         tr = simulation.simulate(sched, z0, attack=atk, dt=0.25)
         cfg = ObserverConfig(observed=(1, 3), psi=(0.8, 0.4), theta=(0.6, 0.9))
-        xhat0, vhat0 = np.array([0.5, 2, 3.5, 4]), np.array([0, 0, -0.5, 0.5])
-        run = run_observer(tr, cfg, xhat0=xhat0, vhat0=vhat0)
+        zhat0 = np.array([0.5, 2, 3.5, 4, 0, 0, -0.5, 0.5])
+        run = run_observer(tr, cfg, zhat0=zhat0)
 
         phi = np.array([0.8, 0, 0.4, 0])
         theta = np.array([0.6, 0, 0.9, 0])
         L_by_id = {1: topo1.L, 2: topo2.L}
-        w = np.concatenate([z0, xhat0, vhat0])
+        w = np.concatenate([z0, zhat0])
         oracle = [w[8:]]
         for a, b in zip(tr.times[:-1], tr.times[1:]):
             L = L_by_id[topology_before(sched, 0.5 * (a + b))]
@@ -330,7 +331,7 @@ class TestObserverUnderAttack:
         assert tr.times[-1] == 130.0 and tr.blowup_time is None and np.isfinite(tr.states).all()
         assert row_gap(tr.states, closed_form_oracle(tr)) <= 1e-13
         cfg = ObserverConfig(observed=(1,), psi=(1.0,), theta=(1.0,))
-        run = run_observer(tr, cfg, xhat0=z0[:4], vhat0=z0[4:])
+        run = run_observer(tr, cfg, zhat0=z0)
         assert np.isfinite(run.error).all()
         assert row_gap(run.error, sequential_errors(tr, cfg, -atk.delta_z0)) <= 1e-13
 
@@ -415,7 +416,7 @@ class TestChainAndFill:
 
             monkeypatch.setattr(observer, "expm_action", action)
         n = tr.n
-        run = run_observer(tr, cfg, xhat0=tr.states[0, :n] + e0[:n], vhat0=tr.states[0, n:] + e0[n:])
+        run = run_observer(tr, cfg, zhat0=tr.states[0] + e0)
         oracle = sequential_errors(tr, cfg, e0)
         assert np.abs(run.error - oracle).max() <= 1e-12 * np.abs(oracle).max()
         idx = [i - 1 for i in cfg.observed]
@@ -430,10 +431,10 @@ class TestChainAndFill:
         doc = stealth_doc(horizon=420.0, attack={"synthesize": True, "rho": 110.0, "eta_target": 0.05})
         sc = scenario.load_scenario(doc)
         atk, _ = scenario.synthesize_for(sc)
-        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        z0 = np.array(sc.initial) + atk.delta_z0
         tr = simulation.simulate(sc.schedule, z0, attack=atk, dt=sc.dt)
         assert (len(tr.times), len(tr.segments)) == (8638, 239)
-        e0 = np.array(sc.initial_x + sc.initial_v) - z0
+        e0 = np.array(sc.initial) - z0
         assert len(self.check(tr, sc.observer_cfg, e0, monkeypatch)) == 1
 
     def test_seeded_n16_pair(self, monkeypatch):
@@ -489,9 +490,9 @@ def test_residuals_are_the_error_on_the_observed_positions():
     sc = scenario.load_scenario(stealth_doc(
         observed=[2, 1], observer={"psi": [3, 1], "theta": [0.5, 2], "threshold": 1e-6, "window": 5}))
     atk, _ = scenario.synthesize_for(sc)
-    z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+    z0 = np.array(sc.initial) + atk.delta_z0
     tr = simulation.simulate(sc.schedule, z0, attack=atk, dt=sc.dt)
-    run = run_observer(tr, sc.observer_cfg, xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+    run = run_observer(tr, sc.observer_cfg, zhat0=np.array(sc.initial))
     assert run.error.shape == tr.states.shape
     assert np.abs(run.error).max() > 0.0
     assert np.array_equal(run.residuals, run.error[:, [0, 1]])
@@ -509,10 +510,10 @@ class TestStealthErrorClosedForm:
             doc = stealth_doc(dwell={"1": dwell, "2": dwell}, horizon=400.0)
         sc = scenario.load_scenario(doc)
         atk, _ = scenario.synthesize_for(sc)
-        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        z0 = np.array(sc.initial) + atk.delta_z0
         tr = simulation.simulate(sc.schedule, z0, attack=atk, dt=sc.dt)
         run = run_observer(tr, sc.observer_cfg,
-                           xhat0=np.array(sc.initial_x), vhat0=np.array(sc.initial_v))
+                           zhat0=np.array(sc.initial))
         e = run.error
         response = simulation.simulate(sc.schedule, atk.delta_z0, attack=atk, dt=sc.dt).states
         assert np.all(np.abs(e + response).max(axis=1) <= 1e-10 * np.abs(e).max(axis=1))

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import operator
@@ -62,7 +63,7 @@ class TestLoadScenario:
         assert sc.order == (t1, t2)
         assert sc.attacked == (1, 2, 3, 4)
         assert sc.synthesize_directive == {"rho": 20.0, "stealth_set": (t1, t2), "eta_target": 0.05}
-        assert (sc.reported_x, sc.reported_v) == (sc.initial_x, sc.initial_v)
+        assert sc.reported == sc.initial
         assert sc.observer_cfg.alarm_window == 5
 
     @pytest.mark.parametrize(
@@ -239,7 +240,7 @@ class TestRun:
             monkeypatch.setattr(scenario, stage, unreachable)
         sc = load_scenario(stealth_doc(horizon=420.0))
         with pytest.raises(ValueError, match="exceed the cap"):
-            scenario.run(sc, str(tmp_path), dt=1e-12)
+            scenario.run(dataclasses.replace(sc, dt=1e-12), str(tmp_path))
 
     def test_attack_free_consensus_summary_absent_for_marginal_run(self, tmp_path):
         doc = stealth_doc()
@@ -293,6 +294,16 @@ class TestCli:
         doc["dwell"]["3"] = TAU
         path = self.write(tmp_path, doc)
         assert cli.main(["synthesize", "--scenario", path, "--out", str(tmp_path)]) == 3
+
+    def test_synthesize_without_attacked_set_exit_two(self, tmp_path, capsys):
+        """An empty attacked set is refused by the agent-set rule, as any
+        other malformed set is."""
+        doc = stealth_doc()
+        del doc["attacked"], doc["attack"]  # a directive needs an attacked set to load
+        path = self.write(tmp_path, doc)
+        assert cli.main(["synthesize", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "scenario error: attacked set must be nonempty\n"
+        assert not (tmp_path / "out").exists()
 
     def test_synthesize_ignores_directive_seed(self, tmp_path):
         outs = []
@@ -1089,6 +1100,50 @@ class TestRunPlan:
         assert cli.main(argv) == 2
         table = json.loads((tmp_path / "out" / "stealth_sweep.json").read_text())
         assert sorted(table) == ["1", "2"] and all("error" in row for row in table.values())
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "synthesize", "sweep"])
+    def test_cli_loads_the_plan_once_per_verb(self, tmp_path, monkeypatch, verb):
+        loads = self.count_calls(monkeypatch, scenario, "load_scenario")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_delayed_attack_doc()))
+        argv = [verb, "--scenario", str(path), "--out", str(tmp_path / "out"), "--dt", "0.1"]
+        assert cli.main(argv + (["--m-max", "2"] if verb == "sweep" else [])) == 0
+        assert len(loads) == 1
+
+    @staticmethod
+    def outputs(out) -> dict:
+        """Every file under ``out`` by its relative path, with its bytes."""
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("verb, extra", [("run", []), ("sweep", ["--m-max", "2"])])
+    def test_dt_flag_sets_the_plans_dt(self, tmp_path, monkeypatch, verb, extra):
+        """``--dt 0.1`` runs plans whose dt is 0.1, each multiplier's too, and
+        writes the bytes of the document that says ``"dt": 0.1``."""
+        runs = self.count_calls(monkeypatch, scenario, "run")
+        outs = []
+        for doc, flag in ((_delayed_attack_doc(), ["--dt", "0.1"]), (dict(_delayed_attack_doc(), dt=0.1), [])):
+            path = tmp_path / f"scenario{len(outs)}.json"
+            path.write_text(json.dumps(doc))
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert cli.main([verb, "--scenario", str(path), "--out", str(outs[-1]), *flag, *extra]) == 0
+        flagged, documented = map(self.outputs, outs)
+        traces = [data for name, data in flagged.items() if name.endswith("_trace.csv")]
+        assert flagged == documented and len(traces) == (1 if verb == "run" else 2)
+        assert [sc.dt for sc, _ in runs] == [0.1] * 2 * len(traces)
+        assert all(data.splitlines()[2].startswith(b"0.10000000000000001,") for data in traces)
+
+    def test_defaults_are_the_dataclass_field_defaults(self):
+        """A document without ``dt``, ``id`` and the observer's ``threshold``
+        and ``window`` loads with the defaults of the ``Scenario`` and
+        ``ObserverConfig`` fields."""
+        doc = stealth_doc(observer={"psi": [1e-6], "theta": [1e-6]})
+        del doc["dt"], doc["id"]
+        sc = load_scenario(doc)
+        plan = {f.name: f.default for f in dataclasses.fields(scenario.Scenario)}
+        cfg = {f.name: f.default for f in dataclasses.fields(zdalab.observer.ObserverConfig)}
+        assert (sc.dt, sc.id) == (plan["dt"], plan["id"])
+        assert (sc.observer_cfg.alarm_threshold, sc.observer_cfg.alarm_window) == (
+            cfg["alarm_threshold"], cfg["alarm_window"])
 
 
 class TestInformationBarrier:

@@ -126,8 +126,9 @@ class TestDwellConstruction:
         T = scheduling.base_period(cert, 1.0)
         assert T == pytest.approx(4.0 * math.pi, rel=1e-9)
 
-    def test_base_period_requires_certificate(self):
-        cert = graphs.rational_ratio_certificate(_spec([0.0, 1.0, 2.0]), max_den=1000)
+    def test_base_period_requires_certificate(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_DENOMINATOR", 1000)
+        cert = graphs.rational_ratio_certificate(_spec([0.0, 1.0, 2.0]))
         with pytest.raises(ScheduleError):
             scheduling.base_period(cert, 1.0)
 

@@ -593,6 +593,40 @@ class TestSimulate:
         for t, tid in zip(partial.times[1:], partial.topology_ids[1:]):
             assert tid == topology_before(sched, t)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_fill_stops_at_the_span_holding_the_overflow(self, topo1, topo2, monkeypatch):
+        """No sample past the span that holds ``blowup_time`` is evaluated:
+        the cut drops every later row, so the fill computes none of them."""
+        sched = self.make_schedule(topo1, topo2, horizon=1000.0)
+        atk = attacks.ZdaAttack(
+            eta=2.0, rho=0.0, g0=np.array([1e-2]), delta_z0=np.eye(8)[0], attacked=(2,)
+        )
+        evaluated = []  # (topology, its span index, offset) of every filled sample
+        propagator = simulation._propagator
+
+        def recorded(t, Eta, G):
+            fill, ends = propagator(t, Eta, G)
+
+            def recording_fill(Z0, M0):
+                sample = fill(Z0, M0)
+
+                def recording_sample(j, tau):
+                    evaluated.extend((t, k, x) for k, x in zip(j.tolist(), tau.tolist()))
+                    return sample(j, tau)
+
+                return recording_sample
+
+            return recording_fill, ends
+
+        monkeypatch.setattr(simulation, "_propagator", recorded)
+        partial = simulate(sched, np.ones(8), attack=atk, dt=0.3)
+        spans = {}  # per topology, its intervals in order: at rho = 0 they are the spans
+        for a, b, t in sched.intervals():
+            spans.setdefault(t, []).append(a)
+        end = next(b for a, b, _ in sched.intervals() if a < partial.blowup_time <= b)
+        times = [spans[t][k] + tau for t, k, tau in evaluated]
+        assert partial.times[-1] <= max(times) <= end < 500.0
+
 
 class TestLattice:
     @settings(max_examples=300, deadline=None)
@@ -703,7 +737,7 @@ class TestLattice:
                 return expm(M)
 
             monkeypatch.setattr(mod, "expm", counted)
-        z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+        z0 = np.array(sc.initial) + atk.delta_z0
         tr = simulate(sched, z0, attack=atk, dt=sc.dt)
         observer.run_observer(tr, sc.observer_cfg)
         bound = 2 * len(tr.segments) + 4
@@ -776,7 +810,7 @@ def fill_cases():
 
     sc = scenario.load_scenario(stealth_doc())
     atk, _ = scenario.synthesize_for(sc)
-    yield "stealth-n4", sc.schedule, np.array(sc.initial_x + sc.initial_v) + atk.delta_z0, atk, sc.dt
+    yield "stealth-n4", sc.schedule, np.array(sc.initial) + atk.delta_z0, atk, sc.dt
 
     rng = np.random.default_rng(17)
     topologies = tuple(random_connected_topology(rng, 4, id=k) for k in (1, 2, 3))
@@ -877,7 +911,7 @@ def stealth_trace():
 
     sc = scenario.load_scenario(stealth_doc())
     atk, _ = scenario.synthesize_for(sc)
-    z0 = np.array(sc.initial_x + sc.initial_v) + atk.delta_z0
+    z0 = np.array(sc.initial) + atk.delta_z0
     sched = scenario.build_schedule(sc)
     tr = simulate(sched, z0, attack=atk, dt=0.02)
     return tr, tr.states[:, [0]] * 1e-9
