@@ -212,8 +212,9 @@ def synthesize(
     every dwell before rho maps onto itself, and the offset at t = 0 is
     Re(Phi^-1 w) for Phi = ``schedule_transition`` to rho, real or complex
     rate alike; a rho beyond the schedule's horizon raises ValueError.
-    An empty ker(N X) admits no attack: the singular values of N X alone
-    tell, by ``detectability``'s rank rule, before anything else is formed.
+    An empty ker(N X) admits no attack, as does a trivial hidden subspace,
+    where X has no columns: the singular values of N X alone tell, by
+    ``detectability``'s rank rule, before anything else is formed.
     Otherwise the rates of ``_candidate_rates`` are tried in turn: the target
     ``eta_target`` (0.05 when None), then the reduced pencil's zeros, which
     may be complex.  Each rate's kernel comes from the reduced pencil
@@ -238,9 +239,6 @@ def synthesize(
         within = min(rho, schedule_prefix.period)  # the intervals that start before rho, within one cycle
         prefix = [t for a, _, t in itertools.takewhile(lambda iv: iv[0] < within, schedule_prefix.intervals())]
         V = unobservable_subspace([t.L for t in dict.fromkeys(prefix)], M)
-        if V.shape[1] == 0:
-            raise SynthesisError("no stealthy prefix possible: "
-                                 "common unobservable subspace is trivial")
         X = V[:n, : V.shape[1] // 2]
         N = N @ X
     r = _rank(np.linalg.svd(N, compute_uv=False))

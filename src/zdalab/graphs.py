@@ -17,12 +17,11 @@ __all__ = [
     "Topology",
     "LaplacianSpectrum",
     "DetectabilityReport",
-    "RatioCertificate",
     "agent_set",
     "detection_matrix",
     "detectability",
     "has_distinct_eigenvalues",
-    "rational_ratio_certificate",
+    "modal_period",
 ]
 
 
@@ -32,12 +31,13 @@ RANK_RTOL = 1e-10
 CONNECTED_RTOL = 1e-9
 # eigenvalues are distinct when every gap exceeds SEPARATION_RTOL * max(1, |lambda|)
 SEPARATION_RTOL = 1e-9
-# a modal ratio is rational when a convergent lies within RATIO_TOL of it
+# a modal ratio is rational when a fraction lies within RATIO_TOL of it
 RATIO_TOL = 1e-9
-# largest denominator a certified modal ratio may have
-MAX_DENOMINATOR = 10**6
-# continued-fraction terms tried before the last convergent stands
-_MAX_CONVERGENTS = 64
+# largest denominator of a modal ratio's fraction.  Two fractions with
+# denominators at most 1000 differ by at least 1e-6, far more than
+# 2 * RATIO_TOL, so a fraction within tolerance is unique; and only about
+# 6e-4 of irrational ratios (6/pi^2 * 1000^2 * RATIO_TOL) pass by chance
+MAX_DENOMINATOR = 1000
 
 
 class GraphError(ValueError):
@@ -47,7 +47,7 @@ class GraphError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Weighted undirected communication graph; the one owner of its
-    Laplacian ``L``, ``spectrum`` and ratio ``certificate``, each cached.
+    Laplacian ``L``, ``spectrum`` and modal ``period``, each cached.
     Two topologies are equal only when they are the same object.
 
     Invariants: an integer id within int64, an exactly symmetric read-only
@@ -97,18 +97,19 @@ class Topology:
     @functools.cached_property
     def spectrum(self) -> LaplacianSpectrum:
         """Eigendecomposition of ``L``; ``connected`` is true when the
-        second-smallest eigenvalue exceeds CONNECTED_RTOL * max(1, ||L||_2)."""
+        second-smallest eigenvalue exceeds CONNECTED_RTOL * max(1, ||L||_2),
+        where ||L||_2 is the largest eigenvalue of the symmetric PSD ``L``."""
         try:
             vals, vecs = np.linalg.eigh(self.L)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise GraphError(f"eigensolver failed: {exc}") from exc
-        connected = len(vals) < 2 or bool(vals[1] > CONNECTED_RTOL * max(1.0, np.linalg.norm(self.L, 2)))
+        connected = len(vals) < 2 or bool(vals[1] > CONNECTED_RTOL * max(1.0, vals[-1]))
         return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs, connected=connected)
 
     @functools.cached_property
-    def certificate(self) -> RatioCertificate:
-        """The spectrum's ratio certificate; GraphError when disconnected."""
-        return rational_ratio_certificate(self.spectrum)
+    def period(self) -> float | None:
+        """The spectrum's ``modal_period``; GraphError when disconnected."""
+        return modal_period(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,6 @@ class LaplacianSpectrum:
 class DetectabilityReport:
     ok: bool
     margin: float  # smallest singular value of N = detection_matrix(S, M)
-
-
-@dataclass(frozen=True)
-class RatioCertificate:
-    """Rationality certificate for sqrt-eigenvalue ratios, anchored to the
-    smallest nonzero eigenvalue."""
-
-    ok: bool
-    ratios: tuple  # of Fraction, one per eigenvalue index 2..n
 
 
 def _is_id(i) -> bool:
@@ -202,40 +194,24 @@ def has_distinct_eigenvalues(spec: LaplacianSpectrum) -> bool:
     return bool(np.min(np.diff(vals)) > SEPARATION_RTOL * max(1.0, abs(vals).max()))
 
 
-def _first_convergent_within(x: float, tol: float) -> Fraction:
-    """Smallest-denominator continued-fraction convergent of x within tol."""
-    h0, h1 = 1, int(math.floor(x))
-    k0, k1 = 0, 1
-    frac = x - math.floor(x)
-    for _ in range(_MAX_CONVERGENTS):
-        if abs(x - h1 / k1) <= tol:
-            break
-        if frac <= 0:
-            break
-        frac = 1.0 / frac
-        a = int(math.floor(frac))
-        frac -= a
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    return Fraction(h1, k1)
-
-
-def rational_ratio_certificate(spec: LaplacianSpectrum) -> RatioCertificate:
-    """Certify that sqrt(lambda_i / lambda_2) is rational (within RATIO_TOL)
-    for every nonzero eigenvalue, with denominators at most MAX_DENOMINATOR.
-
-    Ratios are anchored to lambda_2; pairwise rationality follows.
-    """
+def modal_period(spec: LaplacianSpectrum) -> float | None:
+    """Common period of all oscillatory modes: the smallest T that is an
+    integer multiple of every modal period 2*pi/sqrt(lambda_i), that is
+    T = (2*pi/sqrt(lambda_2)) * lcm(q_i) for the ratios
+    sqrt(lambda_i / lambda_2) = p_i / q_i.  None when some ratio has no
+    fraction with q_i <= MAX_DENOMINATOR within RATIO_TOL; GraphError for a
+    disconnected spectrum, or for a period that no float holds."""
     vals = spec.eigenvalues
     if not spec.connected or len(vals) < 2:
-        raise GraphError("rationality certificate needs a connected spectrum (lambda_2 > 0)")
-    lam2 = vals[1]
-    ratios = []
-    ok = True
-    for lam in vals[1:]:
-        x = math.sqrt(lam / lam2)
-        f = _first_convergent_within(x, RATIO_TOL)
-        if f.denominator > MAX_DENOMINATOR or abs(x - float(f)) > RATIO_TOL:
-            ok = False
-        ratios.append(f)
-    return RatioCertificate(ok=ok, ratios=tuple(ratios))
+        raise GraphError("modal period needs a connected spectrum (lambda_2 > 0)")
+    mult = 1
+    for lam in vals[2:]:
+        x = math.sqrt(lam / vals[1])
+        f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+        if abs(x - f) > RATIO_TOL:
+            return None
+        mult = math.lcm(mult, f.denominator)
+    T = 2.0 * math.pi / math.sqrt(vals[1]) * mult if mult.bit_length() < 1024 else math.inf  # no float holds 2**1024
+    if not math.isfinite(T):
+        raise GraphError(f"common modal period overflows: {mult.bit_length()}-bit multiple")
+    return T

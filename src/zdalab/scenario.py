@@ -86,7 +86,7 @@ class Scenario:
 
     def at_multiplier(self, m: int) -> Scenario:
         """This plan at multiplier m with derived dwell times, as ``<id>_m<m>``;
-        it shares the topologies, with their spectra and certificates, and
+        it shares the topologies, with their spectra and periods, and
         keeps the observer weight, none of which depends on m."""
         sub = replace(self, id=f"{self.id}_m{m}", dwell_override=None,
                       dwell_params=replace(self.dwell_params, m=m))
@@ -252,8 +252,9 @@ def build_schedule(sc: Scenario) -> scheduling.SwitchingSchedule:
         xi_val = scheduling.xi(t.spectrum for t in sc.running)
         dwell = {}
         for t in sc.running:
-            T_r = scheduling.base_period(t.certificate, t.spectrum.eigenvalues[1])
-            dwell[t] = scheduling.dwell_time(sc.dwell_params, T_r, xi_val)
+            if t.period is None:
+                raise scheduling.ScheduleError(f"topology {t.id}: eigenvalue ratios not rational within tolerance")
+            dwell[t] = scheduling.dwell_time(sc.dwell_params, t.period, xi_val)
     return scheduling.SwitchingSchedule(order=sc.order, dwell=dwell, horizon=sc.horizon)
 
 
@@ -281,7 +282,7 @@ def validate(sc: Scenario) -> ValidationReport:
     at any rate, where ``attacks.synthesize`` returns None."""
     checks: dict = {}
     try:
-        rational_ok = all(t.certificate.ok for t in sc.running)
+        rational_ok = all(t.period is not None for t in sc.running)
     except graphs.GraphError:
         rational_ok = False
     checks["rational modal-period ratios (all topologies)"] = bool(rational_ok)

@@ -1,9 +1,9 @@
 """Dwell-time construction and switching-signal generation.
 
-Dwell times are half-multiples of the active Laplacian's common modal period,
-offset by a small slack, so that a topology hands over at (near) the same
-modal phase it started with.  The weighted matrix-measure check certifies
-average contraction of the switched observer-error dynamics.
+Dwell times are half-multiples of the active Laplacian's common modal period
+(``Topology.period``), offset by a small slack, so that a topology hands over
+at (near) the same modal phase it started with.  The weighted matrix-measure
+check certifies average contraction of the switched observer-error dynamics.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import LaplacianSpectrum, RatioCertificate, _is_id
+from .graphs import _is_id
 
 __all__ = [
     "DwellParams",
@@ -21,7 +21,6 @@ __all__ = [
     "MeasureReport",
     "ScheduleError",
     "xi",
-    "base_period",
     "dwell_time",
     "hurwitz",
     "lyapunov_weight",
@@ -124,20 +123,6 @@ class SwitchingSchedule:
 def xi(spectra) -> float:
     """Largest distance of any Laplacian eigenvalue from 1, over all topologies."""
     return max((float(np.abs(s.eigenvalues - 1.0).max()) for s in spectra), default=0.0)
-
-
-def base_period(cert: RatioCertificate, lambda2: float) -> float:
-    """Common period of all oscillatory modes: the smallest T that is an
-    integer multiple of every modal period 2*pi/sqrt(lambda_i)."""
-    if not cert.ok:
-        raise ScheduleError("eigenvalue ratios not rational within tolerance")
-    p2 = 2.0 * math.pi / math.sqrt(lambda2)
-    # P_i / P_2 = q_i / p_i in lowest terms, where cert ratio i is p_i / q_i.
-    mult = math.lcm(*(f.denominator for f in cert.ratios))
-    T = p2 * mult if mult.bit_length() < 1024 else math.inf  # no float holds 2**1024
-    if not math.isfinite(T):
-        raise ScheduleError(f"common modal period overflows: {mult.bit_length()}-bit multiple")
-    return T
 
 
 def dwell_time(p: DwellParams, T_r: float, xi_value: float) -> float:

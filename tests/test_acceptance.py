@@ -236,9 +236,7 @@ def test_criterion_5_switched_consensus():
     xi_val = scheduling.xi(spectra.values())
     dwell = {}
     for t in (ta, tb):
-        spec = spectra[t.id]
-        cert = graphs.rational_ratio_certificate(spec)
-        T_r = scheduling.base_period(cert, spec.eigenvalues[1])
+        T_r = graphs.modal_period(spectra[t.id])
         dwell[t] = scheduling.dwell_time(params, T_r, xi_val)
     sched = scheduling.SwitchingSchedule(order=(ta, tb), dwell=dwell, horizon=500.0)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ class TestTopology:
 
     def test_derived_matrices_are_computed_once(self, topo2):
         assert topo2.L is topo2.L and topo2.spectrum is topo2.spectrum
-        assert topo2.certificate is topo2.certificate
+        assert topo2.period is topo2.period
 
     def test_equality_is_identity(self):
         """Two topologies with equal fields are distinct objects: comparing
@@ -57,7 +59,7 @@ class TestTopology:
     def test_certificate_needs_a_connected_topology(self):
         t = graphs.Topology.from_edges(1, 4, [(1, 2, 1.0), (3, 4, 1.0)])
         with pytest.raises(GraphError, match="connected"):
-            t.certificate
+            t.period
 
     @pytest.mark.parametrize("tid", [-(2**63), 2**63 - 1, np.int64(7)])
     def test_accepts_int64_ids(self, tid):
@@ -320,23 +322,19 @@ class TestSpectralPredicates:
         # spectrum {0, 2, 2, 4}
         assert not graphs.has_distinct_eigenvalues(t.spectrum)
 
-    def test_rational_ratio_certificate_149(self, k4_149):
-        spec = k4_149.spectrum
-        cert = graphs.rational_ratio_certificate(spec)
-        assert cert.ok
-        assert [(f.numerator, f.denominator) for f in cert.ratios] == [(1, 1), (2, 1), (3, 1)]
+    def test_modal_period_149(self, k4_149):
+        # ratios 1, 2, 3: modal periods 2*pi, pi, 2*pi/3 share the period 2*pi
+        assert k4_149.period == pytest.approx(2.0 * math.pi, rel=1e-12)
 
-    def test_irrational_ratio_rejected_with_small_denominator_cap(self, monkeypatch):
+    def test_irrational_ratio_rejected_with_small_denominator_cap(self):
         # sqrt(2) between the nonzero modes: first convergent within 1e-9 has
-        # denominator 33461, beyond a cap of 1000
+        # denominator 33461, beyond the cap of 1000
         spec = graphs.LaplacianSpectrum(
             eigenvalues=np.array([0.0, 1.0, 2.0]),
             eigenvectors=np.eye(3),
             connected=True,
         )
-        monkeypatch.setattr(graphs, "MAX_DENOMINATOR", 1000)
-        cert = graphs.rational_ratio_certificate(spec)
-        assert not cert.ok
+        assert graphs.modal_period(spec) is None
 
     def test_disconnected_spectrum_rejected(self):
         spec = graphs.LaplacianSpectrum(
@@ -345,4 +343,4 @@ class TestSpectralPredicates:
             connected=False,
         )
         with pytest.raises(GraphError):
-            graphs.rational_ratio_certificate(spec)
+            graphs.modal_period(spec)

@@ -98,6 +98,12 @@ class TestRunObserver:
         run = run_observer(tr, cfg)
         assert np.max(np.abs(run.residuals)) < 1e-10
 
+    def test_rejects_segments_that_miss_a_sample(self, topo1, topo2):
+        _, _, tr = self.setup_run(topo1, topo2)
+        cfg = ObserverConfig(observed=(1,), psi=(0.5,), theta=(0.5,))
+        with pytest.raises(ValueError, match="do not step through every sample"):
+            run_observer(dataclasses.replace(tr, segments=tr.segments[:-1]), cfg)
+
     def test_matches_exact_error_dynamics_on_fixed_topology(self, topo1):
         sched = scheduling.SwitchingSchedule(order=(topo1,), dwell={topo1: 100.0}, horizon=30.0)
         z0 = np.array([1, 2, 3, 4, 1, 2, 3, 4], float)

@@ -154,7 +154,9 @@ class TestLoadScenario:
 class TestValidate:
     def test_undetecting_pair_flags_detectability_only(self):
         rep = scenario.validate(load_scenario(stealth_doc()))
-        assert rep.checks["rational modal-period ratios (all topologies)"]
+        # the pair's ratios sqrt(3) and 2/sqrt(3) are irrational; only its
+        # dwell map lets it run
+        assert not rep.checks["rational modal-period ratios (all topologies)"]
         assert rep.checks["some topology has distinct eigenvalues"]
         assert rep.checks["dwell-time construction"]
         assert not rep.checks["detectability of running topology set"]
@@ -411,6 +413,8 @@ class TestExitCodes:
             (stealth_doc(), ["--dt", "-0.1"]),
             (None, []),
             (stealth_doc(dwell=None), []),
+            (stealth_doc(dwell=None, topologies=[{"id": tid, "n": 4, "edges": [[1, 2, 1], [1, 3, 1], [1, 4, 1]]}
+                                                 for tid in (1, 2)]), []),
             (stealth_doc(dwell={"1": 1e-300, "2": 1e-300}), []),
             (stealth_doc(dt=1e-12, horizon=420.0), []),
             ([stealth_doc()], []),
@@ -454,10 +458,12 @@ class TestExitCodes:
             (_inline_attack_doc(0.05, eta={"re": True, "im": 0.0}), []),
             (_inline_attack_doc(0.05, g0={"re": [True, -0.5], "im": [0.0, 0.0]}), []),
             (_inline_attack_doc(0.05, delta_z0=[0, 0, 0, True, 0, 0, 0, 0]), []),
+            (stealth_doc(), ["--dt", "abc"]),
+            (_inline_attack_doc(0.05, g0={"re": [1.0], "im": [0.0]}), []),
         ],
         ids=["dt-zero", "dt-negative", "dwell-lacks-id", "empty-order", "flag-dt-zero",
              "flag-dt-negative", "missing-file", "dwell-construction-inapplicable",
-             "dwell-tiny", "dt-tiny", "top-level-list", "initial-not-object",
+             "dwell-spectrum-far-from-one", "dwell-tiny", "dt-tiny", "top-level-list", "initial-not-object",
              "dwell-m-not-number", "stealth-set-unknown-id", "rho-nan", "rho-null",
              "rho-past-horizon", "eta-target-not-number", "attack-not-object", "threshold-nan", "gain-inf", "window-inf",
              "initial-nan", "reported-initial-short", "reported-initial-nan", "dwell-m-fraction",
@@ -466,7 +472,7 @@ class TestExitCodes:
              "threshold-bool", "psi-bool", "theta-bool", "initial-bool", "reported-initial-bool",
              "dwell-time-bool", "rho-bool", "eta-target-bool", "edge-weight-bool",
              "attack-rho-bool", "attack-rho-string", "attack-eta-bool", "attack-g0-bool",
-             "attack-delta-z0-bool"],
+             "attack-delta-z0-bool", "flag-dt-not-number", "attack-g0-short"],
     )
     def test_invalid_input_exits_two(self, tmp_path, capsys, doc, extra_args):
         path = tmp_path / "scenario.json"
@@ -748,8 +754,9 @@ class TestNeverATraceback:
         assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_overflowing_modal_period(self, tmp_path, capsys):
-        """Two 128-agent weighted paths: the lcm of the ratio certificate's
-        denominators has more digits than any float holds."""
+        """Two 128-agent weighted paths: their random weights give irrational
+        modal ratios, so no dwell time derives from a modal period.  (An lcm
+        that no float holds is tested on a spectrum in test_scheduling.)"""
         rng = np.random.default_rng(0)
         n = 128
         doc = stealth_doc(
@@ -770,7 +777,7 @@ class TestNeverATraceback:
         assert cli.main(["validate", "--scenario", str(path)]) == 0
         assert "FAIL  dwell-time construction" in capsys.readouterr().out
         assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "modal period overflows" in capsys.readouterr().err
+        assert "not rational" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["run", "synthesize"])
     def test_delayed_directive_leaving_out_a_scheduled_topology(self, tmp_path, capsys, verb):
@@ -1041,12 +1048,12 @@ class TestRunPlan:
     def test_derived_inputs_once_per_running_topology(self, tmp_path, monkeypatch):
         builds = self.count_calls(monkeypatch, scenario, "build_schedule")
         spectra = self.count_calls(monkeypatch, np.linalg, "eigh")
-        certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
+        periods = self.count_calls(monkeypatch, scenario.graphs, "modal_period")
         sc = load_scenario(_delayed_attack_doc())
         result = scenario.run(sc, str(tmp_path))
         assert result.alarm_time is None
         assert sc.synthesize_directive["rho"] > 0.0 and sc.dwell_override is None
-        assert (len(builds), len(spectra), len(certs)) == (1, 2, 2)
+        assert (len(builds), len(spectra), len(periods)) == (1, 2, 2)
 
     def test_sweep_builds_one_schedule_per_m(self, tmp_path, monkeypatch):
         builds = self.count_calls(monkeypatch, scenario, "build_schedule")
@@ -1064,13 +1071,13 @@ class TestRunPlan:
         whole sweep, not per m: the plans share their topologies, which own
         them."""
         spectra = self.count_calls(monkeypatch, np.linalg, "eigh")
-        certs = self.count_calls(monkeypatch, scenario.graphs, "rational_ratio_certificate")
+        periods = self.count_calls(monkeypatch, scenario.graphs, "modal_period")
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(_delayed_attack_doc()))
         argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
                 "--m-min", "1", "--m-max", "4"]
         assert cli.main(argv) == 0
-        assert (len(spectra), len(certs)) == (2, 2)
+        assert (len(spectra), len(periods)) == (2, 2)
 
     @pytest.mark.parametrize("hurwitz", [False, True], ids=["no-hurwitz-mode", "hurwitz-mode"])
     def test_sweep_makes_one_lyapunov_solve(self, tmp_path, monkeypatch, hurwitz):

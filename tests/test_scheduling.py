@@ -112,25 +112,21 @@ class TestDwellConstruction:
         assert scheduling.xi([_spec([0.0, 1.0, 3.0, 4.0])]) == pytest.approx(3.0)
         assert scheduling.xi([_spec([0.0, 0.5, 1.5]), _spec([0.0, 0.9, 1.1])]) == pytest.approx(1.0)
 
-    def test_base_period_integer_ratios(self, k4_149):
-        spec = k4_149.spectrum
-        cert = graphs.rational_ratio_certificate(spec)
-        T = scheduling.base_period(cert, spec.eigenvalues[1])
+    def test_modal_period_integer_ratios(self, k4_149):
+        T = graphs.modal_period(k4_149.spectrum)
         # modal periods 2*pi, pi, 2*pi/3 share the period 2*pi
         assert T == pytest.approx(2.0 * math.pi, rel=1e-9)
+        assert graphs.modal_period(_spec([0.0, 1.0, 4.0, 9.0])) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
-    def test_base_period_half_integer_ratio(self):
+    def test_modal_period_half_integer_ratio(self):
         # eigenvalues 1 and 2.25: sqrt ratio 3/2, so the common period doubles
-        cert = graphs.rational_ratio_certificate(_spec([0.0, 1.0, 2.25]))
-        assert cert.ok
-        T = scheduling.base_period(cert, 1.0)
+        T = graphs.modal_period(_spec([0.0, 1.0, 2.25]))
         assert T == pytest.approx(4.0 * math.pi, rel=1e-9)
 
-    def test_base_period_requires_certificate(self, monkeypatch):
-        monkeypatch.setattr(graphs, "MAX_DENOMINATOR", 1000)
-        cert = graphs.rational_ratio_certificate(_spec([0.0, 1.0, 2.0]))
-        with pytest.raises(ScheduleError):
-            scheduling.base_period(cert, 1.0)
+    def test_modal_period_is_none_for_irrational_ratios(self):
+        # sqrt(2), and the README stealth pair's sqrt(3) and 2/sqrt(3)
+        assert graphs.modal_period(_spec([0.0, 1.0, 2.0])) is None
+        assert graphs.modal_period(_spec([0.0, 1.0, 3.0, 4.0])) is None
 
     def test_dwell_time_smallest_admissible(self):
         p = DwellParams(beta=0.5, alpha=1.0, kappa=1, tau_hat_max=0.2)
@@ -177,6 +173,41 @@ class TestDwellConstruction:
         expected = params.tau_hat_max + m * T_r / 2.0
         assert scheduling.dwell_time(params, T_r, xi_value) == expected
 
+    def test_rounding_corrections_around_exact_ties(self):
+        """T/2 one ulp either side of an exact tie tau_hat + k * T/2 = theta,
+        for seeded parameters: the quotient's floor can land one off the
+        least admissible m, and one +1 or -1 correction mends it.  The two
+        pinned cases take +1 and -1; the seeded ties take each too."""
+        rng = np.random.default_rng(32)
+        cases = [
+            ((0.32921768800306006, 2.2287530382476834, 3, 0.41938843259101855), 0.7894627604184101,
+             0.02340428699901665, 1),
+            ((0.07548770403091667, 1.686424914749346, 1, 0.8978133797335663), 1.0274227763261123,
+             1.071917211407179, -1),
+        ]
+        while len(cases) < 600:
+            beta, alpha, kappa = rng.uniform(0.05, 0.95), rng.uniform(1.0, 3.0), int(rng.integers(1, 5))
+            tau_hat, xi_value = rng.uniform(0.05, 0.95) * -math.log(beta) / alpha, rng.uniform(0.0, alpha)
+            threshold = (beta ** (-1.0 / kappa) - 1.0) * kappa / (alpha - xi_value)
+            half = (threshold - tau_hat) / int(rng.integers(1, 100))
+            if half > 0.0:
+                cases += [((beta, alpha, kappa, tau_hat), xi_value, 2.0 * float(h), None)
+                          for h in (np.nextafter(half, 0.0), half, np.nextafter(half, math.inf))]
+        taken = set()
+        for (beta, alpha, kappa, tau_hat), xi_value, T_r, expected in cases:
+            p = DwellParams(beta=beta, alpha=alpha, kappa=kappa, tau_hat_max=tau_hat)
+            threshold = (beta ** (-1.0 / kappa) - 1.0) * kappa / (alpha - xi_value)
+            half = T_r / 2.0
+            tau = scheduling.dwell_time(p, T_r, xi_value)
+            # the multiple of the quotient's floor, before any correction
+            m0 = max(p.m, math.floor((threshold - tau_hat) / half) + 1)
+            (step,) = [d for d in (-1, 0, 1) if tau == tau_hat + (m0 + d) * half]
+            assert tau > threshold
+            assert m0 + step == p.m or tau_hat + (m0 + step - 1) * half <= threshold
+            assert expected in (None, step)
+            taken.add(step)
+        assert taken == {-1, 0, 1}
+
     def test_spectrum_at_the_margin_needs_no_stepping(self):
         # alpha - xi = 1e-9 puts the threshold near 1e9: about 4.5e8 half-periods
         p = DwellParams(alpha=1.0 + 1e-9, tau_hat_max=0.2)
@@ -201,12 +232,13 @@ class TestDwellConstruction:
         with pytest.raises(ScheduleError):
             scheduling.dwell_time(params, T_r, xi_value=0.0)
 
-    def test_base_period_overflow_rejected(self):
-        # the lcm of the certificate's denominators exceeds every float
-        primes = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))]
-        cert = graphs.RatioCertificate(ok=True, ratios=tuple(Fraction(1, p) for p in primes))
-        with pytest.raises(ScheduleError, match="overflows"):
-            scheduling.base_period(cert, 1.0)
+    def test_modal_period_overflow_rejected(self):
+        # ratios (p + 1)/p for the 168 primes below 1000: a 1,380-bit lcm,
+        # which exceeds every float
+        primes = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        assert len(primes) == 168
+        with pytest.raises(graphs.GraphError, match="1380-bit multiple"):
+            graphs.modal_period(_spec([0.0, 1.0] + [((p + 1) / p) ** 2 for p in primes]))
 
 
 class TestMeasureCondition:
